@@ -157,6 +157,11 @@ func serve(cfg serveConfig) error {
 	if err != nil {
 		return err
 	}
+	// The handler goes in before Start: once the port file announces the
+	// server, a SIGTERM must drain it, never kill it.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGTERM, os.Interrupt)
+	defer signal.Stop(sig)
 	addr, err := s.Start(cfg.addr)
 	if err != nil {
 		return err
@@ -168,8 +173,6 @@ func serve(cfg serveConfig) error {
 	}
 	fmt.Fprintf(os.Stderr, "lawgated: serving %d tenant(s) on %s\n", len(cfg.tenants), addr)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, os.Interrupt)
 	got := <-sig
 	fmt.Fprintf(os.Stderr, "lawgated: %s received, draining\n", got)
 

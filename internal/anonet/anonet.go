@@ -1,6 +1,7 @@
 package anonet
 
 import (
+	"crypto/cipher"
 	"errors"
 	"fmt"
 	"strconv"
@@ -22,9 +23,11 @@ var (
 	ErrDuplicate = errors.New("anonet: duplicate node")
 )
 
-// flowFor names the netsim flow carrying a circuit's traffic.
+// flowFor names the netsim flow carrying a circuit's traffic. Circuits
+// and routes build theirs once; this is for cells naming any other
+// circuit.
 func flowFor(circ CircuitID) netsim.FlowID {
-	return netsim.FlowID(fmt.Sprintf("anon-c%d", circ))
+	return netsim.FlowID("anon-c" + strconv.FormatUint(uint64(circ), 10))
 }
 
 // circFromFlow recovers the circuit ID from a flow name.
@@ -65,8 +68,9 @@ func (a *Anonet) Net() *netsim.Network { return a.net }
 // route is one relay's per-circuit state.
 type route struct {
 	prev, next netsim.NodeID // next is empty at the exit
-	key        LayerKey
-	exitSeq    uint64 // backward cell sequence, assigned by the exit
+	layer      cipher.Block  // this hop's cipher, built at BuildCircuit
+	flow       netsim.FlowID // flowFor of the route's circuit
+	exitSeq    uint64        // backward cell sequence, assigned by the exit
 }
 
 // Relay is one onion router.
@@ -159,7 +163,8 @@ type Circuit struct {
 	// Hops are the relays in path order (entry first).
 	Hops []netsim.NodeID
 
-	keys   []LayerKey
+	layers []cipher.Block // one cipher per hop, entry first
+	flow   netsim.FlowID
 	fwdSeq uint64
 }
 
@@ -184,7 +189,11 @@ func (a *Anonet) BuildCircuit(client *Client, relays ...netsim.NodeID) (*Circuit
 		prev = id
 	}
 	a.nextCirc++
-	circ := &Circuit{ID: a.nextCirc, Hops: append([]netsim.NodeID(nil), relays...)}
+	circ := &Circuit{
+		ID:   a.nextCirc,
+		Hops: append([]netsim.NodeID(nil), relays...),
+		flow: flowFor(a.nextCirc),
+	}
 	rng := a.net.Sim().Rand()
 	prev = client.ID
 	for i, id := range relays {
@@ -192,8 +201,12 @@ func (a *Anonet) BuildCircuit(client *Client, relays ...netsim.NodeID) (*Circuit
 		for j := range key {
 			key[j] = byte(rng.Intn(256))
 		}
-		circ.keys = append(circ.keys, key)
-		rt := &route{prev: prev, key: key}
+		layer, err := newLayer(key)
+		if err != nil {
+			return nil, err
+		}
+		circ.layers = append(circ.layers, layer)
+		rt := &route{prev: prev, layer: layer, flow: circ.flow}
 		if i+1 < len(relays) {
 			rt.next = relays[i+1]
 		}
@@ -234,11 +247,8 @@ func (c *Client) Send(circ *Circuit, dst netsim.NodeID, data []byte) error {
 	circ.fwdSeq++
 	seq := circ.fwdSeq
 	onion := inner
-	for i := len(circ.keys) - 1; i >= 0; i-- {
-		onion, err = applyLayer(circ.keys[i], circ.ID, seq, false, onion)
-		if err != nil {
-			return err
-		}
+	for i := len(circ.layers) - 1; i >= 0; i-- {
+		onion = applyLayer(circ.layers[i], circ.ID, seq, false, onion)
 	}
 	wire, err := cell{Circ: circ.ID, Seq: seq, Data: onion}.marshal()
 	if err != nil {
@@ -247,7 +257,7 @@ func (c *Client) Send(circ *Circuit, dst netsim.NodeID, data []byte) error {
 	return c.a.net.Send(&netsim.Packet{
 		Header: netsim.Header{
 			Src: c.ID, Dst: circ.Hops[0],
-			Flow: flowFor(circ.ID), Proto: netsim.ProtoTCP,
+			Flow: circ.flow, Proto: netsim.ProtoTCP,
 		},
 		Payload:   wire,
 		Encrypted: true,
@@ -265,11 +275,8 @@ func (c *Client) handle(_ *netsim.Network, pkt *netsim.Packet) {
 		return
 	}
 	data := cl.Data
-	for _, k := range circ.keys {
-		data, err = applyLayer(k, cl.Circ, cl.Seq, true, data)
-		if err != nil {
-			return
-		}
+	for _, layer := range circ.layers {
+		data = applyLayer(layer, cl.Circ, cl.Seq, true, data)
 	}
 	if c.OnData != nil {
 		c.OnData(cl.Circ, data, pkt.DeliveredAt)
@@ -293,11 +300,8 @@ func (r *Relay) handle(_ *netsim.Network, pkt *netsim.Packet) {
 	// Backward plaintext from an adjacent server, at the exit only.
 	if isExit && pkt.Header.Src != rt.prev {
 		rt.exitSeq++
-		enc, err := applyLayer(rt.key, rtCirc, rt.exitSeq, true, pkt.Payload)
-		if err != nil {
-			return
-		}
-		r.sendCell(rt.prev, cell{Circ: rtCirc, Seq: rt.exitSeq, Data: enc})
+		enc := applyLayer(rt.layer, rtCirc, rt.exitSeq, true, pkt.Payload)
+		r.sendCell(rt.prev, rt.flow, cell{Circ: rtCirc, Seq: rt.exitSeq, Data: enc})
 		return
 	}
 
@@ -305,14 +309,15 @@ func (r *Relay) handle(_ *netsim.Network, pkt *netsim.Packet) {
 	if err != nil {
 		return
 	}
+	flow := rt.flow
+	if cl.Circ != rtCirc {
+		flow = flowFor(cl.Circ)
+	}
 	switch pkt.Header.Src {
 	case rt.prev: // forward direction
-		data, err := applyLayer(rt.key, cl.Circ, cl.Seq, false, cl.Data)
-		if err != nil {
-			return
-		}
+		data := applyLayer(rt.layer, cl.Circ, cl.Seq, false, cl.Data)
 		if !isExit {
-			r.sendCell(rt.next, cell{Circ: cl.Circ, Seq: cl.Seq, Data: data})
+			r.sendCell(rt.next, flow, cell{Circ: cl.Circ, Seq: cl.Seq, Data: data})
 			return
 		}
 		rp, err := unmarshalRelayPayload(data)
@@ -323,20 +328,18 @@ func (r *Relay) handle(_ *netsim.Network, pkt *netsim.Packet) {
 		_ = r.a.net.Send(&netsim.Packet{
 			Header: netsim.Header{
 				Src: r.ID, Dst: netsim.NodeID(rp.Dst),
-				Flow: flowFor(cl.Circ), Proto: netsim.ProtoTCP,
+				Flow: flow, Proto: netsim.ProtoTCP,
 			},
 			Payload: rp.Data,
 		})
 	case rt.next: // backward direction: add this relay's layer
-		data, err := applyLayer(rt.key, cl.Circ, cl.Seq, true, cl.Data)
-		if err != nil {
-			return
-		}
-		r.sendCell(rt.prev, cell{Circ: cl.Circ, Seq: cl.Seq, Data: data})
+		data := applyLayer(rt.layer, cl.Circ, cl.Seq, true, cl.Data)
+		r.sendCell(rt.prev, flow, cell{Circ: cl.Circ, Seq: cl.Seq, Data: data})
 	}
 }
 
-func (r *Relay) sendCell(to netsim.NodeID, cl cell) {
+// sendCell marshals cl and sends it to the neighbouring hop on flow.
+func (r *Relay) sendCell(to netsim.NodeID, flow netsim.FlowID, cl cell) {
 	wire, err := cl.marshal()
 	if err != nil {
 		return
@@ -345,7 +348,7 @@ func (r *Relay) sendCell(to netsim.NodeID, cl cell) {
 	_ = r.a.net.Send(&netsim.Packet{
 		Header: netsim.Header{
 			Src: r.ID, Dst: to,
-			Flow: flowFor(cl.Circ), Proto: netsim.ProtoTCP,
+			Flow: flow, Proto: netsim.ProtoTCP,
 		},
 		Payload:   wire,
 		Encrypted: true,

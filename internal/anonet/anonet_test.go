@@ -247,7 +247,7 @@ func TestDuplicateRegistration(t *testing.T) {
 func TestSendValidation(t *testing.T) {
 	r := buildRig(t, 7)
 	// Unknown circuit.
-	bogus := &Circuit{ID: 999, Hops: r.circ.Hops, keys: r.circ.keys}
+	bogus := &Circuit{ID: 999, Hops: r.circ.Hops, layers: r.circ.layers}
 	if err := r.client.Send(bogus, "webserver", []byte("x")); !errors.Is(err, ErrUnknownCircuit) {
 		t.Errorf("unknown circuit err = %v", err)
 	}
@@ -311,26 +311,21 @@ func TestRelayPayloadRoundTrip(t *testing.T) {
 func TestApplyLayerInvolution(t *testing.T) {
 	var k LayerKey
 	copy(k[:], "0123456789abcdef")
-	plain := []byte("some data to protect")
-	enc, err := applyLayer(k, 5, 9, false, plain)
+	layer, err := newLayer(k)
 	if err != nil {
 		t.Fatal(err)
 	}
+	plain := []byte("some data to protect")
+	enc := applyLayer(layer, 5, 9, false, plain)
 	if bytes.Equal(enc, plain) {
 		t.Error("layer must change the data")
 	}
-	dec, err := applyLayer(k, 5, 9, false, enc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dec := applyLayer(layer, 5, 9, false, enc)
 	if !bytes.Equal(dec, plain) {
 		t.Error("applying the layer twice must restore the plaintext")
 	}
 	// Direction separates keystreams.
-	back, err := applyLayer(k, 5, 9, true, plain)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := applyLayer(layer, 5, 9, true, plain)
 	if bytes.Equal(back, enc) {
 		t.Error("forward and backward keystreams must differ")
 	}

@@ -15,6 +15,7 @@ package anonet
 import (
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -61,43 +62,73 @@ func (c cell) marshal() ([]byte, error) {
 	return buf, nil
 }
 
-// unmarshalCell parses a padded cell.
+// Cell parse errors, preallocated: a client sees every cross-traffic
+// packet addressed to it, and rejecting one must not allocate.
+var (
+	errCellSize   = fmt.Errorf("%w: size is not %d", ErrBadCell, CellSize)
+	errCellLength = fmt.Errorf("%w: length exceeds %d", ErrBadCell, cellDataCap)
+)
+
+// unmarshalCell parses a padded cell. Data aliases b: callers only ever
+// pass it through applyLayer, which writes a fresh buffer.
 func unmarshalCell(b []byte) (cell, error) {
 	if len(b) != CellSize {
-		return cell{}, fmt.Errorf("%w: size %d", ErrBadCell, len(b))
+		return cell{}, errCellSize
 	}
 	n := binary.BigEndian.Uint16(b[16:18])
 	if int(n) > cellDataCap {
-		return cell{}, fmt.Errorf("%w: length %d", ErrBadCell, n)
+		return cell{}, errCellLength
 	}
 	return cell{
 		Circ: CircuitID(binary.BigEndian.Uint64(b[0:8])),
 		Seq:  binary.BigEndian.Uint64(b[8:16]),
-		Data: append([]byte(nil), b[cellHeaderLen:cellHeaderLen+int(n)]...),
+		Data: b[cellHeaderLen : cellHeaderLen+int(n)],
 	}, nil
 }
 
 // LayerKey is one hop's symmetric key.
 type LayerKey [16]byte
 
-// applyLayer applies one AES-CTR layer keyed by k. CTR is an involution
-// under a fixed keystream, so the same call encrypts and decrypts. The
-// nonce binds circuit, sequence number, and direction so keystreams never
-// repeat across cells or directions.
-func applyLayer(k LayerKey, circ CircuitID, seq uint64, backward bool, data []byte) ([]byte, error) {
+// newLayer expands k into the hop's AES block cipher. Circuits build
+// each hop's cipher once, at BuildCircuit, and reuse it for every cell.
+func newLayer(k LayerKey) (cipher.Block, error) {
 	block, err := aes.NewCipher(k[:])
 	if err != nil {
 		return nil, fmt.Errorf("anonet: cipher: %w", err)
 	}
-	iv := make([]byte, aes.BlockSize)
-	binary.BigEndian.PutUint64(iv[0:8], uint64(circ))
-	binary.BigEndian.PutUint64(iv[8:16], seq)
+	return block, nil
+}
+
+// applyLayer applies one AES-CTR layer under block and returns the
+// result in a fresh buffer. CTR is an involution under a fixed
+// keystream, so the same call encrypts and decrypts. The initial counter
+// binds circuit, sequence number, and direction so keystreams never
+// repeat across cells or directions. The output is byte-identical to
+// cipher.NewCTR over the same block and initial counter; the counter
+// blocks are laid out and encrypted in place in the output's
+// block-rounded backing array, so the call allocates only that array.
+func applyLayer(block cipher.Block, circ CircuitID, seq uint64, backward bool, data []byte) []byte {
+	hi := uint64(circ)
 	if backward {
-		iv[0] ^= 0x80
+		hi ^= 0x80 << 56
 	}
-	out := make([]byte, len(data))
-	cipher.NewCTR(block, iv).XORKeyStream(out, data)
-	return out, nil
+	lo := seq
+	n := len(data)
+	buf := make([]byte, (n+aes.BlockSize-1)/aes.BlockSize*aes.BlockSize)
+	for off := 0; off < len(buf); off += aes.BlockSize {
+		ks := buf[off : off+aes.BlockSize]
+		binary.BigEndian.PutUint64(ks[0:8], hi)
+		binary.BigEndian.PutUint64(ks[8:16], lo)
+		block.Encrypt(ks, ks)
+		// The counter is the whole 128-bit block, big-endian.
+		lo++
+		if lo == 0 {
+			hi++
+		}
+	}
+	subtle.XORBytes(buf, buf[:n], data)
+	clear(buf[n:]) // drop the unused keystream tail
+	return buf[:n]
 }
 
 // relayPayload is the innermost (exit-layer) plaintext of a forward cell:

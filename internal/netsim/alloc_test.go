@@ -33,6 +33,71 @@ func TestScheduleStepZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestScheduleStepDeepZeroAlloc pins Schedule+Step to zero allocations
+// with 1024 events resident, where every pop sifts a key down the full
+// heap depth and every push reuses a slab slot from the free list.
+func TestScheduleStepDeepZeroAlloc(t *testing.T) {
+	s := netsim.NewSimulator(1)
+	var tick func()
+	tick = func() {
+		_ = s.Schedule(time.Duration(1+s.Rand().Intn(1000))*time.Microsecond, tick)
+	}
+	for i := 0; i < 1024; i++ {
+		if err := s.Schedule(time.Duration(1+s.Rand().Intn(1000))*time.Microsecond, tick); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4096; i++ { // warm the heap, slab and free list
+		s.Step()
+	}
+	allocs := testing.AllocsPerRun(1000, func() { s.Step() })
+	if allocs != 0 {
+		t.Errorf("deep-heap Schedule+Step allocs/op = %v, want 0", allocs)
+	}
+	if s.Pending() != 1024 {
+		t.Errorf("Pending = %d, want 1024 (every step reschedules one event)", s.Pending())
+	}
+}
+
+// TestSendFreshPacketAllocs pins a fresh packet (Hops == nil, the shape
+// every protocol handler sends) to one allocation: the packet itself.
+// Its source and destination hops land in the packet's inline hop
+// buffer, and the delivery event reuses a slab slot.
+func TestSendFreshPacketAllocs(t *testing.T) {
+	sim := netsim.NewSimulator(1)
+	n := netsim.NewNetwork(sim)
+	for _, id := range []netsim.NodeID{"src", "dst"} {
+		if err := n.AddNode(id, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := n.Connect("src", "dst", netsim.Link{Latency: time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte("fresh-packet-payload")
+	var last *netsim.Packet
+	send := func() {
+		pkt := &netsim.Packet{
+			Header:  netsim.Header{Src: "src", Dst: "dst", Flow: "f", Proto: netsim.ProtoTCP},
+			Payload: payload,
+		}
+		if err := n.Send(pkt); err != nil {
+			t.Fatal(err)
+		}
+		for sim.Step() {
+		}
+		last = pkt
+	}
+	send() // warm the event slab
+	allocs := testing.AllocsPerRun(1000, send)
+	if allocs != 1 {
+		t.Errorf("fresh-packet Send+deliver allocs/op = %v, want 1 (the packet)", allocs)
+	}
+	if len(last.Hops) != 2 || last.Hops[0] != "src" || last.Hops[1] != "dst" {
+		t.Errorf("Hops = %v, want [src dst]", last.Hops)
+	}
+}
+
 // TestSendSteadyStateAllocs pins the common un-faulted case — Send with
 // no taps and no fault hook, packet delivered and handled — to at most
 // 2 allocations per packet (currently 0: the packet rides the typed

@@ -59,8 +59,8 @@ func (o *ShardedNetwork) run(deadline time.Duration, haveDeadline bool, workers 
 	for {
 		minAt := forever
 		for _, s := range o.sims {
-			if len(s.queue) > 0 && s.queue[0].at < minAt {
-				minAt = s.queue[0].at
+			if s.queue.len() > 0 && s.queue.head().at < minAt {
+				minAt = s.queue.head().at
 			}
 		}
 		if minAt == forever || (haveDeadline && minAt > deadline) {
@@ -118,9 +118,9 @@ func (o *ShardedNetwork) run(deadline time.Duration, haveDeadline bool, workers 
 func (o *ShardedNetwork) runPartitionWindow(p int, end time.Duration, maxSteps int64) {
 	sim := o.sims[p]
 	executed := int64(0)
-	for len(sim.queue) > 0 && sim.queue[0].at < end && executed < maxSteps {
+	for sim.queue.len() > 0 && sim.queue.head().at < end && executed < maxSteps {
 		if o.trace != nil {
-			top := &sim.queue[0]
+			top := sim.queue.head()
 			o.trace[p] = append(o.trace[p], TraceEntry{At: top.at, Seq: top.seq})
 		}
 		sim.Step()

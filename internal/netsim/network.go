@@ -355,8 +355,11 @@ func (n *Network) Send(pkt *Packet) error {
 	}
 	pkt.SentAt = n.sim.Now()
 	// Pre-size Hops for the two appends every delivered packet receives
-	// (src here, dst at delivery) so neither append reallocates.
-	if cap(pkt.Hops)-len(pkt.Hops) < 2 {
+	// (src here, dst at delivery) so neither append reallocates. A fresh
+	// packet uses its inline buffer, so it costs one allocation, not two.
+	if pkt.Hops == nil {
+		pkt.Hops = pkt.hopBuf[:0]
+	} else if cap(pkt.Hops)-len(pkt.Hops) < 2 {
 		grown := make([]NodeID, len(pkt.Hops), len(pkt.Hops)+2)
 		copy(grown, pkt.Hops)
 		pkt.Hops = grown
@@ -465,7 +468,7 @@ func (n *Network) scheduleNode(id NodeID, delay time.Duration, fn func()) error 
 	}
 	o := n.shard.owner
 	idx := o.index[id]
-	return n.sim.pushEvent(event{at: n.sim.now + delay, seq: o.seqFor(idx), fn: fn, owner: idx})
+	return n.sim.pushEvent(event{at: n.sim.now + delay, seq: o.seqFor(idx), eventBody: eventBody{fn: fn, owner: idx}})
 }
 
 // observe fans a packet snapshot out to the taps at one observation

@@ -66,6 +66,10 @@ type Packet struct {
 	SentAt, DeliveredAt time.Duration
 	// Hops lists the nodes traversed, in order.
 	Hops []NodeID
+	// hopBuf backs Hops for a fresh packet (Hops == nil at Send), whose
+	// two hops — source and destination — then need no allocation of
+	// their own.
+	hopBuf [2]NodeID
 }
 
 // Clone returns a deep copy of the packet; forwarding nodes clone before

@@ -374,15 +374,17 @@ func (o *ShardedNetwork) deliver(at time.Duration, srcIdx, dstIdx int32, pkt *Pa
 	srcPart := o.partOf[srcIdx]
 	dstPart := o.partOf[dstIdx]
 	ev := event{
-		at:    at,
-		seq:   o.seqFor(srcIdx),
-		owner: dstIdx,
-		del: delivery{
-			net:       o.partNet[dstPart],
-			pkt:       pkt,
-			handler:   handler,
-			dst:       o.ids[dstIdx],
-			duplicate: dup,
+		at:  at,
+		seq: o.seqFor(srcIdx),
+		eventBody: eventBody{
+			owner: dstIdx,
+			del: delivery{
+				net:       o.partNet[dstPart],
+				pkt:       pkt,
+				handler:   handler,
+				dst:       o.ids[dstIdx],
+				duplicate: dup,
+			},
 		},
 	}
 	if srcPart == dstPart {
@@ -422,7 +424,7 @@ func (o *ShardedNetwork) ScheduleNode(id NodeID, delay time.Duration, fn func())
 		return fmt.Errorf("%w: %q", ErrUnknownNode, id)
 	}
 	sim := o.sims[o.partOf[idx]]
-	return sim.pushEvent(event{at: sim.now + delay, seq: o.seqFor(idx), fn: fn, owner: idx})
+	return sim.pushEvent(event{at: sim.now + delay, seq: o.seqFor(idx), eventBody: eventBody{fn: fn, owner: idx}})
 }
 
 // SetStepBudget caps the run's total step count, like
@@ -455,7 +457,7 @@ func (o *ShardedNetwork) Pending() int { return o.pending() }
 func (o *ShardedNetwork) pending() int {
 	n := 0
 	for _, s := range o.sims {
-		n += len(s.queue)
+		n += s.queue.len()
 	}
 	return n
 }

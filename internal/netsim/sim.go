@@ -19,12 +19,17 @@ var ErrStepBudget = errors.New("netsim: step budget exhausted")
 
 // event is one pending entry in the scheduler's queue: either a plain
 // callback (fn != nil) or a typed packet delivery (fn == nil) executed
-// without any per-event closure. Events are stored by value in the heap
-// slab, so scheduling one allocates nothing once the slab has grown to
-// the simulation's high-water mark.
+// without any per-event closure. It is the unit callers hand to push and
+// the sharded engine buffers in its outboxes; inside the queue its
+// ordering key and its body are stored apart (see eventQueue).
 type event struct {
 	at  time.Duration
 	seq int64 // tie-break: same-time events fire in scheduling order
+	eventBody
+}
+
+// eventBody is what an event does once it fires.
+type eventBody struct {
 	fn  func()
 	del delivery // valid when fn == nil
 	// owner is the dense node index whose context executes this event
@@ -35,70 +40,109 @@ type event struct {
 	owner int32
 }
 
-// before reports the heap order: (at, seq) ascending.
-func (e *event) before(o *event) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	return e.seq < o.seq
+// eventKey is one heap entry: the (at, seq) order and the slab slot
+// holding the event's body. It contains no pointers, so sifting moves
+// three plain words with no GC write barriers.
+type eventKey struct {
+	at   time.Duration
+	seq  int64
+	slot int32
 }
 
-// eventHeap is a value-based 4-ary min-heap ordered by (at, seq). The
-// backing array is the event slab: it is reused for the simulation's
-// lifetime (pop shrinks the slice but keeps capacity), so steady-state
-// push/pop performs no allocation and no per-event pointer boxing. The
-// 4-ary layout halves the tree depth of a binary heap — fewer swaps per
-// sift and better cache locality on the wide, shallow levels.
-type eventHeap []event
+// before reports the heap order: (at, seq) ascending.
+func (k *eventKey) before(o *eventKey) bool {
+	if k.at != o.at {
+		return k.at < o.at
+	}
+	return k.seq < o.seq
+}
 
-// push appends e and restores the heap invariant.
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	q := *h
-	i := len(q) - 1
+// eventQueue is a 4-ary min-heap of eventKeys over a slab of event
+// bodies with a free list. Sifts move 24-byte keys only; each body is
+// copied once into the slab on push and once out of it on pop. Slab,
+// heap and free list are reused for the simulation's lifetime, so
+// steady-state push/pop performs no allocation once they have grown to
+// the simulation's high-water mark. The 4-ary layout halves the tree
+// depth of a binary heap — fewer moves per sift and better cache
+// locality on the wide, shallow levels.
+type eventQueue struct {
+	keys []eventKey
+	slab []eventBody
+	free []int32
+}
+
+// len returns the number of queued events.
+func (q *eventQueue) len() int { return len(q.keys) }
+
+// head returns the earliest event's key; the queue must be non-empty.
+func (q *eventQueue) head() *eventKey { return &q.keys[0] }
+
+// push queues e and restores the heap invariant.
+func (q *eventQueue) push(e event) {
+	var slot int32
+	if n := len(q.free); n > 0 {
+		slot = q.free[n-1]
+		q.free = q.free[:n-1]
+		q.slab[slot] = e.eventBody
+	} else {
+		slot = int32(len(q.slab))
+		q.slab = append(q.slab, e.eventBody)
+	}
+	k := eventKey{at: e.at, seq: e.seq, slot: slot}
+	keys := append(q.keys, k)
+	q.keys = keys
+	i := len(keys) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !q[i].before(&q[parent]) {
+		if !k.before(&keys[parent]) {
 			break
 		}
-		q[i], q[parent] = q[parent], q[i]
+		keys[i] = keys[parent]
 		i = parent
 	}
+	keys[i] = k
 }
 
-// pop removes and returns the minimum event. The vacated slab slot is
-// zeroed so the slab does not pin dead callbacks or packets.
-func (h *eventHeap) pop() event {
-	q := *h
-	n := len(q) - 1
-	root := q[0]
-	q[0] = q[n]
-	q[n] = event{}
-	q = q[:n]
-	*h = q
-	i := 0
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		min := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if q[c].before(&q[min]) {
-				min = c
+// pop removes the earliest event and returns its time and body. The
+// vacated slab slot is zeroed so it does not pin dead callbacks or
+// packets, and goes on the free list.
+func (q *eventQueue) pop() (time.Duration, eventBody) {
+	keys := q.keys
+	root := keys[0]
+	n := len(keys) - 1
+	last := keys[n]
+	keys = keys[:n]
+	q.keys = keys
+	if n > 0 {
+		// Sift the former last key down from the root, moving the hole.
+		i := 0
+		for {
+			first := 4*i + 1
+			if first >= n {
+				break
 			}
+			min := first
+			end := first + 4
+			if end > n {
+				end = n
+			}
+			for c := first + 1; c < end; c++ {
+				if keys[c].before(&keys[min]) {
+					min = c
+				}
+			}
+			if !keys[min].before(&last) {
+				break
+			}
+			keys[i] = keys[min]
+			i = min
 		}
-		if !q[min].before(&q[i]) {
-			break
-		}
-		q[i], q[min] = q[min], q[i]
-		i = min
+		keys[i] = last
 	}
-	return root
+	body := q.slab[root.slot]
+	q.slab[root.slot] = eventBody{}
+	q.free = append(q.free, root.slot)
+	return root.at, body
 }
 
 // Simulator is a deterministic discrete-event scheduler with a virtual
@@ -106,7 +150,7 @@ func (h *eventHeap) pop() event {
 // design so results are reproducible.
 type Simulator struct {
 	now    time.Duration
-	queue  eventHeap
+	queue  eventQueue
 	seq    int64
 	rng    *rand.Rand
 	steps  int64
@@ -163,7 +207,7 @@ func (s *Simulator) Rand() *rand.Rand { return s.rng }
 func (s *Simulator) Steps() int64 { return s.steps }
 
 // Pending returns the number of queued events.
-func (s *Simulator) Pending() int { return len(s.queue) }
+func (s *Simulator) Pending() int { return s.queue.len() }
 
 // Schedule queues fn to run delay after the current virtual time. A
 // negative delay returns ErrPastEvent.
@@ -177,7 +221,7 @@ func (s *Simulator) ScheduleAt(at time.Duration, fn func()) error {
 	if at < s.now {
 		return ErrPastEvent
 	}
-	ev := event{at: at, seq: s.nextSeq(), fn: fn}
+	ev := event{at: at, seq: s.nextSeq(), eventBody: eventBody{fn: fn}}
 	if s.shard != nil {
 		ev.owner = s.shard.cur
 	}
@@ -193,18 +237,18 @@ func (s *Simulator) scheduleDelivery(at time.Duration, del delivery) error {
 		return ErrPastEvent
 	}
 	s.seq++
-	s.queue.push(event{at: at, seq: s.seq, del: del})
+	s.queue.push(event{at: at, seq: s.seq, eventBody: eventBody{del: del}})
 	return nil
 }
 
 // Step executes the next event, advancing the clock to its time. It
 // reports whether an event was executed.
 func (s *Simulator) Step() bool {
-	if len(s.queue) == 0 {
+	if s.queue.len() == 0 {
 		return false
 	}
-	e := s.queue.pop()
-	s.now = e.at
+	at, e := s.queue.pop()
+	s.now = at
 	s.steps++
 	if s.shard != nil {
 		s.shard.cur = e.owner
@@ -226,7 +270,7 @@ func (s *Simulator) SetStepBudget(n int64) { s.budget = n }
 // Exhausted reports whether a step budget is set and spent with events
 // still queued — the signature of a runaway simulation.
 func (s *Simulator) Exhausted() bool {
-	return s.budget > 0 && s.steps >= s.budget && len(s.queue) > 0
+	return s.budget > 0 && s.steps >= s.budget && s.queue.len() > 0
 }
 
 // Run executes events until the queue drains or the step budget (if
@@ -245,9 +289,9 @@ func (s *Simulator) RunMaxSteps(n int64) error {
 			return nil
 		}
 	}
-	if len(s.queue) > 0 {
+	if s.queue.len() > 0 {
 		return fmt.Errorf("%w: %d steps executed, %d events still pending at t=%s",
-			ErrStepBudget, n, len(s.queue), s.now)
+			ErrStepBudget, n, s.queue.len(), s.now)
 	}
 	return nil
 }
@@ -256,7 +300,7 @@ func (s *Simulator) RunMaxSteps(n int64) error {
 // to the deadline. Events scheduled past the deadline remain queued. A
 // step budget (if set) stops execution early; the clock still advances.
 func (s *Simulator) RunUntil(deadline time.Duration) {
-	for len(s.queue) > 0 && s.queue[0].at <= deadline && !s.Exhausted() {
+	for s.queue.len() > 0 && s.queue.head().at <= deadline && !s.Exhausted() {
 		s.Step()
 	}
 	if s.now < deadline {

@@ -16,6 +16,8 @@
 # rerun under -race, a casefile export/verify-ledger happy-path smoke,
 # a corrupt-one-byte smoke that must exit nonzero, and benchcheck
 # budgets pinning ledger append to <= 1000 ns/op and 0 allocs/op.
+# The netsim bench smoke pins the scheduler step (shallow and deep
+# heap), Send and heap churn to 0 allocs/op.
 # The lawgated ruling service gets a live smoke: serve on an ephemeral
 # port, run the full conformance probe (every endpoint plus the
 # deliberate 4xx paths, including the byte-identity assertion on the
@@ -160,7 +162,15 @@ grep -q 'sealed final checkpoint' "$tmpdir/lawgated.log"
 
 echo "== bench smoke: bench.sh -short emits valid BENCH JSON (netsim + legal + ledger)"
 scripts/bench.sh -short -o "$tmpdir/bench.json"
-go run ./scripts/benchcheck "$tmpdir/bench.json"
+# The scheduler and send hot paths must stay allocation-free: the event
+# queue moves pointer-free keys over a reused slab, and a delivered
+# packet rides its event with no clone.
+go run ./scripts/benchcheck \
+	-max-allocs 'BenchmarkSimulatorStep=0' \
+	-max-allocs 'BenchmarkSimulatorStepDeep=0' \
+	-max-allocs 'BenchmarkSend=0' \
+	-max-allocs 'BenchmarkHeapChurn=0' \
+	"$tmpdir/bench.json"
 scripts/bench.sh -short -o "$tmpdir/bench_legal.json" legal
 go run ./scripts/benchcheck "$tmpdir/bench_legal.json"
 # The smoke proves the tooling; only the alloc budget is asserted on
