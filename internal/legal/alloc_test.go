@@ -68,6 +68,34 @@ func TestEvaluateWarmZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestEvaluateWarmNamesZeroAlloc pins the name-blind cache hit to zero
+// allocations: a warm engine answering Table 1 shapes under case names
+// it never stored re-labels the memoized ruling in place (the
+// BenchmarkRulingsPerSec/warm-names workload).
+func TestEvaluateWarmNamesZeroAlloc(t *testing.T) {
+	e := warmedEngine(t, table1Actions())
+	named := distinctActions(4096)
+	before := e.CacheSize()
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		a := &named[i%len(named)]
+		r, err := e.Evaluate(*a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Action.Name != a.Name {
+			t.Fatalf("ruling echoes %q, want %q", r.Action.Name, a.Name)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("warm-names Evaluate allocs/op = %v, want 0", allocs)
+	}
+	if n := e.CacheSize(); n != before {
+		t.Errorf("fresh names grew the cache from %d to %d entries", before, n)
+	}
+}
+
 // TestEvaluateDeltaZeroAlloc pins both delta fast paths to zero
 // allocations on a warm engine: the dispatch-bitset short-circuit (a
 // scalar-field delta the action's bucket provably never reads) and the

@@ -54,7 +54,7 @@ func (e *Engine) EvaluateBatch(ctx context.Context, actions []Action) ([]Ruling,
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			rulings[i], errs[i] = e.evaluate(actions[i], &sc)
+			rulings[i], errs[i] = e.evaluate(&actions[i], &sc)
 		}
 		e.fillChains(actions, rulings, errs, chain)
 		fillDuplicates(rulings, errs, dup)
@@ -85,7 +85,7 @@ func (e *Engine) EvaluateBatch(ctx context.Context, actions []Action) ([]Ruling,
 					end = len(work)
 				}
 				for _, i := range work[start:end] {
-					rulings[i], errs[i] = e.evaluate(actions[i], &sc)
+					rulings[i], errs[i] = e.evaluate(&actions[i], &sc)
 				}
 			}
 		}()
@@ -155,7 +155,7 @@ func (e *Engine) dedupBatch(actions []Action) (work []int, dup, chain map[int]in
 			}
 			if j, ok := shapes[sh]; ok && ws[j] == w &&
 				exposuresEqual(actions[j].Exposure, actions[i].Exposure) &&
-				e.nameInsensitive(&actions[i]) {
+				e.dispatch.nameBlind(w) {
 				if chain == nil {
 					chain = make(map[int]int)
 				}
@@ -174,20 +174,6 @@ func (e *Engine) dedupBatch(actions []Action) (work []int, dup, chain map[int]in
 	return work, dup, chain
 }
 
-// nameInsensitive reports whether the action's dispatch bucket is
-// provably independent of Name: every rule admitted to the bucket
-// declares a Reads set that excludes FieldName. Only then may a base
-// ruling be re-labeled for a same-shape action. Out-of-range dimensions
-// (the action would fail Validate anyway) and unannotated rule sets
-// both report false.
-func (e *Engine) nameInsensitive(a *Action) bool {
-	if e.dispatch == nil {
-		return false
-	}
-	bi := bucketIndex(a.Actor, a.Timing, a.Data, a.Source)
-	return bi >= 0 && bi < len(e.dispatch.sens) && e.dispatch.sens[bi]&(1<<FieldName) == 0
-}
-
 // fillChains materializes each chained slot from its base: the base
 // ruling with the chained action's own name. Bases that failed
 // validation are not copied — their error text names the base action —
@@ -199,7 +185,7 @@ func (e *Engine) fillChains(actions []Action, rulings []Ruling, errs []error, ch
 			if sc == nil {
 				sc = new(evalScratch)
 			}
-			rulings[i], errs[i] = e.evaluate(actions[i], sc)
+			rulings[i], errs[i] = e.evaluate(&actions[i], sc)
 			continue
 		}
 		r := rulings[j]

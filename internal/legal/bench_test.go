@@ -1,6 +1,7 @@
 // The rulings/sec throughput suite: how fast the engine serves ruling
 // queries on the paths production consumers hit — a cold evaluation
-// (full rule-table consultation), a warm one (ruling-cache hit), and
+// (full rule-table consultation), a warm one (ruling-cache hit), a warm
+// one under never-seen case names (a name-blind cache hit), and
 // the concurrent batch API across worker counts, with and without
 // duplicate actions. scripts/bench.sh's `legal` target runs this family
 // and writes the median numbers to BENCH_legal.json next to the
@@ -89,6 +90,28 @@ func BenchmarkRulingsPerSec(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := engine.Evaluate(actions[i%len(actions)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "rulings/s")
+	})
+
+	// warm-names: a warm engine where every query carries a case name
+	// the cache never stored, on a Table 1 shape — the served traffic
+	// shape. The name-blind cache key answers these from one memoized
+	// ruling per shape.
+	b.Run("warm-names", func(b *testing.B) {
+		engine := legal.NewEngine(legal.WithRulingCache(0))
+		for _, a := range actions {
+			if _, err := engine.Evaluate(a); err != nil {
+				b.Fatal(err)
+			}
+		}
+		named := distinctActions(1 << 14)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := engine.Evaluate(named[i%len(named)]); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -7,14 +7,21 @@ import (
 )
 
 // The ruling cache. Lookups are lock-free: the hot path hashes the
-// action to 64 bits (hashAction — no allocation, no fingerprint
-// string), walks one chained bucket of an atomically published table,
-// and verifies any hash hit with a full structural comparison
-// (actionsEqual) against the interned Action stored in the entry — so
-// correctness never depends on hash uniqueness. Writers serialize on a
-// single mutex; they publish immutable entries and whole-table
-// replacements (growth, eviction flushes) with atomic stores, which
-// readers observe with atomic loads.
+// action's cache key to 64 bits (Engine.cacheKey — no allocation, no
+// fingerprint string), walks one chained bucket of an atomically
+// published table, and verifies any hash hit with a full structural
+// comparison against the key stored in the entry — so correctness
+// never depends on hash uniqueness. Writers serialize on a single
+// mutex; they publish immutable entries and whole-table replacements
+// (growth, eviction flushes) with atomic stores, which readers observe
+// with atomic loads.
+//
+// The key is what the rules read. An action whose dispatch bucket
+// provably never reads Name (dispatchIndex.nameBlind) is keyed with an
+// empty name, so every case of one legal shape shares one memoized
+// ruling and a hit re-labels it with the caller's name; actions in
+// buckets that read Name, and actions that do not pack exactly, keep
+// their name in the key.
 //
 // The canonical string fingerprint below predates the hash cache and
 // remains the exported, injective encoding of an Action (used by tests
@@ -238,13 +245,12 @@ func packAction(a *Action) (w uint64, exact bool) {
 	return w, true
 }
 
-// hashActionKey computes the cache's 64-bit hash of an action without
-// allocating — the packed scalar word plus the sampled Name hash and
-// the Exposure sequence, finalized by mix64 — and returns the packed
-// word alongside it. Collisions only cost a failed verification —
-// every hash hit is verified before use — so the hash needs to be fast
-// and well-spread, not injective. The packed word, when exact, is the
-// cheap verifier: see packAction.
+// hashActionKey hashes the whole action, Name included, without
+// allocating — the sampled name hash, the packed scalar word, and the
+// Exposure sequence, finalized by mix64 — and returns the packed word
+// (see packAction) alongside. Collisions only cost a failed
+// verification — every hash hit is verified before use — so the hash
+// needs to be fast and well-spread, not injective.
 func hashActionKey(seed uint64, a *Action) (h, w uint64, exact bool) {
 	w, exact = packAction(a)
 	h = hashString(seed, a.Name) ^ w
@@ -254,10 +260,26 @@ func hashActionKey(seed uint64, a *Action) (h, w uint64, exact bool) {
 	return mix64(h), w, exact
 }
 
-// hashAction is hashActionKey for callers that only need the hash.
-func hashAction(seed uint64, a *Action) uint64 {
-	h, _, _ := hashActionKey(seed, a)
-	return h
+// cacheKey derives the ruling-cache key of a, whose packed word is w
+// (exact as packAction reports it): the name the key carries — empty
+// when a's dispatch bucket never reads Name — and the key's hash. Every
+// lookup and insert goes through it, so the cached paths cannot
+// disagree on what a key is.
+//
+// Dropping the name keeps "a verified hit implies a validated action":
+// only validated actions are stored, verification still compares every
+// other field exactly, and Validate's verdict never depends on Name.
+func (e *Engine) cacheKey(a *Action, w uint64, exact bool) (h uint64, name string) {
+	h = e.seed // hashString(seed, "")
+	if !exact || !e.dispatch.nameBlind(w) {
+		name = a.Name
+		h = hashString(e.seed, name)
+	}
+	h ^= w
+	for _, x := range a.Exposure {
+		h = h*0x9e3779b97f4a7c15 + uint64(x)
+	}
+	return mix64(h), name
 }
 
 // exposuresEqual compares the exposure sequences elementwise.
@@ -314,16 +336,14 @@ func actionsEqual(a, b *Action) bool {
 // selects.
 const defaultCacheSlots = 256
 
-// cacheEntry is one immutable memoized ruling: the 64-bit hash, the
-// packed scalar word (wInexact when lossy — see packAction), the
-// interned copy of the action (the verification key — stored once, so
-// lookups never rebuild a key), the ruling, and the intrusive chain
-// link. Entries are never mutated after publication.
+// cacheEntry is one immutable memoized ruling: the key's 64-bit hash,
+// the ruling, and the intrusive chain link. The ruling's Action is the
+// verification key (its Name is the key name — see Engine.cacheKey)
+// and its packed word the cheap verifier. Entries are never mutated
+// after publication.
 type cacheEntry struct {
 	hash   uint64
-	w      uint64
-	action Action
-	ruling *Ruling
+	ruling Ruling
 	next   *cacheEntry
 }
 
@@ -367,27 +387,41 @@ func newRulingCache(sizeHint, capacity int) *rulingCache {
 	return c
 }
 
-// get returns the memoized ruling for an action equal to a, if any.
-// Lock-free: one atomic table load, one atomic slot load, a chain walk
-// over immutable entries.
-func (c *rulingCache) get(h uint64, a *Action) (*Ruling, bool) {
+// probe returns the entry memoizing the key (h, name) of a, whose
+// packed word is w, or nil. Lock-free: one atomic table load, one
+// atomic slot load, a chain walk over immutable entries. Verification
+// is exact, never probabilistic: when the packed word is injective (the
+// normal case — see packAction) equality reduces to comparing that word
+// plus the key name and Exposure; otherwise it falls back to the full
+// field-by-field compare.
+func (c *rulingCache) probe(h, w uint64, exact bool, name string, a *Action) *cacheEntry {
 	t := c.table.Load()
-	for e := t.slots[h&t.mask].Load(); e != nil; e = e.next {
-		if e.hash == h && actionsEqual(&e.action, a) {
-			return e.ruling, true
+	for en := t.slots[h&t.mask].Load(); en != nil; en = en.next {
+		if en.hash != h {
+			continue
 		}
+		k := &en.ruling.Action
+		if exact {
+			if en.ruling.pw != w || k.Name != name || !exposuresEqual(a.Exposure, k.Exposure) {
+				continue
+			}
+		} else if !actionsEqual(k, a) {
+			continue
+		}
+		return en
 	}
-	return nil, false
+	return nil
 }
 
-// put memoizes r under its action. Double-checks for a racing insert,
-// flushes the generation when at capacity, and grows at load factor 1.
+// put memoizes r, whose Action is its key. Double-checks for a racing
+// insert, flushes the generation when at capacity, and grows at load
+// factor 1.
 func (c *rulingCache) put(h uint64, r *Ruling) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	t := c.table.Load()
 	for e := t.slots[h&t.mask].Load(); e != nil; e = e.next {
-		if e.hash == h && actionsEqual(&e.action, &r.Action) {
+		if e.hash == h && actionsEqual(&e.ruling.Action, &r.Action) {
 			return
 		}
 	}
@@ -399,9 +433,8 @@ func (c *rulingCache) put(h uint64, r *Ruling) {
 	} else if c.count >= len(t.slots) {
 		t = c.grow(t)
 	}
-	w, _ := packAction(&r.Action)
 	slot := &t.slots[h&t.mask]
-	slot.Store(&cacheEntry{hash: h, w: w, action: r.Action, ruling: r, next: slot.Load()})
+	slot.Store(&cacheEntry{hash: h, ruling: *r, next: slot.Load()})
 	c.count++
 }
 
@@ -413,22 +446,23 @@ func (c *rulingCache) grow(old *cacheTable) *cacheTable {
 	for i := range old.slots {
 		for e := old.slots[i].Load(); e != nil; e = e.next {
 			slot := &t.slots[e.hash&t.mask]
-			slot.Store(&cacheEntry{hash: e.hash, w: e.w, action: e.action, ruling: e.ruling, next: slot.Load()})
+			slot.Store(&cacheEntry{hash: e.hash, ruling: e.ruling, next: slot.Load()})
 		}
 	}
 	c.table.Store(t)
 	return t
 }
 
-// len reports the number of memoized rulings.
+// len reports the number of memoized rulings (distinct keys).
 func (c *rulingCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.count
 }
 
-// CacheSize reports how many distinct actions the engine has memoized;
-// zero when no cache is configured.
+// CacheSize reports how many distinct cache keys the engine has
+// memoized — one per legal shape in buckets that never read Name, one
+// per action elsewhere; zero when no cache is configured.
 func (e *Engine) CacheSize() int {
 	if e.cache == nil {
 		return 0

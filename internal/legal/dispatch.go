@@ -122,6 +122,23 @@ type dispatchIndex struct {
 	// fire or what they contribute, so the prior ruling stands — the
 	// proof EvaluateDelta's short-circuit rests on.
 	sens []FieldMask
+	// nameFree is the complement of sens's Name bit, re-indexed by the
+	// twelve dimension bits of the packed word (see packAction): bit d
+	// is set iff d packs a valid (actor, timing, data, source) whose
+	// bucket holds no rule that reads Name. The ruling cache keys
+	// actions in such buckets name-blind (see Engine.cacheKey).
+	nameFree [1 << packedDimBits / 64]uint64
+}
+
+// packedDimBits is the width of the four dispatch dimensions at the
+// bottom of a packed word: actor 3 bits, timing 2, data 3, source 4.
+const packedDimBits = 12
+
+// nameBlind reports whether an action with exact packed word w lies in
+// a bucket whose rules never read Name.
+func (x *dispatchIndex) nameBlind(w uint64) bool {
+	d := w & (1<<packedDimBits - 1)
+	return x.nameFree[d>>6]&(1<<(d&63)) != 0
 }
 
 // bucketIndex flattens the four enum coordinates; the caller guarantees
@@ -173,9 +190,8 @@ func compileDispatch(rules []Rule) *dispatchIndex {
 		}
 	})
 
+	x := &dispatchIndex{buckets: make([][]uint16, n), sens: make([]FieldMask, n)}
 	backing := make([]uint16, 0, total)
-	buckets := make([][]uint16, n)
-	sens := make([]FieldMask, n)
 	forEachCombo(func(a Actor, t Timing, d DataClass, s Source) {
 		probe.Actor, probe.Timing, probe.Data, probe.Source = a, t, d, s
 		i := bucketIndex(a, t, d, s)
@@ -183,17 +199,23 @@ func compileDispatch(rules []Rule) *dispatchIndex {
 		for ri := range bits {
 			if bits[ri].admits(&probe) {
 				backing = append(backing, uint16(ri))
-				sens[i] |= readsOf[ri]
+				x.sens[i] |= readsOf[ri]
 			}
 		}
-		buckets[i] = backing[start:len(backing):len(backing)]
+		x.buckets[i] = backing[start:len(backing):len(backing)]
+		// The probe carries only dimensions, so its packed word is its
+		// dimension bits; coordinates too wide to pack exactly are
+		// never looked up name-blind.
+		if w, exact := packAction(&probe); exact && x.sens[i]&(1<<FieldName) == 0 {
+			x.nameFree[w>>6] |= 1 << (w & 63)
+		}
 	})
 
-	all := make([]uint16, len(rules))
-	for i := range all {
-		all[i] = uint16(i)
+	x.all = make([]uint16, len(rules))
+	for i := range x.all {
+		x.all[i] = uint16(i)
 	}
-	return &dispatchIndex{buckets: buckets, all: all, sens: sens}
+	return x
 }
 
 // forEachCombo visits every valid (actor, timing, data, source)

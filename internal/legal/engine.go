@@ -46,7 +46,8 @@ func (r Regime) String() string {
 // Ruling is the engine's determination for one Action. Rulings returned by
 // the engine must be treated as immutable: with the ruling cache enabled
 // (and within one EvaluateBatch call), repeated evaluations of the same
-// action share the ruling's slices.
+// action — or of same-shape actions whose rules never read Name — share
+// the ruling's slices.
 type Ruling struct {
 	// Action echoes the evaluated action.
 	Action Action
@@ -295,6 +296,9 @@ func WithRules(rules []Rule) EngineOption {
 
 // WithRulingCache enables the memoization cache: identical actions
 // evaluate once and subsequent evaluations return the memoized ruling.
+// Where no rule in an action's dispatch bucket reads Name, actions that
+// differ only in Name share one memoized ruling, returned with the
+// caller's name (see Engine.cacheKey).
 // Lookups are lock-free (see cache.go); sizeHint seeds the initial
 // bucket count (rounded up to a power of two; <= 0 selects a default)
 // and the table grows as needed. Evaluation is a pure function of the
@@ -366,42 +370,11 @@ func (e *Engine) Rules() []Rule {
 // candidate rules for the action in pipeline order: each rule whose
 // predicate matches contributes to the ruling, and a terminal rule ends
 // the walk. It is a pure function of the action: identical actions
-// yield identical rulings (which is what makes the ruling cache sound).
+// yield identical rulings, and where no candidate rule reads Name,
+// actions that differ only in Name yield rulings that differ only in
+// the echoed name (which is what makes the ruling cache sound).
 func (e *Engine) Evaluate(a Action) (Ruling, error) {
-	if c := e.cache; c != nil {
-		// Look up before validating: only validated actions are ever
-		// cached, and a hash hit is verified by full equality against
-		// the cached (validated) action, so a hit implies validity.
-		// The hit path — hash, lock-free lookup, verify — allocates
-		// nothing and writes nothing; the probe loop is open-coded
-		// here (rather than calling cache.get) to keep hit latency
-		// down. Verification is exact, never probabilistic: when the
-		// packed scalar word is injective for this action (the normal
-		// case — see packAction) equality reduces to comparing that
-		// word plus Name and Exposure; otherwise it falls back to the
-		// full field-by-field compare.
-		h, w, exact := hashActionKey(e.seed, &a)
-		t := c.table.Load()
-		for en := t.slots[h&t.mask].Load(); en != nil; en = en.next {
-			if en.hash != h {
-				continue
-			}
-			if exact {
-				if en.w != w || a.Name != en.action.Name ||
-					!exposuresEqual(a.Exposure, en.action.Exposure) {
-					continue
-				}
-			} else if !actionsEqual(&en.action, &a) {
-				continue
-			}
-			if e.statsOn {
-				e.counters.evaluations.Add(1)
-			}
-			return *en.ruling, nil
-		}
-		return e.evaluateMiss(a, h, nil)
-	}
-	return e.evaluateUncached(a, nil)
+	return e.evaluate(&a, nil)
 }
 
 // EvaluateDelta re-evaluates a previously ruled action after the given
@@ -422,7 +395,7 @@ func (e *Engine) Evaluate(a Action) (Ruling, error) {
 // cache traffic, no allocation. Otherwise the action is rebuilt, the
 // cache key is updated incrementally from prev's packed word, and the
 // normal evaluation path runs.
-func (e *Engine) EvaluateDelta(prev *Ruling, d ActionDelta) (Ruling, error) {
+func (e *Engine) EvaluateDelta(prev *Ruling, d ActionDelta) (r Ruling, err error) {
 	if prev == nil {
 		return Ruling{}, fmt.Errorf("legal: EvaluateDelta: nil previous ruling")
 	}
@@ -436,7 +409,7 @@ func (e *Engine) EvaluateDelta(prev *Ruling, d ActionDelta) (Ruling, error) {
 		bi := bucketIndex(prev.Action.Actor, prev.Action.Timing, prev.Action.Data, prev.Action.Source)
 		if bi >= 0 && bi < len(e.dispatch.sens) && e.dispatch.sens[bi]&changed == 0 {
 			if w, ok := d.updatePacked(prev.pw); ok {
-				r := *prev
+				r = *prev
 				d.Apply(&r.Action)
 				r.pw = w
 				if e.statsOn {
@@ -448,15 +421,13 @@ func (e *Engine) EvaluateDelta(prev *Ruling, d ActionDelta) (Ruling, error) {
 	}
 	a := prev.Action
 	d.Apply(&a)
-	c := e.cache
-	if c == nil {
+	if e.cache == nil {
 		return e.evaluateUncached(a, nil)
 	}
 	// Incremental cache key: fold the delta into prev's packed word in
-	// O(changed fields) when possible, then hash Name and Exposure —
-	// skipping the full packAction walk. Equal to hashActionKey by
-	// construction (updatePacked mirrors packAction's layout; the
-	// sweep and fuzz tests pin it).
+	// O(changed fields) when possible — skipping the full packAction
+	// walk — then derive the key as Evaluate does. updatePacked mirrors
+	// packAction's layout; the sweep and fuzz tests pin it.
 	w, exact := wInexact, false
 	if prev.pwExact {
 		if nw, ok := d.updatePacked(prev.pw); ok {
@@ -466,63 +437,48 @@ func (e *Engine) EvaluateDelta(prev *Ruling, d ActionDelta) (Ruling, error) {
 	if !exact {
 		w, exact = packAction(&a)
 	}
-	h := hashString(e.seed, a.Name) ^ w
-	for _, x := range a.Exposure {
-		h = h*0x9e3779b97f4a7c15 + uint64(x)
-	}
-	h = mix64(h)
-	t := c.table.Load()
-	for en := t.slots[h&t.mask].Load(); en != nil; en = en.next {
-		if en.hash != h {
-			continue
-		}
-		if exact {
-			if en.w != w || a.Name != en.action.Name ||
-				!exposuresEqual(a.Exposure, en.action.Exposure) {
-				continue
-			}
-		} else if !actionsEqual(&en.action, &a) {
-			continue
-		}
+	h, name := e.cacheKey(&a, w, exact)
+	if en := e.cache.probe(h, w, exact, name, &a); en != nil {
 		if e.statsOn {
 			e.counters.evaluations.Add(1)
 		}
-		return *en.ruling, nil
+		r = en.ruling
+		r.Action.Name = a.Name
+		return r, nil
 	}
-	return e.evaluateMiss(a, h, nil)
+	return e.evaluateMiss(a, h, name, nil)
 }
 
-// evaluate is Evaluate with a per-worker scratch (batch workers pass
-// one; see dispatch.go). The cache probe mirrors Evaluate's.
-func (e *Engine) evaluate(a Action, sc *evalScratch) (Ruling, error) {
-	if c := e.cache; c != nil {
-		h, w, exact := hashActionKey(e.seed, &a)
-		t := c.table.Load()
-		for en := t.slots[h&t.mask].Load(); en != nil; en = en.next {
-			if en.hash != h {
-				continue
-			}
-			if exact {
-				if en.w != w || a.Name != en.action.Name ||
-					!exposuresEqual(a.Exposure, en.action.Exposure) {
-					continue
-				}
-			} else if !actionsEqual(&en.action, &a) {
-				continue
-			}
-			if e.statsOn {
-				e.counters.evaluations.Add(1)
-			}
-			return *en.ruling, nil
-		}
-		return e.evaluateMiss(a, h, sc)
+// evaluate is Evaluate with an optional per-worker scratch (batch
+// workers pass one; see dispatch.go). It looks the action up before
+// validating: only validated actions are ever cached, and a hash hit is
+// verified against the cached (validated) key, so a hit implies
+// validity. The hit path — pack, key hash, lock-free probe, verify,
+// re-label with the caller's name — allocates nothing and writes
+// nothing. EvaluateDelta open-codes the same probe: routing either
+// through a shared helper costs an extra copy of the returned Ruling,
+// which the warm benchmarks show as a large share of a hit.
+func (e *Engine) evaluate(a *Action, sc *evalScratch) (r Ruling, err error) {
+	c := e.cache
+	if c == nil {
+		return e.evaluateUncached(*a, sc)
 	}
-	return e.evaluateUncached(a, sc)
+	w, exact := packAction(a)
+	h, name := e.cacheKey(a, w, exact)
+	if en := c.probe(h, w, exact, name, a); en != nil {
+		if e.statsOn {
+			e.counters.evaluations.Add(1)
+		}
+		r = en.ruling
+		r.Action.Name = a.Name
+		return r, nil
+	}
+	return e.evaluateMiss(*a, h, name, sc)
 }
 
 // evaluateMiss is the cache-miss slow path: validate, walk the
-// dispatch bucket, memoize.
-func (e *Engine) evaluateMiss(a Action, h uint64, sc *evalScratch) (Ruling, error) {
+// dispatch bucket, memoize under the key (h, name).
+func (e *Engine) evaluateMiss(a Action, h uint64, name string, sc *evalScratch) (Ruling, error) {
 	if e.statsOn {
 		e.counters.evaluations.Add(1)
 		e.counters.cacheMisses.Add(1)
@@ -534,7 +490,9 @@ func (e *Engine) evaluateMiss(a Action, h uint64, sc *evalScratch) (Ruling, erro
 		return Ruling{}, err
 	}
 	r := e.evaluateDispatch(a, sc)
-	e.cache.put(h, &r)
+	key := r
+	key.Action.Name = name
+	e.cache.put(h, &key)
 	return r, nil
 }
 

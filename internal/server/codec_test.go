@@ -232,3 +232,19 @@ func TestAuditSpoolThresholdFlush(t *testing.T) {
 			spoolFlushThreshold, got, base+spoolFlushThreshold)
 	}
 }
+
+// TestEvaluateNoteBytes pins the precomputed audit notes to the bytes
+// the per-request concatenation produced, so ledger roots over served
+// rulings do not move; out-of-range levels fall back to concatenation.
+func TestEvaluateNoteBytes(t *testing.T) {
+	for p := legal.Process(-1); p <= legal.ProcessWiretapOrder+2; p++ {
+		if got, want := evaluateNote(p), "evaluate -> "+p.String(); got != want {
+			t.Errorf("evaluateNote(%d) = %q, want %q", int(p), got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		_ = evaluateNote(legal.ProcessSearchWarrant)
+	}); allocs != 0 {
+		t.Errorf("evaluateNote allocs/op = %v, want 0", allocs)
+	}
+}

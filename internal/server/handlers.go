@@ -129,6 +129,25 @@ func deadlineErr(stage string) *apiError {
 		msg: "deadline expired during " + stage}
 }
 
+// evaluateNotes holds the audit note for a served ruling per process
+// level, built once so the hot path does not concatenate a note per
+// request.
+var evaluateNotes = func() (notes [legal.ProcessWiretapOrder + 1]string) {
+	for p := legal.ProcessNone; p <= legal.ProcessWiretapOrder; p++ {
+		notes[p] = "evaluate -> " + p.String()
+	}
+	return notes
+}()
+
+// evaluateNote returns the audit note recording that a ruling requiring
+// p was served.
+func evaluateNote(p legal.Process) string {
+	if p >= legal.ProcessNone && int(p) < len(evaluateNotes) {
+		return evaluateNotes[p]
+	}
+	return "evaluate -> " + p.String()
+}
+
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) *apiError {
 	t, aerr := s.tenant(r)
 	if aerr != nil {
@@ -165,7 +184,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) *apiErro
 		Code:    ServiceRulingServed,
 		Actor:   "lawgated",
 		Subject: a.Name,
-		Note:    "evaluate -> " + ruling.Required.String(),
+		Note:    evaluateNote(ruling.Required),
 	})
 	buf := wire.GetBuffer()
 	buf.B = appendEvaluateResponse(buf.B[:0], t.ID, ev.Revision, &ruling)

@@ -17,7 +17,9 @@
 # a corrupt-one-byte smoke that must exit nonzero, and benchcheck
 # budgets pinning ledger append to <= 1000 ns/op and 0 allocs/op.
 # The netsim bench smoke pins the scheduler step (shallow and deep
-# heap), Send and heap churn to 0 allocs/op.
+# heap), Send and heap churn to 0 allocs/op; the legal bench smoke pins
+# the warm ruling-cache hit, with and without fresh case names, the
+# same way.
 # The lawgated ruling service gets a live smoke: serve on an ephemeral
 # port, run the full conformance probe (every endpoint plus the
 # deliberate 4xx paths, including the byte-identity assertion on the
@@ -172,7 +174,13 @@ go run ./scripts/benchcheck \
 	-max-allocs 'BenchmarkHeapChurn=0' \
 	"$tmpdir/bench.json"
 scripts/bench.sh -short -o "$tmpdir/bench_legal.json" legal
-go run ./scripts/benchcheck "$tmpdir/bench_legal.json"
+# A warm ruling-cache hit must stay allocation-free, including under
+# case names the cache never stored (the name-blind key re-labels the
+# memoized ruling).
+go run ./scripts/benchcheck \
+	-max-allocs 'BenchmarkRulingsPerSec/warm=0' \
+	-max-allocs 'BenchmarkRulingsPerSec/warm-names=0' \
+	"$tmpdir/bench_legal.json"
 # The smoke proves the tooling; only the alloc budget is asserted on
 # it. The 1000 ns budget is enforced below on the committed
 # BENCH_ledger.json (median of 5 full runs) — a count=1 benchtime=100x
