@@ -14,10 +14,10 @@ package legal
 // Correctness is by construction: a bucket holds, in pipeline order,
 // every rule whose Match admits the action, which is a superset of the
 // rules whose When accepts it — so the dispatch walk sees the same
-// matching rules in the same order as the naive scan. evaluateLinear
-// below keeps the naive full-table scan alive as the reference
-// implementation; dispatch_test.go proves the two byte-identical over
-// the exhaustive action sweep and the fuzz corpus.
+// matching rules in the same order as the naive scan. evaluateLinear in
+// dispatch_test.go keeps the naive full-table scan alive as the
+// reference implementation and proves the two byte-identical over the
+// exhaustive action sweep and the fuzz corpus.
 
 // Enum cardinalities for the dispatch index, derived from the name
 // catalogs so registering a new enum value automatically widens the
@@ -333,30 +333,4 @@ func (e *Engine) evaluateDispatch(a Action, sc *evalScratch) Ruling {
 		e.counters.rulesScanned.Add(uint64(scanned))
 	}
 	return compactRuling(&sc.r)
-}
-
-// evaluateLinear is the naive reference walk: the full rule table, in
-// order, with no dispatch index and no scratch reuse. It is the
-// semantics the compiled dispatch must reproduce byte-for-byte; the
-// equivalence tests in dispatch_test.go and FuzzEvaluate hold
-// evaluateDispatch to it.
-func (e *Engine) evaluateLinear(a Action) Ruling {
-	r := Ruling{Action: a}
-	r.pw, r.pwExact = packAction(&r.Action)
-	rc := &RuleContext{engine: e, Action: &a, ruling: &r}
-	for i := range e.rules {
-		rule := &e.rules[i]
-		if rule.When != nil && !rule.When(rc) {
-			continue
-		}
-		if rule.Apply != nil {
-			rule.Apply(rc)
-		}
-		r.cite(rule.Citations...)
-		r.Applied = append(r.Applied, rule.Name)
-		if rule.Terminal {
-			break
-		}
-	}
-	return r
 }

@@ -334,3 +334,29 @@ func TestCacheCapacityEviction(t *testing.T) {
 		t.Fatalf("expected re-misses after eviction, got %d misses", s.CacheMisses)
 	}
 }
+
+// evaluateLinear is the naive reference walk: the full rule table, in
+// order, with no dispatch index and no scratch reuse. It is the
+// semantics the compiled dispatch must reproduce byte-for-byte; the
+// equivalence tests in dispatch_test.go and FuzzEvaluate hold
+// evaluateDispatch to it.
+func (e *Engine) evaluateLinear(a Action) Ruling {
+	r := Ruling{Action: a}
+	r.pw, r.pwExact = packAction(&r.Action)
+	rc := &RuleContext{engine: e, Action: &a, ruling: &r}
+	for i := range e.rules {
+		rule := &e.rules[i]
+		if rule.When != nil && !rule.When(rc) {
+			continue
+		}
+		if rule.Apply != nil {
+			rule.Apply(rc)
+		}
+		r.cite(rule.Citations...)
+		r.Applied = append(r.Applied, rule.Name)
+		if rule.Terminal {
+			break
+		}
+	}
+	return r
+}

@@ -198,3 +198,36 @@ func TestAppendNeighborsZeroAlloc(t *testing.T) {
 		t.Errorf("AppendNeighbors returned %d neighbors, want 5", len(buf))
 	}
 }
+
+// TestFlowEmitAllocs pins a steady-state Flow emit, over a
+// bandwidth-capped link and including its delivery and self-reschedule,
+// to exactly one allocation: the packet. The route is resolved once, on
+// the first emit, and the link occupancy slot is reused.
+func TestFlowEmitAllocs(t *testing.T) {
+	sim := netsim.NewSimulator(1)
+	n := netsim.NewNetwork(sim)
+	for _, id := range []netsim.NodeID{"src", "dst"} {
+		if err := n.AddNode(id, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	link := netsim.Link{Latency: time.Millisecond, BandwidthBps: 100_000_000}
+	if err := n.Connect("src", "dst", link); err != nil {
+		t.Fatal(err)
+	}
+	const gap = time.Millisecond
+	f := &netsim.Flow{Net: n, Src: "src", Dst: "dst", ID: "f",
+		Pattern: &netsim.CBR{Gap: gap, Size: 500}, Until: time.Hour}
+	if err := f.Start(); err != nil {
+		t.Fatal(err)
+	}
+	sim.RunUntil(10 * gap) // route the flow, warm the slab
+	sent := f.Sent()
+	allocs := testing.AllocsPerRun(1000, func() { sim.RunUntil(sim.Now() + gap) })
+	if allocs != 1 {
+		t.Errorf("steady-state Flow emit allocs/op = %v, want 1 (the packet)", allocs)
+	}
+	if got := f.Sent() - sent; got != 1001 {
+		t.Errorf("flow sent %d packets over 1001 gaps, want 1001", got)
+	}
+}

@@ -6,11 +6,13 @@
 package netsim_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"lawgate/internal/faults"
 	"lawgate/internal/netsim"
+	"lawgate/internal/netsim/topo"
 )
 
 // BenchmarkSimulatorStep measures one Schedule+Step cycle at steady
@@ -88,6 +90,46 @@ func BenchmarkSend(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		sendDrain(b, n, pkt)
+	}
+}
+
+// BenchmarkSendWide is Send across a bandwidth-capped ISP trunk in a
+// ~1,000-node composite topology, rotating over the edge trunks: the
+// watermark scale trials' path, where a 2-node network hides the cost
+// of resolving node IDs against a large topology.
+func BenchmarkSendWide(b *testing.B) {
+	const edges = 4
+	g, err := topo.Composite(topo.CompositeConfig{
+		Campuses: 48, HostsPerCampus: 20, ISPEdges: edges, TorRelays: 8,
+		TrunkBandwidthBps: 50_000_000,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(g.Nodes) < 1000 {
+		b.Fatalf("composite has %d nodes, want >= 1000", len(g.Nodes))
+	}
+	n := netsim.NewNetwork(netsim.NewSimulator(1))
+	if err := g.ApplyTo(n, nil); err != nil {
+		b.Fatal(err)
+	}
+	var dsts [edges]netsim.NodeID
+	for e := range dsts {
+		dsts[e] = netsim.NodeID(fmt.Sprintf("isp-edge%d", e))
+	}
+	pkt := &netsim.Packet{
+		Header:  netsim.Header{Src: "isp-core", Flow: "f", Proto: netsim.ProtoTCP},
+		Payload: []byte("benchmark-payload-0123456789"),
+	}
+	for _, dst := range dsts { // grow the trunks' occupancy slots
+		pkt.Header.Dst = dst
+		sendDrain(b, n, pkt)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pkt.Header.Dst = dsts[i%edges]
 		sendDrain(b, n, pkt)
 	}
 }

@@ -125,22 +125,18 @@ type FaultHook interface {
 // Network is a set of nodes joined by links, driven by a Simulator. Not
 // safe for concurrent use (simulations are single-loop).
 type Network struct {
-	sim   *Simulator
-	nodes map[NodeID]Handler
-	links map[linkKey]Link
-	// adj is the adjacency index: each node's direct neighbors in
-	// ascending order, maintained incrementally by Connect so Neighbors
-	// is an O(degree) copy with a deterministic order instead of an
-	// O(links) map scan with a random one.
-	adj    map[NodeID][]NodeID
-	taps   map[NodeID][]Tap
-	busy   map[dirKey]time.Duration // per-direction link occupancy
+	sim  *Simulator
+	topo *topology
+	// busy is the per-direction link occupancy, indexed 2*link+dir (dir 0
+	// when the source is the link's first end). It grows lazily to cover
+	// links connected after the view was made.
+	busy   []time.Duration
 	nextID int64
 	faults FaultHook
 	// shard is non-nil when this Network is one partition's view of a
-	// ShardedNetwork: topology maps are shared read-only across views,
-	// while busy, the counters, and the snapshot buffer stay private to
-	// the partition.
+	// ShardedNetwork: the topology table is shared across views, while
+	// busy, the counters, and the snapshot buffer stay private to the
+	// partition.
 	shard *shardRef
 	// snap is the reused tap-observation snapshot (see Tap).
 	snap Packet
@@ -153,51 +149,69 @@ type Network struct {
 	FaultDropped, Duplicated int64
 }
 
-type linkKey struct{ a, b NodeID }
-
-// dirKey identifies one direction of a link for serialization queueing.
-type dirKey struct {
-	link linkKey
-	src  NodeID
+// topology is the dense topology table. AddNode assigns each node the
+// next int32 index and Connect each new link the next link index; the
+// packet path then indexes slices instead of hashing NodeIDs. A classic
+// Network owns one; a ShardedNetwork shares one across its partition
+// views.
+type topology struct {
+	nodes []node
+	index map[NodeID]int32
+	links []linkEntry
+	// linkIdx maps a packed node-index pair (see pairKey) to its link.
+	linkIdx map[uint64]int32
 }
 
-func keyFor(a, b NodeID) linkKey {
+// node is one topology entry.
+type node struct {
+	id      NodeID
+	handler Handler
+	taps    []Tap
+	// adj lists the direct neighbors in ascending order, maintained
+	// incrementally by Connect so Neighbors is an O(degree) copy with a
+	// deterministic order instead of an O(links) scan with a random one.
+	adj []NodeID
+}
+
+// linkEntry is one link and the node indices of its ends, in the order
+// the first Connect named them.
+type linkEntry struct {
+	Link
+	ends [2]int32
+}
+
+// route is a resolved transmission: source, destination and link
+// indices into the topology table.
+type route struct{ src, dst, link int32 }
+
+func newTopology() *topology {
+	return &topology{
+		index:   make(map[NodeID]int32),
+		linkIdx: make(map[uint64]int32),
+	}
+}
+
+// pairKey packs an unordered node-index pair into one map key.
+func pairKey(a, b int32) uint64 {
 	if a > b {
 		a, b = b, a
 	}
-	return linkKey{a: a, b: b}
+	return uint64(uint32(a))<<32 | uint64(uint32(b))
 }
 
-// NewNetwork returns an empty network on the given simulator.
-func NewNetwork(sim *Simulator) *Network {
-	return &Network{
-		sim:   sim,
-		nodes: make(map[NodeID]Handler),
-		links: make(map[linkKey]Link),
-		adj:   make(map[NodeID][]NodeID),
-		taps:  make(map[NodeID][]Tap),
-		busy:  make(map[dirKey]time.Duration),
-	}
-}
-
-// Sim returns the driving simulator.
-func (n *Network) Sim() *Simulator { return n.sim }
-
-// SetFaults installs a fault hook; nil removes it. The hook sees every
-// subsequent transmission.
-func (n *Network) SetFaults(h FaultHook) { n.faults = h }
-
-// AddNode registers a node. A nil handler registers a sink that discards
-// deliveries.
-func (n *Network) AddNode(id NodeID, h Handler) error {
-	if _, ok := n.nodes[id]; ok {
-		return fmt.Errorf("%w: %q", ErrDuplicateNode, id)
+// addNode appends a node and returns its index. A nil handler registers
+// a sink that discards deliveries.
+func (t *topology) addNode(id NodeID, h Handler) (int32, error) {
+	if _, ok := t.index[id]; ok {
+		return 0, fmt.Errorf("%w: %q", ErrDuplicateNode, id)
 	}
 	if h == nil {
 		h = HandlerFunc(func(*Network, *Packet) {})
 	}
-	n.nodes[id] = h
-	return nil
+	idx := int32(len(t.nodes))
+	t.nodes = append(t.nodes, node{id: id, handler: h})
+	t.index[id] = idx
+	return idx, nil
 }
 
 // insertSorted adds id to the ascending neighbor list, keeping order.
@@ -209,28 +223,88 @@ func insertSorted(s []NodeID, id NodeID) []NodeID {
 	return s
 }
 
+// connect joins a and b, or replaces the parameters of their existing
+// link in place, so resolved routes see the new parameters.
+func (t *topology) connect(a, b NodeID, link Link) error {
+	var ends [2]int32
+	for i, id := range [2]NodeID{a, b} {
+		idx, ok := t.index[id]
+		if !ok {
+			return fmt.Errorf("%w: %q", ErrUnknownNode, id)
+		}
+		ends[i] = idx
+	}
+	key := pairKey(ends[0], ends[1])
+	if li, ok := t.linkIdx[key]; ok {
+		t.links[li].Link = link
+		return nil
+	}
+	t.linkIdx[key] = int32(len(t.links))
+	t.links = append(t.links, linkEntry{Link: link, ends: ends})
+	t.nodes[ends[0]].adj = insertSorted(t.nodes[ends[0]].adj, b)
+	if a != b {
+		t.nodes[ends[1]].adj = insertSorted(t.nodes[ends[1]].adj, a)
+	}
+	return nil
+}
+
+// attachTap registers a passive observer at a node.
+func (t *topology) attachTap(id NodeID, tap Tap) error {
+	idx, ok := t.index[id]
+	if !ok {
+		return fmt.Errorf("%w: %q", ErrUnknownNode, id)
+	}
+	t.nodes[idx].taps = append(t.nodes[idx].taps, tap)
+	return nil
+}
+
+// adj returns id's ascending neighbor list (shared; callers copy).
+func (t *topology) adj(id NodeID) []NodeID {
+	idx, ok := t.index[id]
+	if !ok {
+		return nil
+	}
+	return t.nodes[idx].adj
+}
+
+// NewNetwork returns an empty network on the given simulator.
+func NewNetwork(sim *Simulator) *Network {
+	return &Network{sim: sim, topo: newTopology()}
+}
+
+// Sim returns the driving simulator.
+func (n *Network) Sim() *Simulator { return n.sim }
+
+// SetFaults installs a fault hook; nil removes it. The hook sees every
+// subsequent transmission.
+func (n *Network) SetFaults(h FaultHook) { n.faults = h }
+
+// AddNode registers a node. A nil handler registers a sink that discards
+// deliveries. On a partition view of a ShardedNetwork it is the owner's
+// AddNode, so the node gets its partition and per-node tables too.
+func (n *Network) AddNode(id NodeID, h Handler) error {
+	if n.shard != nil {
+		return n.shard.owner.AddNode(id, h)
+	}
+	_, err := n.topo.addNode(id, h)
+	return err
+}
+
 // Connect joins two nodes with a bidirectional link. Reconnecting an
 // existing pair replaces the link's parameters.
 func (n *Network) Connect(a, b NodeID, link Link) error {
-	for _, id := range []NodeID{a, b} {
-		if _, ok := n.nodes[id]; !ok {
-			return fmt.Errorf("%w: %q", ErrUnknownNode, id)
-		}
-	}
-	key := keyFor(a, b)
-	if _, exists := n.links[key]; !exists {
-		n.adj[a] = insertSorted(n.adj[a], b)
-		if a != b {
-			n.adj[b] = insertSorted(n.adj[b], a)
-		}
-	}
-	n.links[key] = link
-	return nil
+	return n.topo.connect(a, b, link)
 }
 
 // Linked reports whether a and b are directly connected.
 func (n *Network) Linked(a, b NodeID) bool {
-	_, ok := n.links[keyFor(a, b)]
+	t := n.topo
+	ia, okA := t.index[a]
+	ib, okB := t.index[b]
+	if !okA || !okB {
+		return false
+	}
+	_, ok := t.linkIdx[pairKey(ia, ib)]
 	return ok
 }
 
@@ -238,7 +312,7 @@ func (n *Network) Linked(a, b NodeID) bool {
 // The order is deterministic across runs and processes; the returned
 // slice is a copy the caller may keep or mutate.
 func (n *Network) Neighbors(id NodeID) []NodeID {
-	adj := n.adj[id]
+	adj := n.topo.adj(id)
 	if len(adj) == 0 {
 		return nil
 	}
@@ -253,20 +327,16 @@ func (n *Network) Neighbors(id NodeID) []NodeID {
 // dst[:0] of a retained slice and no allocation occurs once the buffer
 // has grown to the node's degree.
 func (n *Network) AppendNeighbors(id NodeID, dst []NodeID) []NodeID {
-	return append(dst, n.adj[id]...)
+	return append(dst, n.topo.adj(id)...)
 }
 
 // Degree returns the number of nodes directly linked to id without
 // copying the neighbor list.
-func (n *Network) Degree(id NodeID) int { return len(n.adj[id]) }
+func (n *Network) Degree(id NodeID) int { return len(n.topo.adj(id)) }
 
 // AttachTap registers a passive observer at a node.
 func (n *Network) AttachTap(id NodeID, t Tap) error {
-	if _, ok := n.nodes[id]; !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownNode, id)
-	}
-	n.taps[id] = append(n.taps[id], t)
-	return nil
+	return n.topo.attachTap(id, t)
 }
 
 // delivery is the typed payload of a packet-delivery event: everything
@@ -275,29 +345,48 @@ func (n *Network) AttachTap(id NodeID, t Tap) error {
 type delivery struct {
 	net       *Network
 	pkt       *Packet
-	handler   Handler
-	dst       NodeID
+	dst       int32 // topology index of the destination
 	duplicate bool
 }
 
 // run executes the delivery at the event's firing time.
 func (d delivery) run() {
 	n := d.net
+	dst := &n.topo.nodes[d.dst]
 	// A destination that is down when the packet arrives loses it —
 	// crash-while-in-flight.
-	if n.faults != nil && n.faults.Down(d.dst, n.sim.Now()) {
+	if n.faults != nil && n.faults.Down(dst.id, n.sim.Now()) {
 		n.FaultDropped++
 		return
 	}
 	pkt := d.pkt
 	pkt.DeliveredAt = n.sim.Now()
-	pkt.Hops = append(pkt.Hops, d.dst)
+	pkt.Hops = append(pkt.Hops, dst.id)
 	n.Delivered++
 	if d.duplicate {
 		n.Duplicated++
 	}
-	n.observe(d.dst, DirInbound, pkt)
-	d.handler.HandlePacket(n, pkt)
+	n.observe(dst.taps, DirInbound, pkt)
+	dst.handler.HandlePacket(n, pkt)
+}
+
+// resolve looks up the route from src to dst: both node indices and the
+// link joining them.
+func (n *Network) resolve(src, dst NodeID) (route, error) {
+	t := n.topo
+	s, ok := t.index[src]
+	if !ok {
+		return route{}, fmt.Errorf("%w: src %q", ErrUnknownNode, src)
+	}
+	d, ok := t.index[dst]
+	if !ok {
+		return route{}, fmt.Errorf("%w: dst %q", ErrUnknownNode, dst)
+	}
+	l, ok := t.linkIdx[pairKey(s, d)]
+	if !ok {
+		return route{}, fmt.Errorf("%w: %q-%q", ErrNoLink, src, dst)
+	}
+	return route{src: s, dst: d, link: l}, nil
 }
 
 // Send transmits a packet from pkt.Header.Src to pkt.Header.Dst over their
@@ -308,18 +397,17 @@ func (d delivery) run() {
 // (no clone); only fault-injected duplicate deliveries clone. Callers
 // must not reuse pkt after Send without resetting Hops.
 func (n *Network) Send(pkt *Packet) error {
-	src, dst := pkt.Header.Src, pkt.Header.Dst
-	if _, ok := n.nodes[src]; !ok {
-		return fmt.Errorf("%w: src %q", ErrUnknownNode, src)
+	r, err := n.resolve(pkt.Header.Src, pkt.Header.Dst)
+	if err != nil {
+		return err
 	}
-	handler, ok := n.nodes[dst]
-	if !ok {
-		return fmt.Errorf("%w: dst %q", ErrUnknownNode, dst)
-	}
-	link, ok := n.links[keyFor(src, dst)]
-	if !ok {
-		return fmt.Errorf("%w: %q-%q", ErrNoLink, src, dst)
-	}
+	return n.send(pkt, r)
+}
+
+// send is Send over an already resolved route, whose indices must name
+// pkt.Header.Src, pkt.Header.Dst and their link.
+func (n *Network) send(pkt *Packet, r route) error {
+	src := pkt.Header.Src
 	// Sharded mode: everything observable — loss and jitter draws, packet
 	// IDs, sequence keys — derives from the SOURCE node, not the
 	// simulator, so a transmission's outcome is independent of how nodes
@@ -327,15 +415,13 @@ func (n *Network) Send(pkt *Packet) error {
 	// keeping that path byte-identical to the pre-sharding engine.
 	sh := n.shard
 	rng := n.sim.rng
-	var srcIdx, dstIdx int32
 	if sh != nil {
 		o := sh.owner
-		srcIdx, dstIdx = o.index[src], o.index[dst]
-		if int(o.partOf[srcIdx]) != sh.part {
+		if int(o.partOf[r.src]) != sh.part {
 			return fmt.Errorf("%w: %q owned by partition %d, sent via partition %d",
-				ErrWrongPartition, src, o.partOf[srcIdx], sh.part)
+				ErrWrongPartition, src, o.partOf[r.src], sh.part)
 		}
-		rng = o.nodeRand[srcIdx]
+		rng = o.nodeRand[r.src]
 	}
 	// A crashed source transmits nothing: the packet never reaches the
 	// wire, so taps at either end see nothing and the link RNG stream is
@@ -347,8 +433,8 @@ func (n *Network) Send(pkt *Packet) error {
 
 	if sh != nil {
 		o := sh.owner
-		o.pktCtr[srcIdx]++
-		pkt.ID = int64(srcIdx+1)<<32 | int64(o.pktCtr[srcIdx])
+		o.pktCtr[r.src]++
+		pkt.ID = int64(r.src+1)<<32 | int64(o.pktCtr[r.src])
 	} else {
 		n.nextID++
 		pkt.ID = n.nextID
@@ -369,15 +455,18 @@ func (n *Network) Send(pkt *Packet) error {
 		pkt.Header.SizeBytes = len(pkt.Payload) + 40 // headers
 	}
 
-	n.observe(src, DirOutbound, pkt)
+	t := n.topo
+	n.observe(t.nodes[r.src].taps, DirOutbound, pkt)
 
+	le := &t.links[r.link]
+	link := le.Link
 	if link.Loss > 0 && rng.Float64() < link.Loss {
 		n.Dropped++
 		return nil
 	}
 	var fault Fault
 	if n.faults != nil {
-		fault = n.faults.Transmit(src, dst, n.sim.Now(), pkt)
+		fault = n.faults.Transmit(src, pkt.Header.Dst, n.sim.Now(), pkt)
 	}
 	if fault.Drop {
 		n.FaultDropped++
@@ -392,13 +481,19 @@ func (n *Network) Send(pkt *Packet) error {
 	}
 	departure := n.sim.Now()
 	if tx := (Link{BandwidthBps: bw}).serialization(pkt.Header.SizeBytes); tx > 0 {
-		key := dirKey{link: keyFor(src, dst), src: src}
+		slot := 2 * int(r.link)
+		if r.src != le.ends[0] {
+			slot++
+		}
+		if slot >= len(n.busy) {
+			n.busy = append(n.busy, make([]time.Duration, 2*len(t.links)-len(n.busy))...)
+		}
 		start := departure
-		if n.busy[key] > start {
-			start = n.busy[key]
+		if n.busy[slot] > start {
+			start = n.busy[slot]
 		}
 		departure = start + tx
-		n.busy[key] = departure
+		n.busy[slot] = departure
 	}
 	delay := departure - n.sim.Now() + link.Latency
 	if link.Jitter > 0 {
@@ -408,16 +503,16 @@ func (n *Network) Send(pkt *Packet) error {
 	at := n.sim.Now() + delay
 	if sh != nil {
 		if len(fault.Duplicates) == 0 {
-			return sh.owner.deliver(at, srcIdx, dstIdx, pkt, handler, false)
+			return sh.owner.deliver(at, r.src, r.dst, pkt, false)
 		}
-		if err := sh.owner.deliver(at, srcIdx, dstIdx, pkt.Clone(), handler, false); err != nil {
+		if err := sh.owner.deliver(at, r.src, r.dst, pkt.Clone(), false); err != nil {
 			return err
 		}
 		for _, extra := range fault.Duplicates {
 			if extra < 0 {
 				extra = 0
 			}
-			if err := sh.owner.deliver(at+extra, srcIdx, dstIdx, pkt.Clone(), handler, true); err != nil {
+			if err := sh.owner.deliver(at+extra, r.src, r.dst, pkt.Clone(), true); err != nil {
 				return err
 			}
 		}
@@ -428,9 +523,9 @@ func (n *Network) Send(pkt *Packet) error {
 	// each get an independent clone, as every delivery did before the
 	// typed-event rewrite.
 	if len(fault.Duplicates) == 0 {
-		return n.sim.scheduleDelivery(at, delivery{net: n, pkt: pkt, handler: handler, dst: dst})
+		return n.sim.scheduleDelivery(at, delivery{net: n, pkt: pkt, dst: r.dst})
 	}
-	if err := n.sim.scheduleDelivery(at, delivery{net: n, pkt: pkt.Clone(), handler: handler, dst: dst}); err != nil {
+	if err := n.sim.scheduleDelivery(at, delivery{net: n, pkt: pkt.Clone(), dst: r.dst}); err != nil {
 		return err
 	}
 	for _, extra := range fault.Duplicates {
@@ -438,7 +533,7 @@ func (n *Network) Send(pkt *Packet) error {
 			extra = 0
 		}
 		err := n.sim.scheduleDelivery(at+extra, delivery{
-			net: n, pkt: pkt.Clone(), handler: handler, dst: dst, duplicate: true,
+			net: n, pkt: pkt.Clone(), dst: r.dst, duplicate: true,
 		})
 		if err != nil {
 			return err
@@ -447,27 +542,25 @@ func (n *Network) Send(pkt *Packet) error {
 	return nil
 }
 
-// flowRand returns the RNG stream a traffic source rooted at src draws
-// from: src's own node stream in sharded mode (so gap and size draws are
-// partition-independent), the simulator stream in classic mode.
-func (n *Network) flowRand(src NodeID) *rand.Rand {
+// flowRand returns the RNG stream a traffic source rooted at node index
+// src draws from: src's own node stream in sharded mode (so gap and size
+// draws are partition-independent), the simulator stream in classic mode.
+func (n *Network) flowRand(src int32) *rand.Rand {
 	if n.shard != nil {
-		o := n.shard.owner
-		return o.nodeRand[o.index[src]]
+		return n.shard.owner.nodeRand[src]
 	}
 	return n.sim.rng
 }
 
-// scheduleNode queues fn to run delay from now in node id's context: in
-// sharded mode the event's sequence key is drawn from id's counter and
-// the callback executes with id as the current origin. Classic mode is
-// plain Schedule.
-func (n *Network) scheduleNode(id NodeID, delay time.Duration, fn func()) error {
+// scheduleNode queues fn to run delay from now in the context of the
+// node at index idx: in sharded mode the event's sequence key is drawn
+// from that node's counter and the callback executes with it as the
+// current origin. Classic mode is plain Schedule.
+func (n *Network) scheduleNode(idx int32, delay time.Duration, fn func()) error {
 	if n.shard == nil {
 		return n.sim.Schedule(delay, fn)
 	}
 	o := n.shard.owner
-	idx := o.index[id]
 	return n.sim.pushEvent(event{at: n.sim.now + delay, seq: o.seqFor(idx), eventBody: eventBody{fn: fn, owner: idx}})
 }
 
@@ -476,8 +569,7 @@ func (n *Network) scheduleNode(id NodeID, delay time.Duration, fn func()) error 
 // network reuses across packets (see Tap) — steady-state observation
 // allocates nothing — and when the point has no taps no copy is made at
 // all.
-func (n *Network) observe(id NodeID, dir Direction, pkt *Packet) {
-	taps := n.taps[id]
+func (n *Network) observe(taps []Tap, dir Direction, pkt *Packet) {
 	if len(taps) == 0 {
 		return
 	}

@@ -2,14 +2,15 @@ package netsim
 
 // Sharded parallel simulation. A ShardedNetwork partitions the node set
 // at build time, gives every partition its own Simulator (4-ary heap
-// slab, clock, step counter) and Network view (private busy map,
-// counters, tap snapshot over shared read-only topology maps), and runs
-// the partitions concurrently under conservative-lookahead
-// synchronization (see barrier.go). The crucial property, stronger than
-// classic PDES determinism: results are identical for a fixed seed at
-// ANY partition count and ANY worker count, because every observable
-// draw and ordering key derives from the node that makes it, never from
-// the partition that hosts it:
+// slab, clock, step counter) and Network view (private link-occupancy
+// slice, counters and tap snapshot over the one dense topology table
+// all views share, read-only once frozen), and runs the partitions
+// concurrently under conservative-lookahead synchronization (see
+// barrier.go). The crucial property, stronger than classic PDES
+// determinism: results are identical for a fixed seed at ANY partition
+// count and ANY worker count, because every observable draw and
+// ordering key derives from the node that makes it, never from the
+// partition that hosts it:
 //
 //   - sequence keys (event tie-breaks) are (origin node index, per-node
 //     counter) pairs packed into an int64 — globally unique, so
@@ -169,11 +170,11 @@ type ShardedNetwork struct {
 	parts  int
 	partFn func(NodeID) int
 
-	// ids, index, partOf, nodeRand, nodeCtr, pktCtr are dense per-node
-	// tables indexed by AddNode order. nodeCtr/pktCtr are written only by
-	// the partition owning the node (disjoint indices — race-free).
-	ids      []NodeID
-	index    map[NodeID]int32
+	// topo is the topology table every partition view shares. partOf,
+	// nodeRand, nodeCtr, pktCtr are dense per-node tables indexed like
+	// topo.nodes (AddNode order). nodeCtr/pktCtr are written only by the
+	// partition owning the node (disjoint indices — race-free).
+	topo     *topology
 	partOf   []int32
 	nodeRand []*rand.Rand
 	nodeCtr  []uint32
@@ -210,26 +211,14 @@ func NewShardedNetwork(seed int64, partitions int) *ShardedNetwork {
 	o := &ShardedNetwork{
 		seed:  seed,
 		parts: partitions,
-		index: make(map[NodeID]int32),
+		topo:  newTopology(),
 		werrs: make([]error, partitions),
 	}
-	nodes := make(map[NodeID]Handler)
-	links := make(map[linkKey]Link)
-	adj := make(map[NodeID][]NodeID)
-	taps := make(map[NodeID][]Tap)
 	o.outbox = make([][][]event, partitions)
 	for p := 0; p < partitions; p++ {
 		sim := &Simulator{rng: newNodeRand(deriveSeed(seed, streamPartitionRNG, int64(p)))}
 		sim.shard = &simShard{owner: o}
-		net := &Network{
-			sim:   sim,
-			nodes: nodes,
-			links: links,
-			adj:   adj,
-			taps:  taps,
-			busy:  make(map[dirKey]time.Duration),
-			shard: &shardRef{owner: o, part: p},
-		}
+		net := &Network{sim: sim, topo: o.topo, shard: &shardRef{owner: o, part: p}}
 		o.sims = append(o.sims, sim)
 		o.partNet = append(o.partNet, net)
 		o.outbox[p] = make([][]event, partitions)
@@ -249,7 +238,7 @@ func (o *ShardedNetwork) Lookahead() time.Duration { return o.lookahead }
 // SetPartitionFunc installs an explicit node→partition map, replacing
 // the default ID hash. Must be called before any AddNode.
 func (o *ShardedNetwork) SetPartitionFunc(fn func(NodeID) int) error {
-	if len(o.ids) > 0 {
+	if len(o.topo.nodes) > 0 {
 		return fmt.Errorf("%w: partition function set after nodes added", ErrFrozen)
 	}
 	o.partFn = fn
@@ -280,12 +269,10 @@ func (o *ShardedNetwork) AddNode(id NodeID, h Handler) error {
 	if err != nil {
 		return err
 	}
-	if err := o.partNet[0].AddNode(id, h); err != nil {
+	idx, err := o.topo.addNode(id, h)
+	if err != nil {
 		return err
 	}
-	idx := int32(len(o.ids))
-	o.ids = append(o.ids, id)
-	o.index[id] = idx
 	o.partOf = append(o.partOf, int32(p))
 	o.nodeRand = append(o.nodeRand, newNodeRand(deriveSeed(o.seed, streamNodeRNG, int64(idx))))
 	o.nodeCtr = append(o.nodeCtr, 0)
@@ -299,7 +286,7 @@ func (o *ShardedNetwork) Connect(a, b NodeID, link Link) error {
 	if o.frozen {
 		return ErrFrozen
 	}
-	return o.partNet[0].Connect(a, b, link)
+	return o.topo.connect(a, b, link)
 }
 
 // AttachTap registers a passive observer at a node. The tap executes on
@@ -309,7 +296,7 @@ func (o *ShardedNetwork) AttachTap(id NodeID, t Tap) error {
 	if o.frozen {
 		return ErrFrozen
 	}
-	return o.partNet[0].AttachTap(id, t)
+	return o.topo.attachTap(id, t)
 }
 
 // SetFaults installs a partition-safe fault hook on every partition
@@ -329,24 +316,30 @@ func (o *ShardedNetwork) SetFaults(h FaultHook) error {
 
 // Freeze seals the topology and computes the lookahead window (minimum
 // latency over cross-partition links). A cross-partition link with zero
-// latency is rejected: it would leave no safe window. Freeze is
-// idempotent; Run calls it implicitly.
+// latency is rejected: it would leave no safe window, and the error names
+// the first such link in Connect order. Freeze is idempotent; Run calls
+// it implicitly.
 func (o *ShardedNetwork) Freeze() error {
 	if o.frozen {
 		return nil
 	}
 	la := time.Duration(math.MaxInt64)
 	cross := false
-	for key, link := range o.partNet[0].links {
-		if o.partOf[o.index[key.a]] == o.partOf[o.index[key.b]] {
+	for i := range o.topo.links {
+		le := &o.topo.links[i]
+		if o.partOf[le.ends[0]] == o.partOf[le.ends[1]] {
 			continue
 		}
-		if link.Latency <= 0 {
-			return fmt.Errorf("%w: %q-%q", ErrZeroLookahead, key.a, key.b)
+		if le.Latency <= 0 {
+			a, b := o.topo.nodes[le.ends[0]].id, o.topo.nodes[le.ends[1]].id
+			if a > b {
+				a, b = b, a
+			}
+			return fmt.Errorf("%w: %q-%q", ErrZeroLookahead, a, b)
 		}
 		cross = true
-		if link.Latency < la {
-			la = link.Latency
+		if le.Latency < la {
+			la = le.Latency
 		}
 	}
 	o.hasCross = cross
@@ -370,7 +363,7 @@ func (o *ShardedNetwork) seqFor(idx int32) int64 {
 // own queue when the destination is local, into the outbox for the
 // barrier to merge when it is remote. The sequence key is minted here,
 // in source order, so local and remote deliveries share one key stream.
-func (o *ShardedNetwork) deliver(at time.Duration, srcIdx, dstIdx int32, pkt *Packet, handler Handler, dup bool) error {
+func (o *ShardedNetwork) deliver(at time.Duration, srcIdx, dstIdx int32, pkt *Packet, dup bool) error {
 	srcPart := o.partOf[srcIdx]
 	dstPart := o.partOf[dstIdx]
 	ev := event{
@@ -381,8 +374,7 @@ func (o *ShardedNetwork) deliver(at time.Duration, srcIdx, dstIdx int32, pkt *Pa
 			del: delivery{
 				net:       o.partNet[dstPart],
 				pkt:       pkt,
-				handler:   handler,
-				dst:       o.ids[dstIdx],
+				dst:       dstIdx,
 				duplicate: dup,
 			},
 		},
@@ -398,7 +390,7 @@ func (o *ShardedNetwork) deliver(at time.Duration, srcIdx, dstIdx int32, pkt *Pa
 // that draws randomness "at" a node (probe schedules, measurement
 // noise) should use this stream so results stay partition-invariant.
 func (o *ShardedNetwork) NodeRand(id NodeID) (*rand.Rand, error) {
-	idx, ok := o.index[id]
+	idx, ok := o.topo.index[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, id)
 	}
@@ -408,7 +400,7 @@ func (o *ShardedNetwork) NodeRand(id NodeID) (*rand.Rand, error) {
 // PartitionNet returns the partition view owning id — the *Network on
 // which that node's flows are built and sends issued.
 func (o *ShardedNetwork) PartitionNet(id NodeID) (*Network, error) {
-	idx, ok := o.index[id]
+	idx, ok := o.topo.index[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, id)
 	}
@@ -419,12 +411,11 @@ func (o *ShardedNetwork) PartitionNet(id NodeID) (*Network, error) {
 // current time, in id's context: the event's sequence key comes from
 // id's counter and fn executes on id's partition.
 func (o *ShardedNetwork) ScheduleNode(id NodeID, delay time.Duration, fn func()) error {
-	idx, ok := o.index[id]
+	idx, ok := o.topo.index[id]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownNode, id)
 	}
-	sim := o.sims[o.partOf[idx]]
-	return sim.pushEvent(event{at: sim.now + delay, seq: o.seqFor(idx), eventBody: eventBody{fn: fn, owner: idx}})
+	return o.partNet[o.partOf[idx]].scheduleNode(idx, delay, fn)
 }
 
 // SetStepBudget caps the run's total step count, like

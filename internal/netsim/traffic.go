@@ -119,6 +119,11 @@ type Flow struct {
 	// classic mode, the source node's stream in sharded mode (so a flow's
 	// gaps and sizes are independent of the partition layout).
 	rng *rand.Rand
+	// route is the (src, dst, link) triple resolved on the first emit;
+	// later packets and reschedules reuse it. It holds the link index,
+	// so re-Connecting the pair mid-run still takes effect.
+	route  route
+	routed bool
 }
 
 // Sent returns the number of packets the flow has transmitted.
@@ -134,8 +139,10 @@ func (f *Flow) Start() error {
 		f.Proto = ProtoTCP
 	}
 	f.emitFn = f.emit
-	f.rng = f.Net.flowRand(f.Src)
-	return f.Net.scheduleNode(f.Src, f.Pattern.NextGap(f.rng), f.emitFn)
+	f.routed = false
+	src := f.Net.topo.index[f.Src]
+	f.rng = f.Net.flowRand(src)
+	return f.Net.scheduleNode(src, f.Pattern.NextGap(f.rng), f.emitFn)
 }
 
 func (f *Flow) emit() {
@@ -157,14 +164,21 @@ func (f *Flow) emit() {
 		},
 		Payload: payload,
 	}
-	// Link errors terminate the flow; the simulation surface for
-	// misconfigured flows is the Sent counter staying flat.
-	if err := f.Net.Send(pkt); err != nil {
+	// Route and link errors terminate the flow; the simulation surface
+	// for misconfigured flows is the Sent counter staying flat.
+	if !f.routed {
+		r, err := f.Net.resolve(f.Src, f.Dst)
+		if err != nil {
+			return
+		}
+		f.route, f.routed = r, true
+	}
+	if err := f.Net.send(pkt, f.route); err != nil {
 		return
 	}
 	f.sent++
 	gap := f.Pattern.NextGap(f.rng)
 	if sim.Now()+gap <= f.Until {
-		_ = f.Net.scheduleNode(f.Src, gap, f.emitFn)
+		_ = f.Net.scheduleNode(f.route.src, gap, f.emitFn)
 	}
 }

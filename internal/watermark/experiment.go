@@ -315,8 +315,8 @@ func RunExperiment(ec ExperimentConfig) (ExperimentResult, error) {
 		Detected:         wm.Detected(DefaultZThreshold),
 		BaselineCorr:     baseCorr,
 		BaselineDetected: baseCorr >= BaselineThreshold,
-		SuspectPackets:   len(suspectMeter.Records()),
-		ServerPackets:    len(serverMeter.Records()),
+		SuspectPackets:   suspectMeter.Acquired().Records,
+		ServerPackets:    serverMeter.Acquired().Records,
 		RequiredProcess:  suspectMeter.Ruling().Required,
 	}
 	if injector != nil {

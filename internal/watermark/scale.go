@@ -343,8 +343,8 @@ func RunScaleExperiment(ec ExperimentConfig, sc ScaleConfig, hosts int) (Experim
 		Detected:         wm.Detected(DefaultZThreshold),
 		BaselineCorr:     baseCorr,
 		BaselineDetected: baseCorr >= BaselineThreshold,
-		SuspectPackets:   len(suspectMeter.Records()),
-		ServerPackets:    len(serverMeter.Records()),
+		SuspectPackets:   suspectMeter.Acquired().Records,
+		ServerPackets:    serverMeter.Acquired().Records,
 		RequiredProcess:  suspectMeter.Ruling().Required,
 	}
 	if fb != nil {

@@ -3,7 +3,8 @@
 # Usage: scripts/bench.sh [-count N] [-short] [-o FILE] [netsim|legal|ledger|server|wire]
 #
 # The default `netsim` target runs the internal/netsim micro-benchmarks
-# (scheduler step, send paths, neighbor lookup, heap churn), the
+# (scheduler step, send paths — including a send across a capped trunk
+# of a 1,000-node composite — neighbor lookup, heap churn), the
 # BenchmarkSweepRunner macro-bench, and the BenchmarkShardedRun
 # parallel-engine macro-bench (a 100k-node composite topology run at 1
 # and 8 partitions, reporting events/sec and nodes/sec), and writes to
@@ -101,7 +102,7 @@ netsim)
 	baseline=scripts/bench_baseline.json
 	echo "== netsim micro-benchmarks (count=$count, benchtime=$benchtime)" >&2
 	go test -run '^$' \
-		-bench '^(BenchmarkSimulatorStep|BenchmarkSimulatorStepDeep|BenchmarkSend|BenchmarkSendTapped|BenchmarkSendFaulty|BenchmarkNeighbors|BenchmarkHeapChurn)$' \
+		-bench '^(BenchmarkSimulatorStep|BenchmarkSimulatorStepDeep|BenchmarkSend|BenchmarkSendWide|BenchmarkSendTapped|BenchmarkSendFaulty|BenchmarkNeighbors|BenchmarkHeapChurn)$' \
 		-benchmem -benchtime "$benchtime" -count "$count" ./internal/netsim |
 		tee -a "$tmp" >&2
 

@@ -17,7 +17,8 @@
 # a corrupt-one-byte smoke that must exit nonzero, and benchcheck
 # budgets pinning ledger append to <= 1000 ns/op and 0 allocs/op.
 # The netsim bench smoke pins the scheduler step (shallow and deep
-# heap), Send and heap churn to 0 allocs/op; the legal bench smoke pins
+# heap), Send (two-node and across a 1,000-node composite's capped
+# trunk) and heap churn to 0 allocs/op; the legal bench smoke pins
 # the warm ruling-cache hit, with and without fresh case names, the
 # same way.
 # The lawgated ruling service gets a live smoke: serve on an ephemeral
@@ -165,12 +166,14 @@ grep -q 'sealed final checkpoint' "$tmpdir/lawgated.log"
 echo "== bench smoke: bench.sh -short emits valid BENCH JSON (netsim + legal + ledger)"
 scripts/bench.sh -short -o "$tmpdir/bench.json"
 # The scheduler and send hot paths must stay allocation-free: the event
-# queue moves pointer-free keys over a reused slab, and a delivered
-# packet rides its event with no clone.
+# queue moves pointer-free keys over a reused slab, a delivered packet
+# rides its event with no clone, and a send across a wide topology reads
+# the dense topology tables.
 go run ./scripts/benchcheck \
 	-max-allocs 'BenchmarkSimulatorStep=0' \
 	-max-allocs 'BenchmarkSimulatorStepDeep=0' \
 	-max-allocs 'BenchmarkSend=0' \
+	-max-allocs 'BenchmarkSendWide=0' \
 	-max-allocs 'BenchmarkHeapChurn=0' \
 	"$tmpdir/bench.json"
 scripts/bench.sh -short -o "$tmpdir/bench_legal.json" legal
