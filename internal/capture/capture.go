@@ -304,12 +304,6 @@ func (d *Device) Counts(bin time.Duration, horizon time.Duration) []int {
 	return counts
 }
 
-// TapNetwork is the attachment surface Arm drives; both
-// *netsim.Network and *netsim.ShardedNetwork satisfy it.
-type TapNetwork interface {
-	AttachTap(id netsim.NodeID, t netsim.Tap) error
-}
-
 // Gate authorizes devices against the legal engine before they attach to
 // the network.
 type Gate struct {
@@ -325,8 +319,9 @@ func NewGate(strict bool) *Gate {
 }
 
 // Arm evaluates the device's action, enforces strictness, and attaches the
-// device as a tap at its placement node.
-func (g *Gate) Arm(net TapNetwork, d *Device) error {
+// device as a tap at its placement node. Any partition view of a run
+// attaches to the whole run.
+func (g *Gate) Arm(net *netsim.Network, d *Device) error {
 	if d.armed {
 		return ErrAlreadyArmed
 	}

@@ -1,9 +1,9 @@
 // Package faults is a seeded, fully deterministic fault-injection layer
 // for the netsim substrate. A declarative Plan describes probabilistic
 // packet loss, duplication, reorder/jitter, bandwidth degradation, and
-// scheduled node crash/recovery (peer churn); an Injector realizes the
+// scheduled node crash/recovery (peer churn); Partitioned realizes the
 // plan as a netsim.FaultHook whose every decision is a pure function of
-// (plan, seed, event order). The same seed and plan therefore yield
+// (plan, seed, the deciding node's own event order). The same seed and plan therefore yield
 // byte-identical simulation runs at any worker count, which is the same
 // guarantee the experiment harness makes for trial scheduling.
 //
@@ -25,7 +25,7 @@ var ErrBadPlan = errors.New("faults: bad plan")
 // Churn schedules node crash/recovery. Each non-exempt node alternates
 // between up phases (mean MeanUp) and down phases (mean MeanDown),
 // exponentially distributed, on a per-node timeline derived from the
-// injector seed and the node name — so a node's outage schedule does not
+// hook's seed and the node name — so a node's outage schedule does not
 // depend on traffic or on the order nodes are queried.
 type Churn struct {
 	// MeanUp is the mean time a node stays up between crashes.

@@ -10,7 +10,30 @@ import (
 	"lawgate/internal/stats"
 )
 
-func lossyNet(t *testing.T, plan Plan, seed int64) (*netsim.Network, *Injector, *int) {
+// attach builds a hook for every node n holds and installs it.
+func attach(t *testing.T, n *netsim.Network, plan Plan, seed int64) *Partitioned {
+	t.Helper()
+	hook, err := NewPartitioned(plan, seed, n.Nodes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.SetFaults(hook); err != nil {
+		t.Fatal(err)
+	}
+	return hook
+}
+
+// mustHook builds a hook covering the given nodes.
+func mustHook(t *testing.T, plan Plan, seed int64, nodes ...netsim.NodeID) *Partitioned {
+	t.Helper()
+	hook, err := NewPartitioned(plan, seed, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hook
+}
+
+func lossyNet(t *testing.T, plan Plan, seed int64) (*netsim.Network, *Partitioned, *int) {
 	t.Helper()
 	sim := netsim.NewSimulator(seed)
 	n := netsim.NewNetwork(sim)
@@ -27,12 +50,7 @@ func lossyNet(t *testing.T, plan Plan, seed int64) (*netsim.Network, *Injector, 
 	if err := n.Connect("src", "dst", netsim.Link{Latency: time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	in, err := New(plan, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in.Attach(n)
-	return n, in, &delivered
+	return n, attach(t, n, plan, seed), &delivered
 }
 
 func send(t *testing.T, n *netsim.Network) {
@@ -110,11 +128,7 @@ func TestReorderRateWithinWilson(t *testing.T) {
 	if err := n.Connect("src", "dst", netsim.Link{Latency: time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	in, err := New(Plan{Reorder: reorder, ReorderSpread: spread}, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in.Attach(n)
+	in := attach(t, n, Plan{Reorder: reorder, ReorderSpread: spread}, 11)
 	for i := 0; i < total; i++ {
 		send(t, n)
 	}
@@ -154,11 +168,7 @@ func TestChurnDeliversNothingDuringOutage(t *testing.T) {
 	if err := n.Connect("src", "dst", netsim.Link{Latency: time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	in, err := New(plan, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in.Attach(n)
+	in := attach(t, n, plan, 3)
 	horizon := 30 * time.Second
 	for at := time.Duration(0); at < horizon; at += 5 * time.Millisecond {
 		if err := sim.ScheduleAt(at, func() { send(t, n) }); err != nil {
@@ -188,10 +198,7 @@ func TestChurnDeliversNothingDuringOutage(t *testing.T) {
 // TestChurnDownFraction: long-run down time approximates DownFraction.
 func TestChurnDownFraction(t *testing.T) {
 	plan := Plan{Churn: ChurnFraction(0.2, time.Second)}
-	in, err := New(plan, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	in := mustHook(t, plan, 9, "peer")
 	horizon := 10 * time.Minute
 	var down time.Duration
 	for _, w := range in.Outages("peer", horizon) {
@@ -207,14 +214,8 @@ func TestChurnDownFraction(t *testing.T) {
 // whether it is queried early, late, forwards, or backwards.
 func TestChurnQueryOrderIndependent(t *testing.T) {
 	plan := Plan{Churn: ChurnFraction(0.2, time.Second)}
-	a, err := New(plan, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(plan, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := mustHook(t, plan, 5, "peer1", "peer2")
+	b := mustHook(t, plan, 5, "peer1", "peer2")
 	// a: query peer2 first, then peer1 backwards in time.
 	_ = a.Down("peer2", 90*time.Second)
 	for ts := 60 * time.Second; ts >= 0; ts -= 3 * time.Second {
@@ -240,10 +241,7 @@ func TestChurnExemptAndStart(t *testing.T) {
 		MeanUp: time.Millisecond, MeanDown: 10 * time.Second,
 		Start: 5 * time.Second, Exempt: []string{"investigator"},
 	}}
-	in, err := New(plan, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	in := mustHook(t, plan, 1, "investigator", "peer")
 	for ts := time.Duration(0); ts < time.Minute; ts += 50 * time.Millisecond {
 		if in.Down("investigator", ts) {
 			t.Fatal("exempt node went down")
@@ -270,8 +268,8 @@ func TestInjectorDeterministic(t *testing.T) {
 		ReorderSpread: 10 * time.Millisecond,
 		Churn:         ChurnFraction(0.2, time.Second),
 	}
-	a, _ := New(plan, 77)
-	b, _ := New(plan, 77)
+	a := mustHook(t, plan, 77, "x", "y", "peer")
+	b := mustHook(t, plan, 77, "x", "y", "peer")
 	for i := 0; i < 500; i++ {
 		now := time.Duration(i) * time.Millisecond
 		fa := a.Transmit("x", "y", now, nil)
@@ -303,8 +301,8 @@ func TestPlanValidate(t *testing.T) {
 		if err := p.Validate(); !errors.Is(err, ErrBadPlan) {
 			t.Errorf("plan %d: Validate() = %v, want ErrBadPlan", i, err)
 		}
-		if _, err := New(p, 1); !errors.Is(err, ErrBadPlan) {
-			t.Errorf("plan %d: New() = %v, want ErrBadPlan", i, err)
+		if _, err := NewPartitioned(p, 1, nil); !errors.Is(err, ErrBadPlan) {
+			t.Errorf("plan %d: NewPartitioned() = %v, want ErrBadPlan", i, err)
 		}
 	}
 	if err := (Plan{}).Validate(); err != nil {

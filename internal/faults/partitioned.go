@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"time"
@@ -9,33 +10,51 @@ import (
 	"lawgate/internal/netsim"
 )
 
-// Partitioned realizes a Plan for sharded simulations. The classic
-// Injector cannot cross a partition boundary for two reasons: its
-// transmit RNG is one global stream consumed in event order (so the
-// fault a packet draws would depend on what other partitions sent
-// first), and its lazy timeline map is written on first query (a data
-// race between partition goroutines). Partitioned fixes both by keying
-// every piece of state to a node, pre-materialized for a declared node
-// set:
+// Stats counts what the fault hook actually did to a run. Together with
+// the network's own counters it lets a degraded acquisition report how
+// much evidence was lost rather than silently coming up short.
+type Stats struct {
+	// Dropped counts packets the loss fault discarded.
+	Dropped int64
+	// Duplicated counts packets given an extra delivery.
+	Duplicated int64
+	// Delayed counts packets given a reorder delay.
+	Delayed int64
+	// Outages counts down-phase onsets across all churned nodes whose
+	// timelines were materialized.
+	Outages int64
+}
+
+// Stream constants separating the hook's RNG lineages from each other
+// and from the simulation's own streams.
+const (
+	streamTransmit int64 = 0x6661756c74730001 // "faults"+1
+	streamChurn    int64 = 0x6661756c74730002
+)
+
+// Partitioned realizes a Plan as a netsim.FaultHook for the nodes of
+// one run. Every piece of state is keyed to a node and built up front
+// for the declared node set, so decisions are deterministic given
+// (plan, seed) and independent of how the run is partitioned:
 //
 //   - each node's transmit stream derives from (seed, streamTransmit,
 //     fnv(id)) and is consumed only by that node's own sends, in that
 //     node's event order — partition-invariant by the same argument as
 //     the simulator's per-node streams;
 //   - each node's churn timeline derives from (seed, streamChurn,
-//     fnv(id)) — the identical path the classic Injector uses, so a
-//     node's outage schedule matches the classic engine exactly;
+//     fnv(id)) alone, so it is independent of traffic and query order;
 //   - stats are per-node and summed on read.
 //
-// Queries about undeclared nodes are benign no-ops (never down, zero
-// fault) rather than racy map writes.
+// Build it for the topology a trial actually built (netsim's
+// Network.Nodes): netsim refuses to install a hook, or add a node, that
+// would leave a node uncovered, and a query about an undeclared node
+// panics rather than answering "no fault".
 type Partitioned struct {
 	plan  Plan
-	seed  int64
 	nodes map[netsim.NodeID]*nodeFaults
 }
 
-var _ netsim.PartitionSafeFaults = (*Partitioned)(nil)
+var _ netsim.FaultHook = (*Partitioned)(nil)
 
 // nodeFaults is one node's private fault state.
 type nodeFaults struct {
@@ -44,16 +63,15 @@ type nodeFaults struct {
 	stats Stats
 }
 
-// NewPartitioned validates the plan and returns a partition-safe hook
-// covering exactly the given nodes. The node list's order is
-// irrelevant; every derivation keys on the node ID.
+// NewPartitioned validates the plan and returns a hook covering exactly
+// the given nodes. The node list's order is irrelevant; every
+// derivation keys on the node ID.
 func NewPartitioned(plan Plan, seed int64, nodes []netsim.NodeID) (*Partitioned, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
 	p := &Partitioned{
 		plan:  plan,
-		seed:  seed,
 		nodes: make(map[netsim.NodeID]*nodeFaults, len(nodes)),
 	}
 	for _, id := range nodes {
@@ -78,9 +96,6 @@ func NewPartitioned(plan Plan, seed int64, nodes []netsim.NodeID) (*Partitioned,
 	return p, nil
 }
 
-// PartitionSafe implements netsim.PartitionSafeFaults.
-func (p *Partitioned) PartitionSafe() {}
-
 // Plan returns the plan the hook realizes.
 func (p *Partitioned) Plan() Plan { return p.plan }
 
@@ -96,14 +111,27 @@ func (p *Partitioned) Stats() Stats {
 	return s
 }
 
+// Covers implements netsim.FaultHook.
+func (p *Partitioned) Covers(id netsim.NodeID) bool {
+	_, ok := p.nodes[id]
+	return ok
+}
+
+// node returns id's fault state, panicking for a node the hook was not
+// built for: answering "no fault" would exempt it silently.
+func (p *Partitioned) node(id netsim.NodeID) *nodeFaults {
+	nf, ok := p.nodes[id]
+	if !ok {
+		panic(fmt.Sprintf("faults: node %q not covered by this hook", id))
+	}
+	return nf
+}
+
 // Transmit implements netsim.FaultHook. Draws come from the SOURCE
 // node's stream, so they depend only on that node's send history.
 func (p *Partitioned) Transmit(src, dst netsim.NodeID, now time.Duration, pkt *netsim.Packet) netsim.Fault {
 	var f netsim.Fault
-	nf, ok := p.nodes[src]
-	if !ok {
-		return f
-	}
+	nf := p.node(src)
 	pl := p.plan
 	if pl.Loss > 0 && nf.rng.Float64() < pl.Loss {
 		nf.stats.Dropped++
@@ -131,12 +159,9 @@ func (p *Partitioned) Transmit(src, dst netsim.NodeID, now time.Duration, pkt *n
 // partition owning it (sends check the source, deliveries the
 // destination).
 func (p *Partitioned) Down(id netsim.NodeID, now time.Duration) bool {
+	nf := p.node(id)
 	c := p.plan.Churn
 	if !c.Active() || now < c.Start {
-		return false
-	}
-	nf, ok := p.nodes[id]
-	if !ok {
 		return false
 	}
 	for _, ex := range c.Exempt {
@@ -147,14 +172,13 @@ func (p *Partitioned) Down(id netsim.NodeID, now time.Duration) bool {
 	return nf.tl.down(now)
 }
 
-// Outages mirrors Injector.Outages for declared nodes.
+// Outages returns the node's down windows as [start, end) pairs,
+// clipped to [0, until). Exempt nodes and inactive churn yield nil.
+// Useful for tests and for explaining a degraded acquisition.
 func (p *Partitioned) Outages(id netsim.NodeID, until time.Duration) [][2]time.Duration {
+	nf := p.node(id)
 	c := p.plan.Churn
 	if !c.Active() {
-		return nil
-	}
-	nf, ok := p.nodes[id]
-	if !ok {
 		return nil
 	}
 	for _, ex := range c.Exempt {
@@ -175,4 +199,52 @@ func (p *Partitioned) Outages(id netsim.NodeID, until time.Duration) [][2]time.D
 		out = append(out, [2]time.Duration{w[0], end})
 	}
 	return out
+}
+
+// timeline lazily materializes one node's alternating up/down phases.
+// Phases are drawn from the node's private RNG in time order only, so
+// the schedule is identical however and whenever it is queried.
+type timeline struct {
+	churn   Churn
+	rng     *rand.Rand
+	stats   *Stats
+	horizon time.Duration      // phases are materialized up to here
+	windows [][2]time.Duration // down windows, ascending, non-overlapping
+}
+
+// extend materializes phases until the horizon passes t.
+func (tl *timeline) extend(t time.Duration) {
+	for tl.horizon <= t {
+		up := tl.draw(tl.churn.MeanUp)
+		down := tl.draw(tl.churn.MeanDown)
+		start := tl.horizon + up
+		tl.windows = append(tl.windows, [2]time.Duration{start, start + down})
+		tl.horizon = start + down
+		tl.stats.Outages++
+	}
+}
+
+// draw samples an exponential phase length with the given mean, floored
+// at 1ns so phases always advance the horizon.
+func (tl *timeline) draw(mean time.Duration) time.Duration {
+	d := time.Duration(tl.rng.ExpFloat64() * float64(mean))
+	if d < time.Nanosecond {
+		d = time.Nanosecond
+	}
+	return d
+}
+
+// down reports whether t falls inside a down window.
+func (tl *timeline) down(t time.Duration) bool {
+	tl.extend(t)
+	for i := len(tl.windows) - 1; i >= 0; i-- {
+		w := tl.windows[i]
+		if t >= w[1] {
+			return false
+		}
+		if t >= w[0] {
+			return true
+		}
+	}
+	return false
 }

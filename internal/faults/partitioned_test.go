@@ -1,43 +1,13 @@
 package faults
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 	"time"
 
 	"lawgate/internal/netsim"
 )
-
-// TestPartitionedChurnMatchesInjector: a node's outage schedule under
-// Partitioned must be identical to the classic Injector's for the same
-// (plan, seed) — both derive timelines from (seed, streamChurn,
-// fnv(id)), so churn results carry over between engines unchanged.
-func TestPartitionedChurnMatchesInjector(t *testing.T) {
-	plan, err := Profile("hostile")
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes := []netsim.NodeID{"alpha", "beta", "campus0/h0", "isp-core"}
-	inj, err := New(plan, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	part, err := NewPartitioned(plan, 99, nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	horizon := 30 * time.Second
-	for _, id := range nodes {
-		want := inj.Outages(id, horizon)
-		got := part.Outages(id, horizon)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: Partitioned outages %v != Injector outages %v", id, got, want)
-		}
-		if len(want) == 0 {
-			t.Errorf("%s: no outages materialized under hostile churn", id)
-		}
-	}
-}
 
 // TestPartitionedTransmitPerSource: transmit draws come from the source
 // node's private stream, so one source's fault sequence is unaffected
@@ -65,9 +35,10 @@ func TestPartitionedTransmitPerSource(t *testing.T) {
 	}
 }
 
-// TestPartitionedUnknownNodeBenign: undeclared nodes draw no faults and
-// are never down, rather than racing a lazy map write.
-func TestPartitionedUnknownNodeBenign(t *testing.T) {
+// TestPartitionedUnknownNodeFailsClosed: a query about a node the hook
+// was not built for panics instead of answering "no fault", so a node
+// can never run fault-free by omission.
+func TestPartitionedUnknownNodeFailsClosed(t *testing.T) {
 	plan, err := Profile("hostile")
 	if err != nil {
 		t.Fatal(err)
@@ -76,14 +47,63 @@ func TestPartitionedUnknownNodeBenign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f := p.Transmit("ghost", "known", 0, nil); f.Drop || f.ExtraDelay != 0 || len(f.Duplicates) != 0 {
-		t.Errorf("unknown source drew a fault: %+v", f)
+	if !p.Covers("known") || p.Covers("ghost") {
+		t.Errorf("Covers(known)=%v Covers(ghost)=%v, want true, false", p.Covers("known"), p.Covers("ghost"))
 	}
-	if p.Down("ghost", time.Hour) {
-		t.Error("unknown node reported down")
+	for name, query := range map[string]func(){
+		"Transmit": func() { p.Transmit("ghost", "known", 0, nil) },
+		"Down":     func() { p.Down("ghost", time.Hour) },
+		"Outages":  func() { p.Outages("ghost", time.Hour) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on an uncovered node did not panic", name)
+				}
+			}()
+			query()
+		}()
 	}
-	if p.Outages("ghost", time.Hour) != nil {
-		t.Error("unknown node has outages")
+}
+
+// TestLossyPlanCoversEveryNode: a lossy hook attached before a node is
+// added refuses that node, and one built from the finished topology
+// faults every node — none runs silently exempt.
+func TestLossyPlanCoversEveryNode(t *testing.T) {
+	plan := Plan{Loss: 1.0}
+	n := netsim.NewNetwork(netsim.NewSimulator(1))
+	if err := n.AddNode("early", nil); err != nil {
+		t.Fatal(err)
+	}
+	hook := attach(t, n, plan, 1)
+	if err := n.AddNode("late", nil); !errors.Is(err, netsim.ErrFaultCoverage) {
+		t.Fatalf("AddNode after a lossy hook that does not cover it = %v, want ErrFaultCoverage", err)
+	}
+	if err := n.SetFaults(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.AddNode("late", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.SetFaults(hook); !errors.Is(err, netsim.ErrFaultCoverage) {
+		t.Fatalf("SetFaults with a hook missing a node = %v, want ErrFaultCoverage", err)
+	}
+	if err := n.Connect("early", "late", netsim.Link{Latency: time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	attach(t, n, plan, 1)
+	for _, src := range []netsim.NodeID{"early", "late"} {
+		dst := netsim.NodeID("late")
+		if src == dst {
+			dst = "early"
+		}
+		if err := n.Send(&netsim.Packet{Header: netsim.Header{Src: src, Dst: dst}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n.Sim().Run()
+	if n.Delivered != 0 || n.FaultDropped != 2 {
+		t.Errorf("delivered %d, fault-dropped %d; want every packet of every node lost", n.Delivered, n.FaultDropped)
 	}
 }
 

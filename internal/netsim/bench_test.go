@@ -167,11 +167,13 @@ func BenchmarkSendFaulty(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	inj, err := faults.New(plan, 7)
+	hook, err := faults.NewPartitioned(plan, 7, n.Nodes())
 	if err != nil {
 		b.Fatal(err)
 	}
-	inj.Attach(n)
+	if err := n.SetFaults(hook); err != nil {
+		b.Fatal(err)
+	}
 	pkt := &netsim.Packet{
 		Header:  netsim.Header{Src: "src", Dst: "dst", Flow: "f", Proto: netsim.ProtoTCP},
 		Payload: []byte("benchmark-payload-0123456789"),

@@ -7,7 +7,9 @@
 // a small library of traffic patterns (constant bit rate, Poisson, Pareto
 // ON/OFF) for workload generation.
 //
-// Determinism: all randomness flows from the simulator's seed, and
-// same-time events fire in scheduling order, so every experiment is
-// exactly reproducible.
+// There is one engine, ShardedNetwork; NewSimulator and NewNetwork build
+// its one-partition, serial case. Determinism: all randomness flows from
+// the run's seed through per-node streams, and same-time events fire in
+// the order of their origin node and that node's scheduling order, so
+// every experiment is exactly reproducible at any partition count.
 package netsim

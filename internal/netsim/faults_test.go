@@ -26,6 +26,9 @@ func (s *stubFaults) Down(id NodeID, now time.Duration) bool {
 	return s.down(id, now)
 }
 
+// Covers implements FaultHook: a stub scripts every node.
+func (s *stubFaults) Covers(NodeID) bool { return true }
+
 var _ FaultHook = (*stubFaults)(nil)
 
 func TestFaultHookDrop(t *testing.T) {

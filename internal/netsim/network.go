@@ -3,7 +3,6 @@ package netsim
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 )
@@ -108,10 +107,12 @@ type Fault struct {
 	BandwidthBps int64
 }
 
-// FaultHook injects failures into a network. Implementations must be
-// deterministic functions of their own seeded state and the call
-// sequence (the simulation is single-loop, so calls arrive in event
-// order); internal/faults provides the standard implementation.
+// FaultHook injects failures into a network; internal/faults provides
+// the implementation. The hook must keep its state per node: Transmit
+// may touch only state keyed by src, Down only state keyed by id. Calls
+// about nodes in different partitions then cannot race, and each node's
+// answers depend only on that node's own event order, so they are the
+// same at every partition count.
 type FaultHook interface {
 	// Transmit is consulted once per Send, after tap observation at the
 	// source and the link's own loss draw.
@@ -120,24 +121,26 @@ type FaultHook interface {
 	// source transmits nothing; a packet arriving at a down destination
 	// is lost.
 	Down(id NodeID, now time.Duration) bool
+	// Covers reports whether the hook holds fault state for id.
+	// SetFaults and AddNode refuse a node the installed hook does not
+	// cover, so no node runs silently fault-free.
+	Covers(id NodeID) bool
 }
 
-// Network is a set of nodes joined by links, driven by a Simulator. Not
-// safe for concurrent use (simulations are single-loop).
+// Network is one partition's view of a ShardedNetwork: nodes joined by
+// links, driven by the partition's Simulator. The topology table is
+// shared by every view of the run, while link occupancy, the counters
+// and the snapshot buffer stay private to the partition. Not safe for
+// concurrent use (each partition is a single loop).
 type Network struct {
 	sim  *Simulator
+	run  *ShardedNetwork
+	part int32
 	topo *topology
 	// busy is the per-direction link occupancy, indexed 2*link+dir (dir 0
 	// when the source is the link's first end). It grows lazily to cover
 	// links connected after the view was made.
-	busy   []time.Duration
-	nextID int64
-	faults FaultHook
-	// shard is non-nil when this Network is one partition's view of a
-	// ShardedNetwork: the topology table is shared across views, while
-	// busy, the counters, and the snapshot buffer stay private to the
-	// partition.
-	shard *shardRef
+	busy []time.Duration
 	// snap is the reused tap-observation snapshot (see Tap).
 	snap Packet
 
@@ -151,9 +154,8 @@ type Network struct {
 
 // topology is the dense topology table. AddNode assigns each node the
 // next int32 index and Connect each new link the next link index; the
-// packet path then indexes slices instead of hashing NodeIDs. A classic
-// Network owns one; a ShardedNetwork shares one across its partition
-// views.
+// packet path then indexes slices instead of hashing NodeIDs. A
+// ShardedNetwork owns one and shares it across its partition views.
 type topology struct {
 	nodes []node
 	index map[NodeID]int32
@@ -267,34 +269,28 @@ func (t *topology) adj(id NodeID) []NodeID {
 	return t.nodes[idx].adj
 }
 
-// NewNetwork returns an empty network on the given simulator.
-func NewNetwork(sim *Simulator) *Network {
-	return &Network{sim: sim, topo: newTopology()}
-}
+// NewNetwork returns the network view sim drives. Every simulator
+// belongs to one partition of a run, so this is that partition's view;
+// for a simulator from NewSimulator it is the whole serial network.
+func NewNetwork(sim *Simulator) *Network { return sim.net }
 
 // Sim returns the driving simulator.
 func (n *Network) Sim() *Simulator { return n.sim }
 
-// SetFaults installs a fault hook; nil removes it. The hook sees every
-// subsequent transmission.
-func (n *Network) SetFaults(h FaultHook) { n.faults = h }
+// SetFaults installs a fault hook on the whole run, as
+// ShardedNetwork.SetFaults does; nil removes it.
+func (n *Network) SetFaults(h FaultHook) error { return n.run.SetFaults(h) }
 
-// AddNode registers a node. A nil handler registers a sink that discards
-// deliveries. On a partition view of a ShardedNetwork it is the owner's
-// AddNode, so the node gets its partition and per-node tables too.
-func (n *Network) AddNode(id NodeID, h Handler) error {
-	if n.shard != nil {
-		return n.shard.owner.AddNode(id, h)
-	}
-	_, err := n.topo.addNode(id, h)
-	return err
-}
+// AddNode registers a node in the run, as ShardedNetwork.AddNode does. A
+// nil handler registers a sink that discards deliveries.
+func (n *Network) AddNode(id NodeID, h Handler) error { return n.run.AddNode(id, h) }
 
 // Connect joins two nodes with a bidirectional link. Reconnecting an
 // existing pair replaces the link's parameters.
-func (n *Network) Connect(a, b NodeID, link Link) error {
-	return n.topo.connect(a, b, link)
-}
+func (n *Network) Connect(a, b NodeID, link Link) error { return n.run.Connect(a, b, link) }
+
+// Nodes returns every node ID in AddNode order.
+func (n *Network) Nodes() []NodeID { return n.run.Nodes() }
 
 // Linked reports whether a and b are directly connected.
 func (n *Network) Linked(a, b NodeID) bool {
@@ -335,9 +331,7 @@ func (n *Network) AppendNeighbors(id NodeID, dst []NodeID) []NodeID {
 func (n *Network) Degree(id NodeID) int { return len(n.topo.adj(id)) }
 
 // AttachTap registers a passive observer at a node.
-func (n *Network) AttachTap(id NodeID, t Tap) error {
-	return n.topo.attachTap(id, t)
-}
+func (n *Network) AttachTap(id NodeID, t Tap) error { return n.run.AttachTap(id, t) }
 
 // delivery is the typed payload of a packet-delivery event: everything
 // Send previously captured in a per-delivery closure, carried by value
@@ -355,7 +349,7 @@ func (d delivery) run() {
 	dst := &n.topo.nodes[d.dst]
 	// A destination that is down when the packet arrives loses it —
 	// crash-while-in-flight.
-	if n.faults != nil && n.faults.Down(dst.id, n.sim.Now()) {
+	if f := n.run.faults; f != nil && f.Down(dst.id, n.sim.Now()) {
 		n.FaultDropped++
 		return
 	}
@@ -408,37 +402,25 @@ func (n *Network) Send(pkt *Packet) error {
 // pkt.Header.Src, pkt.Header.Dst and their link.
 func (n *Network) send(pkt *Packet, r route) error {
 	src := pkt.Header.Src
-	// Sharded mode: everything observable — loss and jitter draws, packet
-	// IDs, sequence keys — derives from the SOURCE node, not the
-	// simulator, so a transmission's outcome is independent of how nodes
-	// are partitioned. rng stays the simulator stream in classic mode,
-	// keeping that path byte-identical to the pre-sharding engine.
-	sh := n.shard
-	rng := n.sim.rng
-	if sh != nil {
-		o := sh.owner
-		if int(o.partOf[r.src]) != sh.part {
-			return fmt.Errorf("%w: %q owned by partition %d, sent via partition %d",
-				ErrWrongPartition, src, o.partOf[r.src], sh.part)
-		}
-		rng = o.nodeRand[r.src]
+	// Everything observable — loss and jitter draws, packet IDs, sequence
+	// keys — derives from the SOURCE node, not the partition, so a
+	// transmission's outcome is independent of how nodes are partitioned.
+	o := n.run
+	st := &o.state[r.src]
+	if st.part != n.part {
+		return fmt.Errorf("%w: %q owned by partition %d, sent via partition %d",
+			ErrWrongPartition, src, st.part, n.part)
 	}
 	// A crashed source transmits nothing: the packet never reaches the
 	// wire, so taps at either end see nothing and the link RNG stream is
 	// not consumed.
-	if n.faults != nil && n.faults.Down(src, n.sim.Now()) {
+	if o.faults != nil && o.faults.Down(src, n.sim.Now()) {
 		n.FaultDropped++
 		return nil
 	}
 
-	if sh != nil {
-		o := sh.owner
-		o.pktCtr[r.src]++
-		pkt.ID = int64(r.src+1)<<32 | int64(o.pktCtr[r.src])
-	} else {
-		n.nextID++
-		pkt.ID = n.nextID
-	}
+	st.pkt++
+	pkt.ID = int64(r.src+1)<<32 | int64(st.pkt)
 	pkt.SentAt = n.sim.Now()
 	// Pre-size Hops for the two appends every delivered packet receives
 	// (src here, dst at delivery) so neither append reallocates. A fresh
@@ -460,13 +442,14 @@ func (n *Network) send(pkt *Packet, r route) error {
 
 	le := &t.links[r.link]
 	link := le.Link
+	rng := o.state[r.src].rng
 	if link.Loss > 0 && rng.Float64() < link.Loss {
 		n.Dropped++
 		return nil
 	}
 	var fault Fault
-	if n.faults != nil {
-		fault = n.faults.Transmit(src, pkt.Header.Dst, n.sim.Now(), pkt)
+	if o.faults != nil {
+		fault = o.faults.Transmit(src, pkt.Header.Dst, n.sim.Now(), pkt)
 	}
 	if fault.Drop {
 		n.FaultDropped++
@@ -501,67 +484,31 @@ func (n *Network) send(pkt *Packet, r route) error {
 	}
 	delay += fault.ExtraDelay
 	at := n.sim.Now() + delay
-	if sh != nil {
-		if len(fault.Duplicates) == 0 {
-			return sh.owner.deliver(at, r.src, r.dst, pkt, false)
-		}
-		if err := sh.owner.deliver(at, r.src, r.dst, pkt.Clone(), false); err != nil {
-			return err
-		}
-		for _, extra := range fault.Duplicates {
-			if extra < 0 {
-				extra = 0
-			}
-			if err := sh.owner.deliver(at+extra, r.src, r.dst, pkt.Clone(), true); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	// The common un-faulted case: exactly one delivery, so the packet
 	// itself rides the event and no clone is made. Duplicated packets
-	// each get an independent clone, as every delivery did before the
-	// typed-event rewrite.
+	// each get an independent clone.
 	if len(fault.Duplicates) == 0 {
-		return n.sim.scheduleDelivery(at, delivery{net: n, pkt: pkt, dst: r.dst})
+		return o.deliver(at, r.src, r.dst, pkt, false)
 	}
-	if err := n.sim.scheduleDelivery(at, delivery{net: n, pkt: pkt.Clone(), dst: r.dst}); err != nil {
+	if err := o.deliver(at, r.src, r.dst, pkt.Clone(), false); err != nil {
 		return err
 	}
 	for _, extra := range fault.Duplicates {
 		if extra < 0 {
 			extra = 0
 		}
-		err := n.sim.scheduleDelivery(at+extra, delivery{
-			net: n, pkt: pkt.Clone(), dst: r.dst, duplicate: true,
-		})
-		if err != nil {
+		if err := o.deliver(at+extra, r.src, r.dst, pkt.Clone(), true); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// flowRand returns the RNG stream a traffic source rooted at node index
-// src draws from: src's own node stream in sharded mode (so gap and size
-// draws are partition-independent), the simulator stream in classic mode.
-func (n *Network) flowRand(src int32) *rand.Rand {
-	if n.shard != nil {
-		return n.shard.owner.nodeRand[src]
-	}
-	return n.sim.rng
-}
-
 // scheduleNode queues fn to run delay from now in the context of the
-// node at index idx: in sharded mode the event's sequence key is drawn
-// from that node's counter and the callback executes with it as the
-// current origin. Classic mode is plain Schedule.
+// node at index idx: the event's sequence key is drawn from that node's
+// counter and the callback executes with it as the current origin.
 func (n *Network) scheduleNode(idx int32, delay time.Duration, fn func()) error {
-	if n.shard == nil {
-		return n.sim.Schedule(delay, fn)
-	}
-	o := n.shard.owner
-	return n.sim.pushEvent(event{at: n.sim.now + delay, seq: o.seqFor(idx), eventBody: eventBody{fn: fn, owner: idx}})
+	return n.sim.pushEvent(event{at: n.sim.now + delay, seq: n.run.seqFor(idx), eventBody: eventBody{fn: fn, owner: idx}})
 }
 
 // observe fans a packet snapshot out to the taps at one observation

@@ -1,22 +1,25 @@
 package netsim
 
-// Sharded parallel simulation. A ShardedNetwork partitions the node set
-// at build time, gives every partition its own Simulator (4-ary heap
-// slab, clock, step counter) and Network view (private link-occupancy
-// slice, counters and tap snapshot over the one dense topology table
-// all views share, read-only once frozen), and runs the partitions
-// concurrently under conservative-lookahead synchronization (see
-// barrier.go). The crucial property, stronger than classic PDES
-// determinism: results are identical for a fixed seed at ANY partition
-// count and ANY worker count, because every observable draw and
-// ordering key derives from the node that makes it, never from the
-// partition that hosts it:
+// The simulation engine. A ShardedNetwork partitions the node set at
+// build time, gives every partition its own Simulator (4-ary heap slab,
+// clock, step counter) and Network view (private link-occupancy slice,
+// counters and tap snapshot over the one dense topology table all views
+// share, read-only once frozen), and runs the partitions concurrently
+// under conservative-lookahead synchronization (see barrier.go). One
+// partition is the serial case: NewSimulator builds such a run, and its
+// Simulator.Run is the plain event loop. The crucial property, stronger
+// than classic PDES determinism: results are identical for a fixed seed
+// at ANY partition count and ANY worker count, because every observable
+// draw and ordering key derives from the node that makes it, never from
+// the partition that hosts it:
 //
 //   - sequence keys (event tie-breaks) are (origin node index, per-node
 //     counter) pairs packed into an int64 — globally unique, so
-//     same-time events never tie and merge order cannot matter;
+//     same-time events never tie and merge order cannot matter. Events
+//     scheduled outside any node's context take the run itself as their
+//     origin (see noOrigin);
 //   - loss, jitter, fault, and traffic-pattern draws come from per-node
-//     splitmix64 streams consumed in that node's event order;
+//     streams consumed in that node's event order;
 //   - packet IDs are (source node index, per-source counter) pairs.
 //
 // Partition count then only decides WHERE an event executes, never what
@@ -41,9 +44,9 @@ var (
 	// ErrWrongPartition: a Send was issued through a partition view that
 	// does not own the source node.
 	ErrWrongPartition = errors.New("netsim: send from foreign partition view")
-	// ErrUnsafeFaults: the fault hook does not declare itself
-	// partition-safe (see PartitionSafeFaults).
-	ErrUnsafeFaults = errors.New("netsim: fault hook is not partition-safe")
+	// ErrFaultCoverage: a node the installed fault hook holds no state
+	// for (see FaultHook.Covers).
+	ErrFaultCoverage = errors.New("netsim: fault hook does not cover node")
 	// ErrBadPartition: a partition function returned an out-of-range
 	// partition index.
 	ErrBadPartition = errors.New("netsim: partition index out of range")
@@ -52,18 +55,6 @@ var (
 	// the link latency (e.g. negative ExtraDelay).
 	ErrLookaheadViolation = errors.New("netsim: message violates lookahead window")
 )
-
-// PartitionSafeFaults marks a FaultHook whose state is partitioned by
-// node: Transmit touches only source-keyed state, Down only id-keyed
-// state, so concurrent calls about nodes in different partitions cannot
-// race and answers cannot depend on cross-partition query order.
-// ShardedNetwork.SetFaults accepts only such hooks;
-// internal/faults.Partitioned is the standard implementation.
-type PartitionSafeFaults interface {
-	FaultHook
-	// PartitionSafe is a marker; implementations do nothing.
-	PartitionSafe()
-}
 
 // TraceEntry is one executed event's ordering key. The merged trace of a
 // sharded run (sorted by At, then Seq — a total order, since sequence
@@ -81,13 +72,6 @@ type Totals struct {
 	// Delivered, Dropped, FaultDropped, Duplicated mirror the Network
 	// counters of the same names, summed over partitions.
 	Delivered, Dropped, FaultDropped, Duplicated int64
-}
-
-// shardRef ties a partition's Network view back to the owning sharded
-// run.
-type shardRef struct {
-	owner *ShardedNetwork
-	part  int
 }
 
 // Splitmix64-derived stream identifiers, mirroring the
@@ -154,8 +138,17 @@ func fnv64a(s string) uint64 {
 	return h
 }
 
-// ShardedNetwork is a Network partitioned for parallel simulation. Build
-// it like a Network (AddNode / Connect / AttachTap / SetFaults), call
+// nodeState is one node's entry in the run's per-node table: its
+// partition, its private RNG stream, and the counters its sequence keys
+// and packet IDs come from.
+type nodeState struct {
+	rng      *rand.Rand
+	part     int32
+	seq, pkt uint32
+}
+
+// ShardedNetwork is one simulation run, partitioned for parallel
+// execution. Build it (AddNode / Connect / AttachTap / SetFaults), call
 // Freeze, then Run or RunUntil with a worker count. Handlers, flows, and
 // taps run unchanged: each node's events execute on the partition that
 // owns it, and any state shared by nodes in different partitions (a tap
@@ -170,15 +163,15 @@ type ShardedNetwork struct {
 	parts  int
 	partFn func(NodeID) int
 
-	// topo is the topology table every partition view shares. partOf,
-	// nodeRand, nodeCtr, pktCtr are dense per-node tables indexed like
-	// topo.nodes (AddNode order). nodeCtr/pktCtr are written only by the
-	// partition owning the node (disjoint indices — race-free).
+	// topo is the topology table every partition view shares; state is
+	// the run's per-node table, indexed like topo.nodes (AddNode order).
+	// A node's counters are written only by the partition owning it
+	// (disjoint entries — race-free). setupSeq counts the events
+	// scheduled outside any node's context (see seqFor).
 	topo     *topology
-	partOf   []int32
-	nodeRand []*rand.Rand
-	nodeCtr  []uint32
-	pktCtr   []uint32
+	state    []nodeState
+	setupSeq uint32
+	faults   FaultHook
 
 	sims    []*Simulator
 	partNet []*Network
@@ -216,9 +209,13 @@ func NewShardedNetwork(seed int64, partitions int) *ShardedNetwork {
 	}
 	o.outbox = make([][][]event, partitions)
 	for p := 0; p < partitions; p++ {
-		sim := &Simulator{rng: newNodeRand(deriveSeed(seed, streamPartitionRNG, int64(p)))}
-		sim.shard = &simShard{owner: o}
-		net := &Network{sim: sim, topo: o.topo, shard: &shardRef{owner: o, part: p}}
+		sim := &Simulator{
+			rng: newNodeRand(deriveSeed(seed, streamPartitionRNG, int64(p))),
+			run: o,
+			cur: noOrigin,
+		}
+		net := &Network{sim: sim, run: o, part: int32(p), topo: o.topo}
+		sim.net = net
 		o.sims = append(o.sims, sim)
 		o.partNet = append(o.partNet, net)
 		o.outbox[p] = make([][]event, partitions)
@@ -260,10 +257,14 @@ func (o *ShardedNetwork) partitionFor(id NodeID) (int, error) {
 // AddNode registers a node, assigns it a partition and a private
 // splitmix64 RNG stream derived from (seed, node index). Node index is
 // AddNode order, so a topology built in a fixed order draws identically
-// whatever the partition count.
+// whatever the partition count. A node the installed fault hook does not
+// cover is refused with ErrFaultCoverage.
 func (o *ShardedNetwork) AddNode(id NodeID, h Handler) error {
 	if o.frozen {
 		return ErrFrozen
+	}
+	if o.faults != nil && !o.faults.Covers(id) {
+		return fmt.Errorf("%w: %q", ErrFaultCoverage, id)
 	}
 	p, err := o.partitionFor(id)
 	if err != nil {
@@ -273,10 +274,10 @@ func (o *ShardedNetwork) AddNode(id NodeID, h Handler) error {
 	if err != nil {
 		return err
 	}
-	o.partOf = append(o.partOf, int32(p))
-	o.nodeRand = append(o.nodeRand, newNodeRand(deriveSeed(o.seed, streamNodeRNG, int64(idx))))
-	o.nodeCtr = append(o.nodeCtr, 0)
-	o.pktCtr = append(o.pktCtr, 0)
+	o.state = append(o.state, nodeState{
+		rng:  newNodeRand(deriveSeed(o.seed, streamNodeRNG, int64(idx))),
+		part: int32(p),
+	})
 	return nil
 }
 
@@ -299,18 +300,28 @@ func (o *ShardedNetwork) AttachTap(id NodeID, t Tap) error {
 	return o.topo.attachTap(id, t)
 }
 
-// SetFaults installs a partition-safe fault hook on every partition
-// view; nil removes it. Hooks not implementing PartitionSafeFaults are
-// rejected: their state would race across partition goroutines.
+// Nodes returns every node ID in AddNode order.
+func (o *ShardedNetwork) Nodes() []NodeID {
+	ids := make([]NodeID, len(o.topo.nodes))
+	for i := range o.topo.nodes {
+		ids[i] = o.topo.nodes[i].id
+	}
+	return ids
+}
+
+// SetFaults installs a fault hook on the run; nil removes it. The hook
+// must cover every node already added (ErrFaultCoverage names the first
+// that is not, in AddNode order), and AddNode refuses uncovered nodes
+// while it is installed.
 func (o *ShardedNetwork) SetFaults(h FaultHook) error {
 	if h != nil {
-		if _, ok := h.(PartitionSafeFaults); !ok {
-			return fmt.Errorf("%w: %T", ErrUnsafeFaults, h)
+		for i := range o.topo.nodes {
+			if id := o.topo.nodes[i].id; !h.Covers(id) {
+				return fmt.Errorf("%w: %q", ErrFaultCoverage, id)
+			}
 		}
 	}
-	for _, n := range o.partNet {
-		n.faults = h
-	}
+	o.faults = h
 	return nil
 }
 
@@ -327,7 +338,7 @@ func (o *ShardedNetwork) Freeze() error {
 	cross := false
 	for i := range o.topo.links {
 		le := &o.topo.links[i]
-		if o.partOf[le.ends[0]] == o.partOf[le.ends[1]] {
+		if o.state[le.ends[0]].part == o.state[le.ends[1]].part {
 			continue
 		}
 		if le.Latency <= 0 {
@@ -353,10 +364,20 @@ func (o *ShardedNetwork) Freeze() error {
 // seqFor mints the next sequence key for events originated by the node
 // at dense index idx: the node index in the high 32 bits, its private
 // counter in the low 32. Keys are globally unique and depend only on the
-// node's own event history — never on the partition layout.
+// node's own event history — never on the partition layout. idx is
+// noOrigin for events scheduled outside any node's context: they count
+// on the run's own setupSeq, and their keys (high bits -1) sort before
+// every node's. In a run of several partitions the counter is shared, so
+// schedule such events only outside Run; give work that runs inside a
+// parallel window a node with ScheduleNode.
 func (o *ShardedNetwork) seqFor(idx int32) int64 {
-	o.nodeCtr[idx]++
-	return int64(idx)<<32 | int64(o.nodeCtr[idx])
+	if idx == noOrigin {
+		o.setupSeq++
+		return int64(noOrigin)<<32 | int64(o.setupSeq)
+	}
+	st := &o.state[idx]
+	st.seq++
+	return int64(idx)<<32 | int64(st.seq)
 }
 
 // deliver routes a stamped packet delivery: into the source partition's
@@ -364,8 +385,8 @@ func (o *ShardedNetwork) seqFor(idx int32) int64 {
 // barrier to merge when it is remote. The sequence key is minted here,
 // in source order, so local and remote deliveries share one key stream.
 func (o *ShardedNetwork) deliver(at time.Duration, srcIdx, dstIdx int32, pkt *Packet, dup bool) error {
-	srcPart := o.partOf[srcIdx]
-	dstPart := o.partOf[dstIdx]
+	srcPart := o.state[srcIdx].part
+	dstPart := o.state[dstIdx].part
 	ev := event{
 		at:  at,
 		seq: o.seqFor(srcIdx),
@@ -394,7 +415,7 @@ func (o *ShardedNetwork) NodeRand(id NodeID) (*rand.Rand, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, id)
 	}
-	return o.nodeRand[idx], nil
+	return o.state[idx].rng, nil
 }
 
 // PartitionNet returns the partition view owning id — the *Network on
@@ -404,7 +425,7 @@ func (o *ShardedNetwork) PartitionNet(id NodeID) (*Network, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, id)
 	}
-	return o.partNet[o.partOf[idx]], nil
+	return o.partNet[o.state[idx].part], nil
 }
 
 // ScheduleNode queues fn to run delay from the owning partition's
@@ -415,7 +436,7 @@ func (o *ShardedNetwork) ScheduleNode(id NodeID, delay time.Duration, fn func())
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownNode, id)
 	}
-	return o.partNet[o.partOf[idx]].scheduleNode(idx, delay, fn)
+	return o.partNet[o.state[idx].part].scheduleNode(idx, delay, fn)
 }
 
 // SetStepBudget caps the run's total step count, like

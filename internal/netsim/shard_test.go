@@ -268,23 +268,34 @@ func TestShardedWrongPartitionSend(t *testing.T) {
 	}
 }
 
-// TestShardedRejectsUnsafeFaults: the classic injector's global RNG is
-// not partition-safe and must be refused.
-func TestShardedRejectsUnsafeFaults(t *testing.T) {
+// TestShardedRejectsUncoveredFaults: a fault hook must cover every node
+// of the run, whichever way round hook and nodes arrive.
+func TestShardedRejectsUncoveredFaults(t *testing.T) {
 	o := netsim.NewShardedNetwork(1, 2)
-	inj, err := faults.New(faults.Plan{Loss: 0.1}, 1)
+	for _, id := range []netsim.NodeID{"a", "b"} {
+		if err := o.AddNode(id, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	partial, err := faults.NewPartitioned(faults.Plan{Loss: 0.1}, 1, []netsim.NodeID{"a"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := o.SetFaults(inj); !errors.Is(err, netsim.ErrUnsafeFaults) {
-		t.Errorf("SetFaults(Injector) = %v, want ErrUnsafeFaults", err)
+	if err := o.SetFaults(partial); !errors.Is(err, netsim.ErrFaultCoverage) || !strings.Contains(err.Error(), `"b"`) {
+		t.Errorf("SetFaults(hook missing b) = %v, want ErrFaultCoverage naming b", err)
 	}
-	hook, err := faults.NewPartitioned(faults.Plan{Loss: 0.1}, 1, []netsim.NodeID{"a"})
+	hook, err := faults.NewPartitioned(faults.Plan{Loss: 0.1}, 1, o.Nodes())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := o.SetFaults(hook); err != nil {
-		t.Errorf("SetFaults(Partitioned) = %v", err)
+		t.Fatalf("SetFaults(hook over Nodes()) = %v", err)
+	}
+	if err := o.AddNode("c", nil); !errors.Is(err, netsim.ErrFaultCoverage) {
+		t.Errorf("AddNode(c) under a hook without c = %v, want ErrFaultCoverage", err)
+	}
+	if got := o.Nodes(); !reflect.DeepEqual(got, []netsim.NodeID{"a", "b"}) {
+		t.Errorf("Nodes() = %v after refused AddNode, want [a b]", got)
 	}
 }
 

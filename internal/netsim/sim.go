@@ -20,11 +20,11 @@ var ErrStepBudget = errors.New("netsim: step budget exhausted")
 // event is one pending entry in the scheduler's queue: either a plain
 // callback (fn != nil) or a typed packet delivery (fn == nil) executed
 // without any per-event closure. It is the unit callers hand to push and
-// the sharded engine buffers in its outboxes; inside the queue its
-// ordering key and its body are stored apart (see eventQueue).
+// the barrier buffers in its outboxes; inside the queue its ordering key
+// and its body are stored apart (see eventQueue).
 type event struct {
 	at  time.Duration
-	seq int64 // tie-break: same-time events fire in scheduling order
+	seq int64 // tie-break: the packed (origin, counter) key, see seqFor
 	eventBody
 }
 
@@ -32,11 +32,12 @@ type event struct {
 type eventBody struct {
 	fn  func()
 	del delivery // valid when fn == nil
-	// owner is the dense node index whose context executes this event
-	// (sharded mode only): the scheduling node for callbacks, the
-	// destination for deliveries. The executing partition restores it as
-	// the current origin so nested scheduling attributes sequence keys to
-	// the right node.
+	// owner is the dense index of the node whose context executes this
+	// event — the scheduling node for callbacks, the destination for
+	// deliveries — or noOrigin for events scheduled outside any node's
+	// context. The simulator restores it as the current origin while the
+	// event runs, so nested scheduling attributes sequence keys to the
+	// right node.
 	owner int32
 }
 
@@ -59,7 +60,7 @@ func (k *eventKey) before(o *eventKey) bool {
 
 // eventQueue is a 4-ary min-heap of eventKeys over a slab of event
 // bodies with a free list. Sifts move 24-byte keys only; each body is
-// copied once into the slab on push and once out of it on pop. Slab,
+// copied once into the slab on push, and read in place once popped. Slab,
 // heap and free list are reused for the simulation's lifetime, so
 // steady-state push/pop performs no allocation once they have grown to
 // the simulation's high-water mark. The 4-ary layout halves the tree
@@ -103,10 +104,9 @@ func (q *eventQueue) push(e event) {
 	keys[i] = k
 }
 
-// pop removes the earliest event and returns its time and body. The
-// vacated slab slot is zeroed so it does not pin dead callbacks or
-// packets, and goes on the free list.
-func (q *eventQueue) pop() (time.Duration, eventBody) {
+// pop removes the earliest event's key and returns its time and slab
+// slot. The body stays in the slot until release.
+func (q *eventQueue) pop() (time.Duration, int32) {
 	keys := q.keys
 	root := keys[0]
 	n := len(keys) - 1
@@ -139,50 +139,45 @@ func (q *eventQueue) pop() (time.Duration, eventBody) {
 		}
 		keys[i] = last
 	}
-	body := q.slab[root.slot]
-	q.slab[root.slot] = eventBody{}
-	q.free = append(q.free, root.slot)
-	return root.at, body
+	return root.at, root.slot
+}
+
+// release zeroes a popped slot, so it does not pin dead callbacks or
+// packets, and puts it on the free list.
+func (q *eventQueue) release(slot int32) {
+	q.slab[slot] = eventBody{}
+	q.free = append(q.free, slot)
 }
 
 // Simulator is a deterministic discrete-event scheduler with a virtual
-// clock. It is not safe for concurrent use: simulations are single-loop by
-// design so results are reproducible.
+// clock: the event loop of one partition of a ShardedNetwork. A
+// simulator from NewSimulator drives the only partition of a
+// one-partition run, the serial case. It is not safe for concurrent
+// use: each partition is a single loop, so results are reproducible.
 type Simulator struct {
 	now    time.Duration
 	queue  eventQueue
-	seq    int64
 	rng    *rand.Rand
 	steps  int64
 	budget int64 // lifetime step cap; 0 = unlimited
-	// shard is non-nil when this simulator drives one partition of a
-	// ShardedNetwork. It swaps the sequence-key scheme from the private
-	// scheduling counter to partition-invariant (origin node, per-node
-	// counter) pairs, so event order — and therefore every result — is
-	// identical whatever the partition count.
-	shard *simShard
+	// run is the sharded run this simulator drives one partition of, and
+	// net that partition's network view.
+	run *ShardedNetwork
+	net *Network
+	// cur is the dense index of the node whose event is executing, or
+	// noOrigin between events. Sequence keys for events scheduled now
+	// come from its counter (see ShardedNetwork.seqFor).
+	cur int32
 }
 
-// simShard wires a partition's simulator into its owning sharded run.
-type simShard struct {
-	owner *ShardedNetwork
-	cur   int32 // dense index of the node whose event is executing
-}
+// noOrigin is the origin of events scheduled outside any node's context:
+// top-level setup, and callbacks of such events. Their sequence keys
+// come from the run's own counter and sort before every node's at equal
+// times, in scheduling order.
+const noOrigin int32 = -1
 
-// nextSeq returns the next tie-break key: the private scheduling counter
-// in classic mode, an (origin node, per-node counter) packed key in
-// sharded mode. Packed keys are globally unique, so same-time events
-// from different partitions never tie and merge order is irrelevant.
-func (s *Simulator) nextSeq() int64 {
-	if s.shard != nil {
-		return s.shard.owner.seqFor(s.shard.cur)
-	}
-	s.seq++
-	return s.seq
-}
-
-// pushEvent inserts a fully formed event. The sharded engine uses it to
-// carry origin-packed sequence keys computed outside this simulator.
+// pushEvent inserts a fully formed event whose origin-packed sequence
+// key was minted for a node other than the current origin.
 func (s *Simulator) pushEvent(ev event) error {
 	if ev.at < s.now {
 		return ErrPastEvent
@@ -191,16 +186,18 @@ func (s *Simulator) pushEvent(ev event) error {
 	return nil
 }
 
-// NewSimulator returns a simulator whose randomness derives entirely from
-// seed.
+// NewSimulator returns the simulator of a new one-partition run whose
+// randomness derives entirely from seed. NewNetwork returns the run's
+// network.
 func NewSimulator(seed int64) *Simulator {
-	return &Simulator{rng: rand.New(rand.NewSource(seed))}
+	return NewShardedNetwork(seed, 1).sims[0]
 }
 
 // Now returns the current virtual time.
 func (s *Simulator) Now() time.Duration { return s.now }
 
-// Rand returns the simulator's seeded random source.
+// Rand returns the simulator's seeded random source: a stream of its
+// partition, derived from the run's seed and the partition index.
 func (s *Simulator) Rand() *rand.Rand { return s.rng }
 
 // Steps returns the number of events executed so far.
@@ -215,29 +212,14 @@ func (s *Simulator) Schedule(delay time.Duration, fn func()) error {
 	return s.ScheduleAt(s.now+delay, fn)
 }
 
-// ScheduleAt queues fn to run at absolute virtual time at. In sharded
-// mode the callback executes in the scheduling node's context.
+// ScheduleAt queues fn to run at absolute virtual time at, in the
+// context of the node whose event is executing (or of no node, outside
+// any event).
 func (s *Simulator) ScheduleAt(at time.Duration, fn func()) error {
 	if at < s.now {
 		return ErrPastEvent
 	}
-	ev := event{at: at, seq: s.nextSeq(), eventBody: eventBody{fn: fn}}
-	if s.shard != nil {
-		ev.owner = s.shard.cur
-	}
-	s.queue.push(ev)
-	return nil
-}
-
-// scheduleDelivery queues a typed packet delivery. It consumes the same
-// seq stream as ScheduleAt, so delivery events interleave with callback
-// events in exactly the order they were scheduled.
-func (s *Simulator) scheduleDelivery(at time.Duration, del delivery) error {
-	if at < s.now {
-		return ErrPastEvent
-	}
-	s.seq++
-	s.queue.push(event{at: at, seq: s.seq, eventBody: eventBody{del: del}})
+	s.queue.push(event{at: at, seq: s.run.seqFor(s.cur), eventBody: eventBody{fn: fn, owner: s.cur}})
 	return nil
 }
 
@@ -247,17 +229,23 @@ func (s *Simulator) Step() bool {
 	if s.queue.len() == 0 {
 		return false
 	}
-	at, e := s.queue.pop()
+	at, slot := s.queue.pop()
 	s.now = at
 	s.steps++
-	if s.shard != nil {
-		s.shard.cur = e.owner
-	}
-	if e.fn != nil {
-		e.fn()
+	// Read the body's fields in place and free the slot before running
+	// the event, which may reuse it: copying the whole body out would go
+	// through memory, and the origin store would wait on that copy.
+	b := &s.queue.slab[slot]
+	s.cur = b.owner
+	if fn := b.fn; fn != nil {
+		s.queue.release(slot)
+		fn()
 	} else {
-		e.del.run()
+		del := b.del
+		s.queue.release(slot)
+		del.run()
 	}
+	s.cur = noOrigin
 	return true
 }
 

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -168,5 +169,57 @@ func TestSimulatorClockMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Errorf("clock monotonicity violated: %v", err)
+	}
+}
+
+// TestNoOriginEventsFireInSchedulingOrder: events scheduled outside any
+// node's context take the run itself as their origin. On a simulator
+// with no nodes, same-time ones — nested ones included — fire in
+// scheduling order; once nodes exist they still fire before same-time
+// node events, and a node's event that has finished running lends its
+// origin to nothing scheduled afterwards at top level.
+func TestNoOriginEventsFireInSchedulingOrder(t *testing.T) {
+	s := NewSimulator(1)
+	var order []string
+	at := time.Millisecond
+	for _, name := range []string{"a", "b", "c", "d"} {
+		name := name
+		if err := s.ScheduleAt(at, func() {
+			order = append(order, name)
+			if name == "a" {
+				if err := s.ScheduleAt(at, func() { order = append(order, "a-nested") }); err != nil {
+					t.Error(err)
+				}
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Run()
+	if want := []string{"a", "b", "c", "d", "a-nested"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("node-less same-time order = %v, want %v", order, want)
+	}
+
+	n := NewNetwork(s)
+	if err := n.AddNode("node", nil); err != nil {
+		t.Fatal(err)
+	}
+	order = nil
+	at = 2 * time.Millisecond
+	if err := n.scheduleNode(0, at-s.Now(), func() { order = append(order, "node") }); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ScheduleAt(at, func() { order = append(order, "setup") }); err != nil {
+		t.Fatal(err)
+	}
+	s.Run()
+	if want := []string{"setup", "node"}; !reflect.DeepEqual(order, want) {
+		t.Errorf("same-time order = %v, want %v (no-origin events first)", order, want)
+	}
+	if err := s.Schedule(0, func() {}); err != nil {
+		t.Fatal(err)
+	}
+	if seq := s.queue.head().seq; seq>>32 != int64(noOrigin) {
+		t.Errorf("top-level event after a node's event has origin %d, want noOrigin", seq>>32)
 	}
 }

@@ -1,9 +1,8 @@
 // Package topo generates large seeded network topologies for the
 // sharded simulator: AS-level preferential-attachment graphs and
 // campus+ISP+Tor composites. Generators emit a Graph — a deterministic
-// node and link list — that applies onto either a classic
-// netsim.Network or a netsim.ShardedNetwork through the Builder
-// interface, so the same topology bytes drive both engines.
+// node and link list — that applies onto a netsim.ShardedNetwork, or
+// any of its netsim.Network views, through the Builder interface.
 package topo
 
 import (

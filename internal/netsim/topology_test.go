@@ -159,12 +159,14 @@ func TestShardedViewsShareTopology(t *testing.T) {
 }
 
 // TestSendErrorsUnchanged: Send's resolution failures keep their wrapped
-// sentinel and exact message on both engines.
+// sentinel and exact message, on a serial run and on a view of a
+// two-partition run alike.
 func TestSendErrorsUnchanged(t *testing.T) {
-	classic := NewNetwork(NewSimulator(1))
-	o := NewShardedNetwork(1, 1)
-	nets := map[string]*Network{"classic": classic, "sharded": o.partNet[0]}
-	for _, name := range []string{"classic", "sharded"} {
+	nets := map[string]*Network{
+		"serial":      NewNetwork(NewSimulator(1)),
+		"partitioned": NewShardedNetwork(1, 2).partNet[0],
+	}
+	for _, name := range []string{"serial", "partitioned"} {
 		n := nets[name]
 		for _, id := range []NodeID{"a", "b", "c"} {
 			if err := n.AddNode(id, nil); err != nil {

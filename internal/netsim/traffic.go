@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"time"
@@ -115,9 +116,8 @@ type Flow struct {
 	// emitFn caches the emit method value so each self-reschedule reuses
 	// one func value instead of allocating a fresh closure per packet.
 	emitFn func()
-	// rng is the stream pattern draws come from: the simulator stream in
-	// classic mode, the source node's stream in sharded mode (so a flow's
-	// gaps and sizes are independent of the partition layout).
+	// rng is the stream pattern draws come from: the source node's, so a
+	// flow's gaps and sizes are independent of the partition layout.
 	rng *rand.Rand
 	// route is the (src, dst, link) triple resolved on the first emit;
 	// later packets and reschedules reuse it. It holds the link index,
@@ -138,10 +138,13 @@ func (f *Flow) Start() error {
 	if f.Proto == 0 {
 		f.Proto = ProtoTCP
 	}
+	src, ok := f.Net.topo.index[f.Src]
+	if !ok {
+		return fmt.Errorf("%w: src %q", ErrUnknownNode, f.Src)
+	}
 	f.emitFn = f.emit
 	f.routed = false
-	src := f.Net.topo.index[f.Src]
-	f.rng = f.Net.flowRand(src)
+	f.rng = f.Net.run.state[src].rng
 	return f.Net.scheduleNode(src, f.Pattern.NextGap(f.rng), f.emitFn)
 }
 

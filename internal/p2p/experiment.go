@@ -122,21 +122,6 @@ func RunExperiment(ec ExperimentConfig) (ExperimentResult, error) {
 	net := netsim.NewNetwork(sim)
 	o := NewOverlay(net, ec.Overlay)
 
-	var injector *faults.Injector
-	if ec.Faults.Active() {
-		plan := ec.Faults
-		plan.Churn.Exempt = append(append([]string{}, plan.Churn.Exempt...), "investigator")
-		var err error
-		// The injector's seed derives from the trial seed on a separate
-		// stream, so the fault schedule is independent of the overlay's
-		// own randomness.
-		injector, err = faults.New(plan, experiment.DeriveSeed(ec.Seed, faultStream))
-		if err != nil {
-			return ExperimentResult{}, err
-		}
-		injector.Attach(net)
-	}
-
 	inv, err := NewInvestigator(o, "investigator")
 	if err != nil {
 		return ExperimentResult{}, err
@@ -170,6 +155,22 @@ func RunExperiment(ec ExperimentConfig) (ExperimentResult, error) {
 		neighbors = append(neighbors, id)
 	}
 
+	var hook *faults.Partitioned
+	if ec.Faults.Active() {
+		plan := ec.Faults
+		plan.Churn.Exempt = append(append([]string{}, plan.Churn.Exempt...), "investigator")
+		// The hook covers the topology just built. Its seed derives from
+		// the trial seed on a separate stream, so the fault schedule is
+		// independent of the overlay's own randomness.
+		hook, err = faults.NewPartitioned(plan, experiment.DeriveSeed(ec.Seed, faultStream), net.Nodes())
+		if err != nil {
+			return ExperimentResult{}, err
+		}
+		if err := net.SetFaults(hook); err != nil {
+			return ExperimentResult{}, err
+		}
+	}
+
 	// Probe each neighbor k times, draining the simulator between
 	// probes so measurements never interleave. The neighbor list is
 	// re-resolved from the live topology each round, and every probe
@@ -198,8 +199,8 @@ func RunExperiment(ec ExperimentConfig) (ExperimentResult, error) {
 
 	cls := AutoClassifier(ec.Overlay)
 	res := ExperimentResult{Threshold: cls.Threshold, Probes: inv.Stats()}
-	if injector != nil {
-		res.Faults = injector.Stats()
+	if hook != nil {
+		res.Faults = hook.Stats()
 	}
 	for _, id := range neighbors {
 		verdict, err := cls.Classify(inv.MeasurementsFor(id))

@@ -19,11 +19,6 @@ import (
 func TestProbeReliablyTimesOut(t *testing.T) {
 	sim := netsim.NewSimulator(1)
 	net := netsim.NewNetwork(sim)
-	in, err := faults.New(faults.Plan{Loss: 1.0}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in.Attach(net)
 	o := NewOverlay(net, DefaultConfig(ModeAnonymous))
 	inv, err := NewInvestigator(o, "investigator")
 	if err != nil {
@@ -33,6 +28,13 @@ func TestProbeReliablyTimesOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := inv.Befriend("peer"); err != nil {
+		t.Fatal(err)
+	}
+	hook, err := faults.NewPartitioned(faults.Plan{Loss: 1.0}, 1, net.Nodes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.SetFaults(hook); err != nil {
 		t.Fatal(err)
 	}
 	policy := RetryPolicy{Attempts: 2, Timeout: time.Second, Backoff: 100 * time.Millisecond}
@@ -192,12 +194,16 @@ func TestFaultSweepsDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestLossSweepDegradesCompleteness: more loss cannot increase the
-// answered fraction, and the lossless point stays perfect.
+// answered fraction, and the lossless point stays perfect. It runs at
+// the degradation series' probe budget (8): at 4 probes a true source's
+// fastest response still misses the threshold with probability
+// ~0.43^4 ≈ 3.5%, so a perfect lossless point would rest on the seed's
+// luck.
 func TestLossSweepDegradesCompleteness(t *testing.T) {
 	sc := tinySweepConfig()
 	sc.Reps = 3
 	sc.ProbeRetries = 2
-	series, err := experiment.Runner{}.Run(context.Background(), LossSweep(sc, 4, []float64{0, 0.4}))
+	series, err := experiment.Runner{}.Run(context.Background(), LossSweep(sc, 8, []float64{0, 0.4}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -354,12 +354,7 @@ func RunScaleExperiment(sc ScaleConfig, swarm int, seed int64) (ExperimentResult
 	if sc.Faults.Active() {
 		plan := sc.Faults
 		plan.Churn.Exempt = append(append([]string{}, plan.Churn.Exempt...), string(invID))
-		ids := make([]netsim.NodeID, 0, len(peers))
-		for _, node := range g.Nodes {
-			ids = append(ids, node.ID)
-		}
-		ids = append(ids, invID)
-		if fb, err = faults.NewPartitioned(plan, experiment.DeriveSeed(seed, faultStream), ids); err != nil {
+		if fb, err = faults.NewPartitioned(plan, experiment.DeriveSeed(seed, faultStream), o.Nodes()); err != nil {
 			return ExperimentResult{}, err
 		}
 		if err := o.SetFaults(fb); err != nil {

@@ -149,18 +149,6 @@ func RunExperiment(ec ExperimentConfig) (ExperimentResult, error) {
 	sim.SetStepBudget(budget)
 	net := netsim.NewNetwork(sim)
 
-	var injector *faults.Injector
-	if ec.Faults.Active() {
-		// Faults on a separate seed stream: the fault schedule does not
-		// perturb the overlay's own randomness, so a zero plan run is
-		// byte-identical to a pre-fault-layer run.
-		injector, err = faults.New(ec.Faults, experiment.DeriveSeed(ec.Seed, wmFaultStream))
-		if err != nil {
-			return ExperimentResult{}, err
-		}
-		injector.Attach(net)
-	}
-
 	an := anonet.New(net)
 
 	suspect, err := an.AddClient("suspect")
@@ -191,6 +179,20 @@ func RunExperiment(ec ExperimentConfig) (ExperimentResult, error) {
 		{"entry", "middle"}, {"middle", "exit"}, {"exit", "seized-server"},
 	} {
 		if err := net.Connect(pair[0], pair[1], link); err != nil {
+			return ExperimentResult{}, err
+		}
+	}
+
+	var hook *faults.Partitioned
+	if ec.Faults.Active() {
+		// Faults cover the topology just built and draw from their own
+		// seed stream, so the fault schedule does not perturb the
+		// overlay's randomness.
+		hook, err = faults.NewPartitioned(ec.Faults, experiment.DeriveSeed(ec.Seed, wmFaultStream), net.Nodes())
+		if err != nil {
+			return ExperimentResult{}, err
+		}
+		if err := net.SetFaults(hook); err != nil {
 			return ExperimentResult{}, err
 		}
 	}
@@ -319,8 +321,8 @@ func RunExperiment(ec ExperimentConfig) (ExperimentResult, error) {
 		ServerPackets:    serverMeter.Acquired().Records,
 		RequiredProcess:  suspectMeter.Ruling().Required,
 	}
-	if injector != nil {
-		res.Faults = injector.Stats()
+	if hook != nil {
+		res.Faults = hook.Stats()
 	}
 	return res, nil
 }

@@ -181,12 +181,7 @@ func RunScaleExperiment(ec ExperimentConfig, sc ScaleConfig, hosts int) (Experim
 
 	var fb *faults.Partitioned
 	if ec.Faults.Active() {
-		ids := make([]netsim.NodeID, 0, len(g.Nodes)+1)
-		for _, n := range g.Nodes {
-			ids = append(ids, n.ID)
-		}
-		ids = append(ids, server)
-		fb, err = faults.NewPartitioned(ec.Faults, experiment.DeriveSeed(ec.Seed, wmFaultStream), ids)
+		fb, err = faults.NewPartitioned(ec.Faults, experiment.DeriveSeed(ec.Seed, wmFaultStream), o.Nodes())
 		if err != nil {
 			return ExperimentResult{}, err
 		}
@@ -195,7 +190,12 @@ func RunScaleExperiment(ec ExperimentConfig, sc ScaleConfig, hosts int) (Experim
 		}
 	}
 
-	// Meters and their legal footing, exactly as in the E3 circuit.
+	// Meters and their legal footing, exactly as in the E3 circuit. A
+	// tap armed through any partition view attaches to the whole run.
+	srvNet, err := o.PartitionNet(server)
+	if err != nil {
+		return ExperimentResult{}, err
+	}
 	gate := capture.NewGate(true)
 	suspectMeter, err := capture.New(capture.RateMeter, capture.Placement{
 		Node:   suspect,
@@ -205,7 +205,7 @@ func RunScaleExperiment(ec ExperimentConfig, sc ScaleConfig, hosts int) (Experim
 	if err != nil {
 		return ExperimentResult{}, err
 	}
-	if err := gate.Arm(o, suspectMeter); err != nil {
+	if err := gate.Arm(srvNet, suspectMeter); err != nil {
 		return ExperimentResult{}, fmt.Errorf("arming suspect-side meter: %w", err)
 	}
 	serverMeter, err := capture.New(capture.RateMeter, capture.Placement{
@@ -217,7 +217,7 @@ func RunScaleExperiment(ec ExperimentConfig, sc ScaleConfig, hosts int) (Experim
 	if err != nil {
 		return ExperimentResult{}, err
 	}
-	if err := gate.Arm(o, serverMeter); err != nil {
+	if err := gate.Arm(srvNet, serverMeter); err != nil {
 		return ExperimentResult{}, fmt.Errorf("arming server-side meter: %w", err)
 	}
 
@@ -229,10 +229,6 @@ func RunScaleExperiment(ec ExperimentConfig, sc ScaleConfig, hosts int) (Experim
 		return ExperimentResult{}, err
 	}
 	rng, err := o.NodeRand(server)
-	if err != nil {
-		return ExperimentResult{}, err
-	}
-	srvNet, err := o.PartitionNet(server)
 	if err != nil {
 		return ExperimentResult{}, err
 	}

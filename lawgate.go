@@ -64,6 +64,7 @@ import (
 	"lawgate/internal/investigation"
 	"lawgate/internal/ledger"
 	"lawgate/internal/legal"
+	"lawgate/internal/netsim"
 	"lawgate/internal/p2p"
 	"lawgate/internal/scenario"
 	"lawgate/internal/watermark"
@@ -387,26 +388,31 @@ func DeriveSeed(master int64, path ...int64) int64 {
 
 // Fault-injection re-exports: declare substrate misbehavior as a
 // FaultPlan (loss, duplication, reorder delay, bandwidth caps, peer
-// churn), either directly or via a named FaultProfile, and attach a
-// seeded FaultInjector to the simulated network. The schedule is fully
-// determined by (plan, seed), so degraded runs stay byte-identical at
-// any worker count; a zero plan injects nothing and leaves runs
-// untouched.
+// churn), either directly or via a named FaultProfile, and realize it
+// as a seeded FaultInjector over the nodes of a simulated network. The
+// schedule is fully determined by (plan, seed) and each node's own event
+// order, so degraded runs stay byte-identical at any worker count; a
+// zero plan injects nothing and leaves runs untouched.
 type (
 	// FaultPlan declares what the substrate does wrong.
 	FaultPlan = faults.Plan
 	// FaultChurn is the node crash/recovery portion of a plan.
 	FaultChurn = faults.Churn
-	// FaultInjector realizes a plan against a netsim network.
-	FaultInjector = faults.Injector
+	// FaultInjector realizes a plan for the nodes of one network.
+	FaultInjector = faults.Partitioned
 	// FaultStats counts what an injector actually did.
 	FaultStats = faults.Stats
 )
 
 // NewFaultInjector validates the plan and returns a deterministic
-// injector; attach it with Injector.Attach.
-func NewFaultInjector(plan FaultPlan, seed int64) (*FaultInjector, error) {
-	return faults.New(plan, seed)
+// injector holding per-node fault state for exactly the named nodes;
+// a query about any other node panics rather than exempting it.
+func NewFaultInjector(plan FaultPlan, seed int64, nodes ...string) (*FaultInjector, error) {
+	ids := make([]netsim.NodeID, len(nodes))
+	for i, n := range nodes {
+		ids[i] = netsim.NodeID(n)
+	}
+	return faults.NewPartitioned(plan, seed, ids)
 }
 
 // FaultProfile resolves a named fault profile ("none", "lossy",

@@ -75,6 +75,23 @@ func TestFacadeExperiments(t *testing.T) {
 	}
 }
 
+func TestFacadeFaultInjector(t *testing.T) {
+	plan, err := lawgate.FaultProfile("lossy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := lawgate.NewFaultInjector(plan, 7, "investigator", "peer-00")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !in.Covers("investigator") || !in.Covers("peer-00") || in.Covers("peer-01") {
+		t.Error("injector must cover exactly the named nodes")
+	}
+	if _, err := lawgate.NewFaultInjector(lawgate.FaultPlan{Loss: 2}, 7); err == nil {
+		t.Error("NewFaultInjector accepted loss 2")
+	}
+}
+
 func TestFacadeCaseAndLocker(t *testing.T) {
 	c := lawgate.NewCase("facade")
 	if c == nil {

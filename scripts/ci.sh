@@ -5,20 +5,21 @@
 # Runs, in order: gofmt, vet, build, the full test suite, the race
 # detector over the whole module, and a short-mode smoke run of both
 # experiment commands on the parallel sweep path (-smoke -workers 2).
-# The sharded parallel engine gets its own gates: both experiment
-# commands run their -partitions series under the race detector, the
-# emitted JSON is byte-compared across partition counts (the
-# conservative-lookahead engine must be exactly deterministic), and the
-# committed BENCH_netsim.json is checked against a partition-speedup
-# pair gate — 3x when the file was produced on 8+ cores, a 1.5x
-# overhead bound otherwise.
+# The simulator is one conservative-lookahead engine; the serial E2/E3
+# series run it at one partition, the scale series at several. Its
+# partitioned runs get their own gates: both experiment commands run
+# their -partitions series under the race detector, the emitted JSON is
+# byte-compared across partition counts (the engine must be exactly
+# deterministic), and the committed BENCH_netsim.json is checked
+# against a partition-speedup pair gate — 3x when the file was produced
+# on 8+ cores, a 1.5x overhead bound otherwise.
 # The audit ledger gets its own gates: the adversarial tamper tests
 # rerun under -race, a casefile export/verify-ledger happy-path smoke,
 # a corrupt-one-byte smoke that must exit nonzero, and benchcheck
 # budgets pinning ledger append to <= 1000 ns/op and 0 allocs/op.
-# The netsim bench smoke pins the scheduler step (shallow and deep
-# heap), Send (two-node and across a 1,000-node composite's capped
-# trunk) and heap churn to 0 allocs/op; the legal bench smoke pins
+# The netsim bench smoke pins the engine's scheduler step (shallow and
+# deep heap), Send (two-node and across a 1,000-node composite's capped
+# trunk) and heap churn, all at one partition, to 0 allocs/op; the legal bench smoke pins
 # the warm ruling-cache hit, with and without fresh case names, the
 # same way.
 # The lawgated ruling service gets a live smoke: serve on an ephemeral
