@@ -116,7 +116,7 @@ func printEngineStats(w io.Writer, s legal.EngineStats) {
 	fmt.Fprintf(w, "  evaluations:     %d (+%d batch slots deduplicated, +%d delta-chained)\n",
 		s.Evaluations, s.BatchDeduped, s.BatchDeltaChained)
 	if s.DeltaEvaluations > 0 {
-		fmt.Fprintf(w, "  delta evals:     %d (%d short-circuited)\n", s.DeltaEvaluations, s.DeltaShortCircuits)
+		fmt.Fprintf(w, "  delta evals:     %d\n", s.DeltaEvaluations)
 	}
 	fmt.Fprintf(w, "  cache:           %d hits / %d misses / %d evictions (%d rulings memoized)\n",
 		s.CacheHits, s.CacheMisses, s.CacheEvictions, s.CacheSize)

@@ -174,7 +174,7 @@ func (d *Device) Ruling() legal.Ruling { return d.ruling }
 // Escalate re-kinds the device mid-capture — the paper's scope-creep
 // event, e.g. a header sniffer upgraded to full-content interception —
 // and returns the ActionDelta the change carries, for a Monitor (or any
-// EvaluateDelta consumer) to re-rule incrementally.
+// EvaluateDelta consumer) to re-rule.
 func (d *Device) Escalate(to DeviceKind) (legal.ActionDelta, error) {
 	if !to.Valid() {
 		return legal.ActionDelta{}, fmt.Errorf("capture: invalid device kind %d", int(to))

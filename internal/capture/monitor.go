@@ -65,12 +65,11 @@ func classifyDelta(d *legal.ActionDelta) CaptureEvent {
 
 // Monitor follows the legal status of one evolving acquisition: a base
 // action ruled once, then a stream of ActionDeltas — scope escalations,
-// consent revocations, lapsing exigencies — each re-ruled incrementally
-// through Engine.EvaluateDelta. It reports only the events that changed
-// the answer (required process or governing regime), which is the
-// streaming-rulings shape ROADMAP item 5 calls for: most events leave
-// the ruling untouched and resolve in the engine's O(changed fields)
-// short-circuit.
+// consent revocations, lapsing exigencies — each re-ruled through
+// Engine.EvaluateDelta. It reports only the events that changed the
+// answer (required process or governing regime): most events leave the
+// ruling untouched, and on a cached engine an event that returns the
+// acquisition to a shape already ruled is a warm cache hit.
 //
 // A Monitor is safe for concurrent use: one mutex serializes Apply
 // against the read accessors (Ruling, Events, Transitions, Transcript),

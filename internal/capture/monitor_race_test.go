@@ -38,8 +38,9 @@ func TestMonitorConcurrentApplyAndRead(t *testing.T) {
 	done := make(chan struct{})
 
 	// One capture loop emits the device's delta stream in order:
-	// escalation to content, then back down, alternating — half the
-	// events change the ruling, half resolve in the delta short-circuit.
+	// escalation to content, then back down, alternating — every event
+	// changes the ruling, and every event after the first is a warm
+	// cache hit.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

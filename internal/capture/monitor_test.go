@@ -44,7 +44,7 @@ func TestMonitorEscalation(t *testing.T) {
 		t.Errorf("escalated regime = %v, want %v", r.Regime, legal.RegimeWiretap)
 	}
 
-	// The monitor's incremental ruling must equal a full evaluation of
+	// The monitor's delta-ruled state must equal a full evaluation of
 	// the device's current action on a fresh engine.
 	want, err := legal.NewEngine().Evaluate(d.Action())
 	if err != nil {

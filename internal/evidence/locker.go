@@ -136,11 +136,11 @@ func (l *Locker) Acquire(req AcquireRequest) (*Item, error) {
 
 // AmendAcquisition corrects the legal facts of a recorded acquisition —
 // a consent later revoked, a scope escalation discovered during review,
-// an exigency that had already lapsed — by applying an ActionDelta and
-// re-ruling the item incrementally from its stored ruling. The custody
-// chain gains an EventAmended entry whose note carries the delta's
-// canonical encoding plus the ruling now in force, so the amendment is
-// as tamper-evident as the original intake. The updated item is
+// an exigency that had already lapsed — by applying an ActionDelta to
+// the item's stored ruling and re-ruling it through EvaluateDelta. The
+// custody chain gains an EventAmended entry whose note carries the
+// delta's canonical encoding plus the ruling now in force, so the
+// amendment is as tamper-evident as the original intake. The updated item is
 // returned; suppression analysis (Assess) sees the amended ruling.
 func (l *Locker) AmendAcquisition(id ID, custodian string, d legal.ActionDelta) (*Item, error) {
 	l.mu.Lock()

@@ -237,8 +237,8 @@ func (c *Case) acquire(held legal.Process, desc string, content []byte, action l
 
 // AmendAcquisition corrects the legal facts of a booked acquisition —
 // a consent the suspect has since revoked, a scope escalation found in
-// review — by applying the ActionDelta through the locker's incremental
-// re-ruling (evidence.Locker.AmendAcquisition). The custody chain gains
+// review — by applying the ActionDelta through the locker's re-ruling
+// (evidence.Locker.AmendAcquisition). The custody chain gains
 // the tamper-evident amendment entry, and the case narrative records
 // whether the amendment flipped the item's lawfulness, since that is
 // what the suppression hearing will turn on.

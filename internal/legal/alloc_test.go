@@ -96,13 +96,10 @@ func TestEvaluateWarmNamesZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestEvaluateDeltaZeroAlloc pins both delta fast paths to zero
-// allocations on a warm engine: the dispatch-bitset short-circuit (a
-// scalar-field delta the action's bucket provably never reads) and the
-// incremental-cache-key slow path (a dimension delta whose target is
-// already memoized). A regression on the short-circuit also surfaces
-// here as allocations, because the fallback would miss the cache and
-// evaluate in full.
+// TestEvaluateDeltaZeroAlloc pins EvaluateDelta to zero allocations on
+// a warm cached engine, for a scalar-flag delta and for a dimension
+// delta: each applies the delta to a copy of the prior action and takes
+// the same name-blind cache hit Evaluate does.
 func TestEvaluateDeltaZeroAlloc(t *testing.T) {
 	base := legal.Action{
 		Name:   "delta-alloc",
@@ -127,7 +124,7 @@ func TestEvaluateDeltaZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Errorf("short-circuit EvaluateDelta allocs/op = %v, want 0", allocs)
+		t.Errorf("scalar-delta EvaluateDelta allocs/op = %v, want 0", allocs)
 	}
 
 	dim := legal.Diff(&base, &escalated)
@@ -136,7 +133,7 @@ func TestEvaluateDeltaZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Errorf("warm-cache EvaluateDelta allocs/op = %v, want 0", allocs)
+		t.Errorf("dimension-delta EvaluateDelta allocs/op = %v, want 0", allocs)
 	}
 }
 

@@ -154,13 +154,11 @@ func BenchmarkRulingsPerSec(b *testing.B) {
 	})
 }
 
-// BenchmarkEvaluateDelta measures incremental re-evaluation after a
-// small mutation — the streaming-capture event shape. full-rebuild is
-// the pre-delta cost of the same event (mutate the action, run a full
-// Evaluate); delta/scalar2 is the dispatch-bitset short-circuit for a
-// two-flag delta (the ci.sh ≥3x gate); delta/dim1 is a dimension
-// escalation resolved through the incremental cache key on a warm
-// engine.
+// BenchmarkEvaluateDelta measures re-evaluation after a small mutation
+// — the streaming-capture event shape. full-rebuild/scalar2 is a
+// two-flag delta paid as a full Evaluate of the mutated action on an
+// uncached engine; delta/dim1 is a dimension escalation through
+// EvaluateDelta, a warm cache hit.
 func BenchmarkEvaluateDelta(b *testing.B) {
 	base := legal.Action{
 		Name:   "delta-bench",
@@ -185,22 +183,6 @@ func BenchmarkEvaluateDelta(b *testing.B) {
 			a := prev.Action
 			scalar2.Apply(&a)
 			if _, err := engine.Evaluate(a); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "rulings/s")
-	})
-
-	b.Run("delta/scalar2", func(b *testing.B) {
-		engine := legal.NewEngine()
-		prev, err := engine.Evaluate(base)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := engine.EvaluateDelta(&prev, scalar2); err != nil {
 				b.Fatal(err)
 			}
 		}

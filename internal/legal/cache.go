@@ -337,12 +337,13 @@ func actionsEqual(a, b *Action) bool {
 const defaultCacheSlots = 256
 
 // cacheEntry is one immutable memoized ruling: the key's 64-bit hash,
-// the ruling, and the intrusive chain link. The ruling's Action is the
-// verification key (its Name is the key name — see Engine.cacheKey)
-// and its packed word the cheap verifier. Entries are never mutated
-// after publication.
+// the key action's packed word (see packAction), the ruling, and the
+// intrusive chain link. The ruling's Action is the verification key
+// (its Name is the key name — see Engine.cacheKey) and the packed word
+// its cheap verifier. Entries are never mutated after publication.
 type cacheEntry struct {
 	hash   uint64
+	pw     uint64
 	ruling Ruling
 	next   *cacheEntry
 }
@@ -402,7 +403,7 @@ func (c *rulingCache) probe(h, w uint64, exact bool, name string, a *Action) *ca
 		}
 		k := &en.ruling.Action
 		if exact {
-			if en.ruling.pw != w || k.Name != name || !exposuresEqual(a.Exposure, k.Exposure) {
+			if en.pw != w || k.Name != name || !exposuresEqual(a.Exposure, k.Exposure) {
 				continue
 			}
 		} else if !actionsEqual(k, a) {
@@ -413,10 +414,10 @@ func (c *rulingCache) probe(h, w uint64, exact bool, name string, a *Action) *ca
 	return nil
 }
 
-// put memoizes r, whose Action is its key. Double-checks for a racing
-// insert, flushes the generation when at capacity, and grows at load
-// factor 1.
-func (c *rulingCache) put(h uint64, r *Ruling) {
+// put memoizes r, whose Action is its key and packs to w. Double-checks
+// for a racing insert, flushes the generation when at capacity, and
+// grows at load factor 1.
+func (c *rulingCache) put(h, w uint64, r *Ruling) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	t := c.table.Load()
@@ -434,7 +435,7 @@ func (c *rulingCache) put(h uint64, r *Ruling) {
 		t = c.grow(t)
 	}
 	slot := &t.slots[h&t.mask]
-	slot.Store(&cacheEntry{hash: h, ruling: *r, next: slot.Load()})
+	slot.Store(&cacheEntry{hash: h, pw: w, ruling: *r, next: slot.Load()})
 	c.count++
 }
 
@@ -446,7 +447,7 @@ func (c *rulingCache) grow(old *cacheTable) *cacheTable {
 	for i := range old.slots {
 		for e := old.slots[i].Load(); e != nil; e = e.next {
 			slot := &t.slots[e.hash&t.mask]
-			slot.Store(&cacheEntry{hash: e.hash, ruling: e.ruling, next: slot.Load()})
+			slot.Store(&cacheEntry{hash: e.hash, pw: e.pw, ruling: e.ruling, next: slot.Load()})
 		}
 	}
 	c.table.Store(t)

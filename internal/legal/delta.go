@@ -13,17 +13,13 @@ import (
 // evolving acquisition as a base Action plus a stream of small typed
 // mutations rather than re-materializing a full Action per event. An
 // ActionDelta carries each mutation with both its old and new value, so
-// it can be applied, un-applied, canonically encoded for audit trails,
-// and — because every scalar field has fixed bit positions in the
-// packed word (packAction) — folded into the engine's cache key in
-// O(changed fields). Engine.EvaluateDelta consumes deltas directly and
-// proves, via the dispatch index's per-bucket field-sensitivity
-// bitsets, when the prior ruling necessarily still holds.
+// it can be applied, un-applied, and canonically encoded for audit
+// trails. Engine.EvaluateDelta re-rules a delta as an ordinary
+// evaluation of the mutated action: on a cached engine an event that
+// returns the action to a shape already ruled is a warm cache hit.
 
 // Field identifies one mutable field of an Action for delta purposes.
-// The four enum dimensions (actor, timing, data, source) double as the
-// dispatch coordinates: a delta touching any of them always forces a
-// fresh bucket walk.
+// RuleMatch.Reads names fields with the same values.
 type Field uint8
 
 // Action fields addressable by a delta.
@@ -87,7 +83,8 @@ func (f Field) MarshalJSON() ([]byte, error) {
 	return json.Marshal(int(f))
 }
 
-// UnmarshalJSON accepts the canonical name or a raw integer.
+// UnmarshalJSON accepts the canonical name or a raw integer in
+// [0, numFields); any other value is an error naming it.
 func (f *Field) UnmarshalJSON(data []byte) error {
 	var s string
 	if err := json.Unmarshal(data, &s); err == nil {
@@ -103,6 +100,9 @@ func (f *Field) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &n); err != nil {
 		return fmt.Errorf("legal: delta field must be a name or integer: %s", data)
 	}
+	if n < 0 || n >= int(numFields) {
+		return fmt.Errorf("legal: delta field %d out of range [0, %d)", n, numFields)
+	}
 	*f = Field(n)
 	return nil
 }
@@ -110,12 +110,7 @@ func (f *Field) UnmarshalJSON(data []byte) error {
 // FieldMask is a bitset over Field values; bit f set means field f.
 type FieldMask uint32
 
-const (
-	fieldMaskAll FieldMask = 1<<numFields - 1
-	// dimFieldMask covers the four dispatch dimensions; a delta touching
-	// any of them moves the action to a different dispatch bucket.
-	dimFieldMask = 1<<FieldActor | 1<<FieldTiming | 1<<FieldData | 1<<FieldSource
-)
+const fieldMaskAll FieldMask = 1<<numFields - 1
 
 // FieldDelta is one field-level mutation, carrying both sides of the
 // change so the delta can be applied forward and un-applied in reverse.
@@ -309,9 +304,7 @@ func Diff(old, new *Action) ActionDelta {
 
 // apply sets one side of the mutation on a: the new value when fwd,
 // the old value otherwise. Mutations naming an unknown field are
-// ignored (Apply, mask, and the packed-word update all agree on that,
-// which keeps EvaluateDelta equivalent to Evaluate on the rebuilt
-// action even for malformed deltas).
+// ignored.
 func (fd *FieldDelta) apply(a *Action, fwd bool) {
 	switch fd.Field {
 	case FieldName:
@@ -400,182 +393,6 @@ func (d *ActionDelta) Unapply(a *Action) {
 	for i := len(d.Fields) - 1; i >= 0; i-- {
 		d.Fields[i].apply(a, false)
 	}
-}
-
-// mask returns the set of fields the delta touches. Unknown fields
-// contribute nothing, matching Apply's behavior of ignoring them.
-func (d *ActionDelta) mask() FieldMask {
-	var m FieldMask
-	for i := range d.Fields {
-		if f := d.Fields[i].Field; f < numFields {
-			m |= 1 << f
-		}
-	}
-	return m
-}
-
-// Enum cardinalities for delta range checks, derived from the name
-// catalogs exactly like the dispatch dimensions in dispatch.go.
-var (
-	numExposures     = len(exposureNames)
-	numConsentScopes = len(consentScopeNames)
-	numExigencies    = len(exigencyNames)
-	numProviderRoles = len(providerRoleNames)
-)
-
-// changedInRange reports whether every new value the delta introduces
-// would pass Action.Validate. The short-circuit path in EvaluateDelta
-// requires it: a delta writing an out-of-range value must take the full
-// path so the rebuilt action fails validation exactly as Evaluate
-// would. All enums are dense from 1, so the checks mirror the name-map
-// lookups Validate performs.
-func (d *ActionDelta) changedInRange() bool {
-	for i := range d.Fields {
-		fd := &d.Fields[i]
-		switch fd.Field {
-		case FieldActor:
-			if fd.New < 1 || fd.New > int64(numActors) {
-				return false
-			}
-		case FieldTiming:
-			if fd.New < 1 || fd.New > int64(numTimings) {
-				return false
-			}
-		case FieldData:
-			if fd.New < 1 || fd.New > int64(numData) {
-				return false
-			}
-		case FieldSource:
-			if fd.New < 1 || fd.New > int64(numSources) {
-				return false
-			}
-		case FieldProviderRole:
-			// Validate accepts the zero ProviderRole ("not set").
-			if fd.New < 0 || fd.New > int64(numProviderRoles) {
-				return false
-			}
-		case FieldExposure:
-			for _, e := range fd.NewExposure {
-				if e < 1 || int(e) > numExposures {
-					return false
-				}
-			}
-		case FieldConsent:
-			if c := fd.NewConsent; c != nil && (c.Scope < 1 || int(c.Scope) > numConsentScopes) {
-				return false
-			}
-		case FieldExigency:
-			if x := fd.NewExigency; x != nil && (x.Kind < 1 || int(x.Kind) > numExigencies) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Packed-word field masks, mirroring packAction's fixed bit layout
-// (cache.go). TestUpdatePackedMatchesPackAction pins the mirror: for
-// any valid action and delta, updating the packed word field-wise must
-// equal re-packing the mutated action from scratch.
-const (
-	pwActorMask     = uint64(7)
-	pwTimingMask    = uint64(3) << 3
-	pwDataMask      = uint64(7) << 5
-	pwSourceMask    = uint64(15) << 8
-	pwProviderMask  = uint64(15) << 12
-	pwConsentMask   = uint64(0xff) << 23 // presence + scope + 3 flags
-	pwExigencyMask  = uint64(0x1f) << 31 // presence + kind + approved
-	pwTechMask      = uint64(7) << 36    // presence + 2 flags
-	pwWorkplaceMask = uint64(0x1f) << 39 // presence + 4 flags
-)
-
-// updatePacked folds the delta into an exact packed scalar word in
-// O(changed fields), returning the updated word and whether it remains
-// exact. It returns ok=false when a new value overflows its allotted
-// bits — the caller then re-packs from scratch, which yields the same
-// wInexact verdict packAction would. Name and Exposure changes leave
-// the word untouched (they are not packed).
-func (d *ActionDelta) updatePacked(w uint64) (uint64, bool) {
-	for i := range d.Fields {
-		fd := &d.Fields[i]
-		switch fd.Field {
-		case FieldActor:
-			if uint64(fd.New)&^7 != 0 {
-				return 0, false
-			}
-			w = w&^pwActorMask | uint64(fd.New)&7
-		case FieldTiming:
-			if uint64(fd.New)&^3 != 0 {
-				return 0, false
-			}
-			w = w&^pwTimingMask | uint64(fd.New)&3<<3
-		case FieldData:
-			if uint64(fd.New)&^7 != 0 {
-				return 0, false
-			}
-			w = w&^pwDataMask | uint64(fd.New)&7<<5
-		case FieldSource:
-			if uint64(fd.New)&^15 != 0 {
-				return 0, false
-			}
-			w = w&^pwSourceMask | uint64(fd.New)&15<<8
-		case FieldProviderRole:
-			if uint64(fd.New)&^15 != 0 {
-				return 0, false
-			}
-			w = w&^pwProviderMask | uint64(fd.New)&15<<12
-		case FieldEncrypted:
-			w = w&^(uint64(1)<<16) | b2u(fd.New != 0)<<16
-		case FieldPlainView:
-			w = w&^(uint64(1)<<17) | b2u(fd.New != 0)<<17
-		case FieldLawfulVantage:
-			w = w&^(uint64(1)<<18) | b2u(fd.New != 0)<<18
-		case FieldProbationSearch:
-			w = w&^(uint64(1)<<19) | b2u(fd.New != 0)<<19
-		case FieldProviderPublic:
-			w = w&^(uint64(1)<<20) | b2u(fd.New != 0)<<20
-		case FieldInterceptsThirdParty:
-			w = w&^(uint64(1)<<21) | b2u(fd.New != 0)<<21
-		case FieldSearchBeyondAuthority:
-			w = w&^(uint64(1)<<22) | b2u(fd.New != 0)<<22
-		case FieldConsent:
-			w &^= pwConsentMask
-			if c := fd.NewConsent; c != nil {
-				if uint64(c.Scope)&^15 != 0 {
-					return 0, false
-				}
-				w |= 1<<23 | uint64(c.Scope)&15<<24 |
-					b2u(c.Revoked)<<28 |
-					b2u(c.ExceedsScope)<<29 |
-					b2u(c.AllPartiesRequired)<<30
-			}
-		case FieldExigency:
-			w &^= pwExigencyMask
-			if x := fd.NewExigency; x != nil {
-				if uint64(x.Kind)&^7 != 0 {
-					return 0, false
-				}
-				w |= 1<<31 | uint64(x.Kind)&7<<32 | b2u(x.Approved)<<35
-			}
-		case FieldTech:
-			w &^= pwTechMask
-			if t := fd.NewTech; t != nil {
-				w |= 1<<36 |
-					b2u(t.GeneralPublicUse)<<37 |
-					b2u(t.RevealsHomeInterior)<<38
-			}
-		case FieldWorkplace:
-			w &^= pwWorkplaceMask
-			if wp := fd.NewWorkplace; wp != nil {
-				w |= 1<<39 |
-					b2u(wp.GovernmentEmployer)<<40 |
-					b2u(wp.WorkRelated)<<41 |
-					b2u(wp.JustifiedAtInception)<<42 |
-					b2u(wp.PermissibleScope)<<43
-			}
-		}
-	}
-	return w, true
 }
 
 // AppendEncoding appends the delta's canonical text encoding to buf and

@@ -26,7 +26,7 @@ var deltaMuts = []struct {
 	{"probation", func(a *Action) { a.ProbationSearch = !a.ProbationSearch }},
 	{"beyond-authority", func(a *Action) { a.SearchBeyondAuthority = !a.SearchBeyondAuthority }},
 	{"intercepts", func(a *Action) { a.InterceptsThirdParty = !a.InterceptsThirdParty }},
-	{"provider-role", func(a *Action) { a.ProviderRole = (a.ProviderRole + 1) % ProviderRole(numProviderRoles+1) }},
+	{"provider-role", func(a *Action) { a.ProviderRole = (a.ProviderRole + 1) % ProviderRole(len(providerRoleNames)+1) }},
 	{"consent-toggle", func(a *Action) {
 		if a.Consent != nil {
 			a.Consent = nil
@@ -83,14 +83,12 @@ var deltaMuts = []struct {
 	{"invalid-consent", func(a *Action) { a.Consent = &Consent{Scope: ConsentScope(99)} }},
 }
 
-// TestDeltaMatchesFullEvaluate is the tentpole equivalence sweep:
-// across all 432 dispatch combos × the standard variant spread × every
-// delta mutation, under both container doctrines, EvaluateDelta must
-// return exactly what a fresh full Evaluate of the rebuilt action
-// returns — rulings deeply equal (packed-word state included), errors
-// identical. It also asserts the bitset proof actually fires (some
-// deltas short-circuit) without being vacuous (some take the full
-// path).
+// TestDeltaMatchesFullEvaluate is the equivalence sweep: across all
+// 432 dispatch combos × the standard variant spread × every delta
+// mutation, under both container doctrines, EvaluateDelta on a cached
+// engine must return exactly what a fresh full Evaluate of the rebuilt
+// action returns on an uncached one — rulings deeply equal, errors
+// identical.
 func TestDeltaMatchesFullEvaluate(t *testing.T) {
 	for _, doctrine := range []ContainerDoctrine{ContainerPerFile, ContainerSingle} {
 		e := NewEngine(WithContainerDoctrine(doctrine), WithRulingCache(0), WithEngineStats())
@@ -125,14 +123,9 @@ func TestDeltaMatchesFullEvaluate(t *testing.T) {
 		if checked == 0 {
 			t.Fatal("sweep visited no combinations")
 		}
-		s := e.Stats()
-		if s.DeltaShortCircuits == 0 {
-			t.Fatal("sweep never exercised the short-circuit proof")
+		if s := e.Stats(); s.DeltaEvaluations != uint64(checked) {
+			t.Fatalf("doctrine %v: DeltaEvaluations = %d, want %d", doctrine, s.DeltaEvaluations, checked)
 		}
-		if s.DeltaShortCircuits >= s.DeltaEvaluations {
-			t.Fatal("sweep never exercised the full re-evaluation path")
-		}
-		t.Logf("doctrine %v: %d delta evaluations, %d short-circuited", doctrine, s.DeltaEvaluations, s.DeltaShortCircuits)
 	}
 }
 
@@ -173,36 +166,6 @@ func TestDeltaRoundTrip(t *testing.T) {
 			t.Fatalf("iter %d: unapply restored an unequal action:\n got %+v\nwant %+v", iter, cur, orig)
 		}
 	}
-}
-
-// TestUpdatePackedMatchesPackAction pins the incremental packed-word
-// update to the from-scratch packing: for every base × mutation,
-// folding the delta into the base's word must agree with packAction on
-// the mutated action — same word when the mutation stays in range, and
-// a rejected update exactly when packAction would go inexact.
-func TestUpdatePackedMatchesPackAction(t *testing.T) {
-	forEachCombo(func(ac Actor, tm Timing, dc DataClass, s Source) {
-		base := Action{Name: "pack-delta", Actor: ac, Timing: tm, Data: dc, Source: s}
-		for _, v := range variantsOf(base) {
-			w0, exact := packAction(&v)
-			if !exact {
-				t.Fatalf("valid base packed inexactly: %+v", v)
-			}
-			for _, m := range deltaMuts {
-				target := v
-				m.mut(&target)
-				d := Diff(&v, &target)
-				want, wantExact := packAction(&target)
-				got, ok := d.updatePacked(w0)
-				if ok != wantExact {
-					t.Fatalf("mutation %q: updatePacked ok=%v but packAction exact=%v (base %+v)", m.name, ok, wantExact, v)
-				}
-				if ok && got != want {
-					t.Fatalf("mutation %q: incremental word %#x != repacked word %#x (base %+v)", m.name, got, want, v)
-				}
-			}
-		}
-	})
 }
 
 // TestBatchDeltaChainWorkersIdentity is the satellite byte-identity
@@ -302,9 +265,9 @@ func TestBatchChainBaseErrorFallsBack(t *testing.T) {
 
 // TestDeltaUnannotatedRulesForceReEvaluation pins soundness for rule
 // tables without Reads annotations: an unannotated rule is treated as
-// reading every field (Name included), so EvaluateDelta never
-// short-circuits across it and the batch pre-pass never chains, even
-// when the rule really does depend on Name.
+// reading every field (Name included), so a name-only delta is re-ruled
+// under the new name and the batch pre-pass never chains, even when the
+// rule really does depend on Name.
 func TestDeltaUnannotatedRulesForceReEvaluation(t *testing.T) {
 	rules := []Rule{
 		{
@@ -338,10 +301,6 @@ func TestDeltaUnannotatedRulesForceReEvaluation(t *testing.T) {
 	if got.Required != ProcessSearchWarrant {
 		t.Fatalf("name-only delta across an unannotated rule returned %v, want ProcessSearchWarrant", got.Required)
 	}
-	if s := e.Stats(); s.DeltaShortCircuits != 0 {
-		t.Fatalf("short-circuited %d deltas across unannotated rules", s.DeltaShortCircuits)
-	}
-
 	rulings, err := e.EvaluateBatch(context.Background(), []Action{base, target})
 	if err != nil {
 		t.Fatal(err)
@@ -381,7 +340,8 @@ func TestDeltaEncoding(t *testing.T) {
 }
 
 // TestFieldJSONRoundTrip pins the Field name codec used by JSONL delta
-// streams.
+// streams: every field round-trips, and unknown names and integers
+// outside [0, numFields) are rejected by value rather than wrapped.
 func TestFieldJSONRoundTrip(t *testing.T) {
 	for f := Field(0); f < numFields; f++ {
 		data, err := f.MarshalJSON()
@@ -396,8 +356,14 @@ func TestFieldJSONRoundTrip(t *testing.T) {
 			t.Fatalf("field %v round-tripped to %v", f, back)
 		}
 	}
-	var f Field
-	if err := f.UnmarshalJSON([]byte(`"no-such-field"`)); err == nil {
-		t.Fatal("unknown field name must error")
+	for _, in := range []string{`"no-such-field"`, `-253`, `300`, `-1`} {
+		var f Field
+		err := f.UnmarshalJSON([]byte(in))
+		if err == nil {
+			t.Fatalf("field %s must error, decoded to %v", in, f)
+		}
+		if !strings.Contains(err.Error(), strings.Trim(in, `"`)) {
+			t.Fatalf("field %s: error %q does not name the value", in, err)
+		}
 	}
 }

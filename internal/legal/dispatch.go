@@ -48,11 +48,11 @@ type RuleMatch struct {
 	// Apply consult (the four enum dimensions are implied — Match
 	// already bounds them). Like Match, it must be a superset of what
 	// the rule actually reads. A nil Reads means "unannotated": the
-	// rule is assumed to read every field, which disables delta
-	// short-circuiting for its buckets but is always sound. An empty
-	// non-nil slice means the rule reads only the dimensions.
-	// EvaluateDelta uses the per-bucket union of these sets to prove a
-	// prior ruling still holds after a delta.
+	// rule is assumed to read every field, Name included, which is
+	// always sound. An empty non-nil slice means the rule reads only
+	// the dimensions. compileDispatch unions these sets per bucket;
+	// the ruling cache keys actions name-blind in buckets whose union
+	// excludes FieldName (see Engine.cacheKey).
 	Reads []Field
 }
 
@@ -115,18 +115,11 @@ type dispatchIndex struct {
 	// all is the identity index list 0..len(rules)-1; the linear
 	// reference walk and the out-of-range fallback use it.
 	all []uint16
-	// sens holds, per bucket, the union of the member rules' field
-	// sensitivities (RuleMatch.readsMask): the non-dimension fields
-	// whose value could influence any rule in the bucket. A delta
-	// confined to fields outside this mask cannot change which rules
-	// fire or what they contribute, so the prior ruling stands — the
-	// proof EvaluateDelta's short-circuit rests on.
-	sens []FieldMask
-	// nameFree is the complement of sens's Name bit, re-indexed by the
-	// twelve dimension bits of the packed word (see packAction): bit d
-	// is set iff d packs a valid (actor, timing, data, source) whose
-	// bucket holds no rule that reads Name. The ruling cache keys
-	// actions in such buckets name-blind (see Engine.cacheKey).
+	// nameFree is indexed by the twelve dimension bits of the packed
+	// word (see packAction): bit d is set iff d packs a valid (actor,
+	// timing, data, source) whose bucket holds no rule that reads Name
+	// (RuleMatch.Reads). The ruling cache keys actions in such buckets
+	// name-blind (see Engine.cacheKey).
 	nameFree [1 << packedDimBits / 64]uint64
 }
 
@@ -190,23 +183,24 @@ func compileDispatch(rules []Rule) *dispatchIndex {
 		}
 	})
 
-	x := &dispatchIndex{buckets: make([][]uint16, n), sens: make([]FieldMask, n)}
+	x := &dispatchIndex{buckets: make([][]uint16, n)}
 	backing := make([]uint16, 0, total)
 	forEachCombo(func(a Actor, t Timing, d DataClass, s Source) {
 		probe.Actor, probe.Timing, probe.Data, probe.Source = a, t, d, s
 		i := bucketIndex(a, t, d, s)
 		start := len(backing)
+		var reads FieldMask
 		for ri := range bits {
 			if bits[ri].admits(&probe) {
 				backing = append(backing, uint16(ri))
-				x.sens[i] |= readsOf[ri]
+				reads |= readsOf[ri]
 			}
 		}
 		x.buckets[i] = backing[start:len(backing):len(backing)]
 		// The probe carries only dimensions, so its packed word is its
 		// dimension bits; coordinates too wide to pack exactly are
 		// never looked up name-blind.
-		if w, exact := packAction(&probe); exact && x.sens[i]&(1<<FieldName) == 0 {
+		if w, exact := packAction(&probe); exact && reads&(1<<FieldName) == 0 {
 			x.nameFree[w>>6] |= 1 << (w & 63)
 		}
 	})
@@ -268,8 +262,6 @@ func compactRuling(src *Ruling) Ruling {
 		Required: src.Required,
 		Regime:   src.Regime,
 		Privacy:  src.Privacy,
-		pw:       src.pw,
-		pwExact:  src.pwExact,
 	}
 	if len(src.Exceptions) > 0 {
 		out.Exceptions = append(make([]ExceptionKind, 0, len(src.Exceptions)), src.Exceptions...)
@@ -318,7 +310,6 @@ func (e *Engine) evaluateDispatch(a Action, sc *evalScratch) Ruling {
 	bucket := e.dispatch.bucketFor(&a)
 	if sc == nil {
 		r := Ruling{Action: a}
-		r.pw, r.pwExact = packAction(&r.Action)
 		rc := &RuleContext{engine: e, Action: &a, ruling: &r}
 		scanned := e.walkRules(rc, &r, bucket)
 		if e.statsOn {
@@ -327,7 +318,6 @@ func (e *Engine) evaluateDispatch(a Action, sc *evalScratch) Ruling {
 		return r
 	}
 	sc.reset(e, a)
-	sc.r.pw, sc.r.pwExact = packAction(&sc.r.Action)
 	scanned := e.walkRules(&sc.rc, &sc.r, bucket)
 	if e.statsOn {
 		e.counters.rulesScanned.Add(uint64(scanned))

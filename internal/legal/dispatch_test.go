@@ -342,7 +342,6 @@ func TestCacheCapacityEviction(t *testing.T) {
 // evaluateDispatch to it.
 func (e *Engine) evaluateLinear(a Action) Ruling {
 	r := Ruling{Action: a}
-	r.pw, r.pwExact = packAction(&r.Action)
 	rc := &RuleContext{engine: e, Action: &a, ruling: &r}
 	for i := range e.rules {
 		rule := &e.rules[i]

@@ -68,14 +68,6 @@ type Ruling struct {
 	// Applied names the doctrine rules that fired, in pipeline order —
 	// the ruling's audit trail through the rule table.
 	Applied []string
-
-	// pw is the action's packed scalar word (see packAction), captured
-	// when the ruling was built, and pwExact records whether the
-	// packing is injective. Both are pure functions of Action — no
-	// engine or seed state — and let EvaluateDelta update the cache key
-	// in O(changed fields) instead of re-packing the whole action.
-	pw      uint64
-	pwExact bool
 }
 
 // NeedsProcess reports whether the acquisition requires any warrant, court
@@ -199,7 +191,6 @@ type engineCounters struct {
 	batchDeduped atomic.Uint64
 	batchChained atomic.Uint64
 	deltaEvals   atomic.Uint64
-	deltaShort   atomic.Uint64
 }
 
 // EngineStats is a point-in-time snapshot of the engine's counters —
@@ -240,14 +231,11 @@ type EngineStats struct {
 	// scalar shape and exposure, different name) that received the base
 	// slot's ruling with the name patched instead of a fresh evaluation.
 	BatchDeltaChained uint64
-	// DeltaEvaluations counts EvaluateDelta calls; DeltaShortCircuits
-	// counts the subset resolved by the dispatch-bitset proof without
-	// touching the rule table or the cache. Short-circuited calls do
-	// not count under Evaluations (no engine evaluation ran); the
-	// remainder re-enter the normal evaluation path and are counted
-	// there.
-	DeltaEvaluations   uint64
-	DeltaShortCircuits uint64
+	// DeltaEvaluations counts EvaluateDelta calls. Each is also an
+	// ordinary evaluation of the mutated action, so it counts under
+	// Evaluations too, and under CacheHits or CacheMisses when a cache
+	// is configured.
+	DeltaEvaluations uint64
 	// RuleTableSize is the engine's rule count.
 	RuleTableSize int
 }
@@ -258,14 +246,13 @@ type EngineStats struct {
 // individual counter is monotonic.
 func (e *Engine) Stats() EngineStats {
 	s := EngineStats{
-		Evaluations:        e.counters.evaluations.Load(),
-		InvalidActions:     e.counters.invalid.Load(),
-		RulesScanned:       e.counters.rulesScanned.Load(),
-		BatchDeduped:       e.counters.batchDeduped.Load(),
-		BatchDeltaChained:  e.counters.batchChained.Load(),
-		DeltaEvaluations:   e.counters.deltaEvals.Load(),
-		DeltaShortCircuits: e.counters.deltaShort.Load(),
-		RuleTableSize:      len(e.rules),
+		Evaluations:       e.counters.evaluations.Load(),
+		InvalidActions:    e.counters.invalid.Load(),
+		RulesScanned:      e.counters.rulesScanned.Load(),
+		BatchDeduped:      e.counters.batchDeduped.Load(),
+		BatchDeltaChained: e.counters.batchChained.Load(),
+		DeltaEvaluations:  e.counters.deltaEvals.Load(),
+		RuleTableSize:     len(e.rules),
 	}
 	if e.cache != nil {
 		s.CacheMisses = e.counters.cacheMisses.Load()
@@ -377,76 +364,23 @@ func (e *Engine) Evaluate(a Action) (Ruling, error) {
 	return e.evaluate(&a, nil)
 }
 
-// EvaluateDelta re-evaluates a previously ruled action after the given
-// delta, returning exactly what Evaluate would return for the mutated
-// action (the equivalence tests in delta_test.go hold it to that, error
-// cases included). prev must be a ruling produced by this engine — or
-// one configured with the same rule table and container doctrine —
-// and, like all rulings, must be treated as immutable.
-//
-// The fast path is an O(changed fields) proof that the prior ruling
-// still holds: when the delta leaves the four dispatch dimensions
-// untouched, every new value is in range, and the changed-field mask
-// misses the action's dispatch bucket sensitivity (the union of its
-// rules' declared Reads — see RuleMatch), then by induction over the
-// bucket walk every rule observes identical inputs, fires identically,
-// and contributes identically, so the prior ruling is returned with
-// only the action (and its packed word) updated — no rule walk, no
-// cache traffic, no allocation. Otherwise the action is rebuilt, the
-// cache key is updated incrementally from prev's packed word, and the
-// normal evaluation path runs.
-func (e *Engine) EvaluateDelta(prev *Ruling, d ActionDelta) (r Ruling, err error) {
+// EvaluateDelta re-rules a previously ruled action after the given
+// delta: it applies d to a copy of prev.Action and evaluates the result
+// exactly as Evaluate does, so it returns what Evaluate would return
+// for the mutated action, error cases included. prev may come from any
+// engine (only its Action is read) and, like all rulings, must be
+// treated as immutable. On a cached engine a delta that lands on an
+// already ruled shape is a warm cache hit and allocates nothing.
+func (e *Engine) EvaluateDelta(prev *Ruling, d ActionDelta) (Ruling, error) {
 	if prev == nil {
 		return Ruling{}, fmt.Errorf("legal: EvaluateDelta: nil previous ruling")
 	}
 	if e.statsOn {
 		e.counters.deltaEvals.Add(1)
 	}
-	changed := d.mask()
-	if changed&dimFieldMask == 0 && prev.pwExact && d.changedInRange() {
-		// In-range dimensions (guaranteed by pwExact on a valid prior
-		// action) index the bucket whose sensitivity decides the proof.
-		bi := bucketIndex(prev.Action.Actor, prev.Action.Timing, prev.Action.Data, prev.Action.Source)
-		if bi >= 0 && bi < len(e.dispatch.sens) && e.dispatch.sens[bi]&changed == 0 {
-			if w, ok := d.updatePacked(prev.pw); ok {
-				r = *prev
-				d.Apply(&r.Action)
-				r.pw = w
-				if e.statsOn {
-					e.counters.deltaShort.Add(1)
-				}
-				return r, nil
-			}
-		}
-	}
 	a := prev.Action
 	d.Apply(&a)
-	if e.cache == nil {
-		return e.evaluateUncached(a, nil)
-	}
-	// Incremental cache key: fold the delta into prev's packed word in
-	// O(changed fields) when possible — skipping the full packAction
-	// walk — then derive the key as Evaluate does. updatePacked mirrors
-	// packAction's layout; the sweep and fuzz tests pin it.
-	w, exact := wInexact, false
-	if prev.pwExact {
-		if nw, ok := d.updatePacked(prev.pw); ok {
-			w, exact = nw, true
-		}
-	}
-	if !exact {
-		w, exact = packAction(&a)
-	}
-	h, name := e.cacheKey(&a, w, exact)
-	if en := e.cache.probe(h, w, exact, name, &a); en != nil {
-		if e.statsOn {
-			e.counters.evaluations.Add(1)
-		}
-		r = en.ruling
-		r.Action.Name = a.Name
-		return r, nil
-	}
-	return e.evaluateMiss(a, h, name, nil)
+	return e.evaluate(&a, nil)
 }
 
 // evaluate is Evaluate with an optional per-worker scratch (batch
@@ -455,9 +389,7 @@ func (e *Engine) EvaluateDelta(prev *Ruling, d ActionDelta) (r Ruling, err error
 // verified against the cached (validated) key, so a hit implies
 // validity. The hit path — pack, key hash, lock-free probe, verify,
 // re-label with the caller's name — allocates nothing and writes
-// nothing. EvaluateDelta open-codes the same probe: routing either
-// through a shared helper costs an extra copy of the returned Ruling,
-// which the warm benchmarks show as a large share of a hit.
+// nothing.
 func (e *Engine) evaluate(a *Action, sc *evalScratch) (r Ruling, err error) {
 	c := e.cache
 	if c == nil {
@@ -473,12 +405,12 @@ func (e *Engine) evaluate(a *Action, sc *evalScratch) (r Ruling, err error) {
 		r.Action.Name = a.Name
 		return r, nil
 	}
-	return e.evaluateMiss(*a, h, name, sc)
+	return e.evaluateMiss(*a, h, w, name, sc)
 }
 
 // evaluateMiss is the cache-miss slow path: validate, walk the
-// dispatch bucket, memoize under the key (h, name).
-func (e *Engine) evaluateMiss(a Action, h uint64, name string, sc *evalScratch) (Ruling, error) {
+// dispatch bucket, memoize under the key (h, name) with packed word w.
+func (e *Engine) evaluateMiss(a Action, h, w uint64, name string, sc *evalScratch) (Ruling, error) {
 	if e.statsOn {
 		e.counters.evaluations.Add(1)
 		e.counters.cacheMisses.Add(1)
@@ -492,7 +424,7 @@ func (e *Engine) evaluateMiss(a Action, h uint64, name string, sc *evalScratch) 
 	r := e.evaluateDispatch(a, sc)
 	key := r
 	key.Action.Name = name
-	e.cache.put(h, &key)
+	e.cache.put(h, w, &key)
 	return r, nil
 }
 

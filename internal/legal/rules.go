@@ -127,13 +127,14 @@ func DefaultRules() []Rule {
 	contentData := []DataClass{DataContent, DataDeviceContents}
 	nonContentRT := []DataClass{DataAddressing, DataBasicSubscriber, DataTransactionalRecords}
 
-	// reads declares a rule's non-dimension field sensitivity for the
-	// delta short-circuit (RuleMatch.Reads): reads() means the rule
-	// consults only the dispatch dimensions; reads(f, ...) lists every
-	// other Action field its When or Apply touches. Ruling state read
-	// through the context (Required, Privacy) needs no declaration —
-	// it is itself a function of earlier rules in the same bucket, so
-	// the per-bucket union already covers it.
+	// reads declares a rule's non-dimension field sensitivity
+	// (RuleMatch.Reads), which decides where the ruling cache may key
+	// name-blind: reads() means the rule consults only the dispatch
+	// dimensions; reads(f, ...) lists every other Action field its When
+	// or Apply touches. Ruling state read through the context
+	// (Required, Privacy) needs no declaration — it is itself a
+	// function of earlier rules in the same bucket, so the per-bucket
+	// union already covers it.
 	reads := func(fs ...Field) []Field {
 		if fs == nil {
 			return []Field{}

@@ -27,8 +27,7 @@ type SceneChain struct {
 	Scene Scene
 	// Base is the ruling for the scene as the paper states it.
 	Base legal.Ruling
-	// Events are the chain steps, each ruled incrementally from the
-	// previous one.
+	// Events are the chain steps, each re-ruled from the previous one.
 	Events []SceneEvent
 }
 
@@ -83,8 +82,7 @@ func chainSteps(a legal.Action) []struct {
 // DeltaChains rules every Table 1 scene and then replays its what-if
 // event chain — the channel gets encrypted, the collection escalates to
 // content, consent is revoked, the exigency lapses — with each step
-// evaluated incrementally from the previous ruling through
-// Engine.EvaluateDelta. This is the paper's Table 1 read as a stream:
+// re-ruled from the previous ruling through Engine.EvaluateDelta. This is the paper's Table 1 read as a stream:
 // the same twenty scenes, but under the legal-facts drift a live
 // investigation experiences. Chains are returned in table order.
 func DeltaChains(engine *legal.Engine) ([]SceneChain, error) {

@@ -8,8 +8,8 @@ import (
 )
 
 // TestDeltaChainsMatchFullEvaluation is the scenario-level equivalence
-// check: every step of every scene's what-if chain, ruled incrementally
-// through EvaluateDelta, must equal a full evaluation of the mutated
+// check: every step of every scene's what-if chain, re-ruled through
+// EvaluateDelta, must equal a full evaluation of the mutated
 // action on a fresh engine.
 func TestDeltaChainsMatchFullEvaluation(t *testing.T) {
 	engine := legal.NewEngine(legal.WithRulingCache(0))

@@ -155,8 +155,8 @@ func WithBatchWorkers(n int) EngineOption { return legal.WithBatchWorkers(n) }
 type Advice = legal.Advice
 
 // Event-carried delta pipeline: describe how an action changed as an
-// ActionDelta and re-rule it incrementally with Engine.EvaluateDelta —
-// O(changed fields) when the mutation cannot affect the outcome.
+// ActionDelta and re-rule it with Engine.EvaluateDelta, which evaluates
+// the mutated action exactly as Evaluate would.
 type (
 	// ActionDelta is an ordered set of field-level mutations to an
 	// Action, applied with Apply and reversed with Unapply.

@@ -169,7 +169,7 @@ func TestFacadeAdvise(t *testing.T) {
 
 // TestFacadeDeltaPipeline drives the event-carried delta path through
 // the public API alone: rule a base action, Diff a mutation, re-rule it
-// incrementally, and check it equals a full evaluation.
+// through EvaluateDelta, and check it equals a full evaluation.
 func TestFacadeDeltaPipeline(t *testing.T) {
 	engine := lawgate.NewEngine()
 	base := lawgate.Action{
