@@ -7,6 +7,10 @@
 // Crist drive examination in both postures, the § III-A-2 attribution
 // exam, and the exigent-seizure flow. Experiments E4 and E6.
 //
+// Every flow's case clock starts at 2012-05-01 09:00 UTC and steps one
+// minute per reading, so the text and -json outputs, and an exported
+// ledger, are byte-identical from run to run.
+//
 // Usage:
 //
 //	casefile [-flow p2p|watermark|kyllo|drive|attribution|exigent|all] [-json] [-export-ledger file]
@@ -24,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"time"
 
 	"lawgate/internal/investigation"
 	"lawgate/internal/ledger"
@@ -44,6 +49,21 @@ func main() {
 		fmt.Fprintln(os.Stderr, "casefile:", err)
 		os.Exit(1)
 	}
+}
+
+// caseEpoch is where every flow's case clock starts: the same instant
+// the investigation tests fix, so fact stamps, order expiry dates and
+// the chain hashes sealed over them are identical on every run.
+var caseEpoch = time.Date(2012, time.May, 1, 9, 0, 0, 0, time.UTC)
+
+// caseClock returns a fresh case clock for one flow: it starts at
+// caseEpoch and steps one minute per reading.
+func caseClock() investigation.CaseOption {
+	t := caseEpoch
+	return investigation.WithCaseClock(func() time.Time {
+		t = t.Add(time.Minute)
+		return t
+	})
 }
 
 // verifyLedgerCmd implements the verify-ledger subcommand.
@@ -99,7 +119,7 @@ func run(flow string, asJSON bool, exportLedger string) error {
 		if runP2P {
 			res, err := investigation.RunP2PTraceback(investigation.P2PTracebackConfig{
 				Seed: 1, Neighbors: 8, Sources: 3, Probes: 8,
-			})
+			}, caseClock())
 			if err != nil {
 				return err
 			}
@@ -107,7 +127,7 @@ func run(flow string, asJSON bool, exportLedger string) error {
 			last = res.Case
 		}
 		if runWM {
-			res, err := investigation.RunWatermarkTraceback(watermark.DefaultExperimentConfig())
+			res, err := investigation.RunWatermarkTraceback(watermark.DefaultExperimentConfig(), caseClock())
 			if err != nil {
 				return err
 			}
@@ -115,7 +135,7 @@ func run(flow string, asJSON bool, exportLedger string) error {
 			last = res.Case
 		}
 		if runKyllo {
-			res, err := investigation.RunKylloDemo()
+			res, err := investigation.RunKylloDemo(caseClock())
 			if err != nil {
 				return err
 			}
@@ -124,7 +144,7 @@ func run(flow string, asJSON bool, exportLedger string) error {
 		}
 		if runDrive {
 			for _, withWarrant := range []bool{true, false} {
-				res, err := investigation.RunDriveExam(withWarrant)
+				res, err := investigation.RunDriveExam(withWarrant, caseClock())
 				if err != nil {
 					return err
 				}
@@ -134,7 +154,7 @@ func run(flow string, asJSON bool, exportLedger string) error {
 		}
 		if runAttr {
 			for _, exclusive := range []bool{true, false} {
-				res, err := investigation.RunAttributionExam(exclusive)
+				res, err := investigation.RunAttributionExam(exclusive, caseClock())
 				if err != nil {
 					return err
 				}
@@ -144,7 +164,7 @@ func run(flow string, asJSON bool, exportLedger string) error {
 		}
 		if runExig {
 			for _, threat := range []investigation.DeviceThreat{{RemoteWipeObserved: true}, {}} {
-				res, err := investigation.RunExigentSeizure(threat)
+				res, err := investigation.RunExigentSeizure(threat, caseClock())
 				if err != nil {
 					return err
 				}
@@ -161,7 +181,7 @@ func run(flow string, asJSON bool, exportLedger string) error {
 	if runP2P {
 		res, err := investigation.RunP2PTraceback(investigation.P2PTracebackConfig{
 			Seed: 1, Neighbors: 8, Sources: 3, Probes: 8,
-		})
+		}, caseClock())
 		if err != nil {
 			return err
 		}
@@ -182,7 +202,7 @@ func run(flow string, asJSON bool, exportLedger string) error {
 	}
 
 	if runWM {
-		res, err := investigation.RunWatermarkTraceback(watermark.DefaultExperimentConfig())
+		res, err := investigation.RunWatermarkTraceback(watermark.DefaultExperimentConfig(), caseClock())
 		if err != nil {
 			return err
 		}
@@ -197,7 +217,7 @@ func run(flow string, asJSON bool, exportLedger string) error {
 	}
 
 	if runKyllo {
-		res, err := investigation.RunKylloDemo()
+		res, err := investigation.RunKylloDemo(caseClock())
 		if err != nil {
 			return err
 		}
@@ -213,7 +233,7 @@ func run(flow string, asJSON bool, exportLedger string) error {
 
 	if runDrive {
 		for _, withWarrant := range []bool{true, false} {
-			res, err := investigation.RunDriveExam(withWarrant)
+			res, err := investigation.RunDriveExam(withWarrant, caseClock())
 			if err != nil {
 				return err
 			}
@@ -237,7 +257,7 @@ func run(flow string, asJSON bool, exportLedger string) error {
 
 	if runAttr {
 		for _, exclusive := range []bool{true, false} {
-			res, err := investigation.RunAttributionExam(exclusive)
+			res, err := investigation.RunAttributionExam(exclusive, caseClock())
 			if err != nil {
 				return err
 			}
@@ -258,7 +278,7 @@ func run(flow string, asJSON bool, exportLedger string) error {
 			{RemoteWipeObserved: true},
 			{},
 		} {
-			res, err := investigation.RunExigentSeizure(threat)
+			res, err := investigation.RunExigentSeizure(threat, caseClock())
 			if err != nil {
 				return err
 			}

@@ -10,7 +10,6 @@ import (
 	"unicode/utf8"
 
 	"lawgate/internal/legal"
-	"lawgate/internal/report"
 )
 
 // maxSkipDepth bounds nesting while skipping unknown fields, so a
@@ -518,20 +517,6 @@ func (d *decoder) internedString(s *string) error {
 	return nil
 }
 
-// copiedString decodes a string value into *s as a fresh copy — for
-// the colder decoders whose strings should not crowd the intern cache.
-func (d *decoder) copiedString(s *string) error {
-	if d.tryNull() {
-		return nil
-	}
-	b, err := d.parseString()
-	if err != nil {
-		return err
-	}
-	*s = string(b)
-	return nil
-}
-
 // setInt decodes an integer value into any int-kinded field; null is a
 // no-op.
 func setInt[T ~int](d *decoder, p *T) error {
@@ -552,19 +537,6 @@ func (d *decoder) setBool(p *bool) error {
 		return nil
 	}
 	v, err := d.parseBool()
-	if err != nil {
-		return err
-	}
-	*p = v
-	return nil
-}
-
-// setInt64 decodes an int64 field; null is a no-op.
-func (d *decoder) setInt64(p *int64) error {
-	if d.tryNull() {
-		return nil
-	}
-	v, err := d.parseInt()
 	if err != nil {
 		return err
 	}
@@ -613,47 +585,8 @@ func decodeIntSlice[T ~int](d *decoder, p *[]T) error {
 	}
 }
 
-// stringSlice decodes a JSON array of strings into a fresh slice with
-// fresh string copies; same null/empty semantics as decodeIntSlice.
-func (d *decoder) stringSlice(p *[]string) error {
-	if d.tryNull() {
-		*p = nil
-		return nil
-	}
-	if err := d.expect('['); err != nil {
-		return err
-	}
-	ss := make([]string, 0)
-	d.skipSpace()
-	if d.pos < len(d.data) && d.data[d.pos] == ']' {
-		d.pos++
-		*p = ss
-		return nil
-	}
-	for {
-		d.skipSpace()
-		if d.tryNull() {
-			ss = append(ss, "")
-		} else {
-			b, err := d.parseString()
-			if err != nil {
-				return err
-			}
-			ss = append(ss, string(b))
-		}
-		more, err := d.endElem(']')
-		if err != nil {
-			return err
-		}
-		if !more {
-			*p = ss
-			return nil
-		}
-	}
-}
-
-// beginObject consumes '{' (or null, or an immediately empty object)
-// and reports whether any members follow.
+// beginObject consumes '{', and '}' too when the object is empty, and
+// reports whether any members follow.
 func (d *decoder) beginObject() (members bool, err error) {
 	if err := d.expect('{'); err != nil {
 		return false, err
@@ -683,136 +616,85 @@ func (d *decoder) member() ([]byte, error) {
 	return k, nil
 }
 
-func (d *decoder) decodeConsent(c *legal.Consent) error {
+// subObject decodes a pointer-to-struct member with encoding/json's
+// semantics: null sets *p to nil, and an object merges into *p — set
+// already only by a repeated key earlier in the same action — or into
+// a fresh T. member gets each folded key and must consume its value.
+// Every T is a new allocation, never pooled: the engine's ruling cache
+// retains the action that points at it.
+func subObject[T any](d *decoder, p **T, member func(d *decoder, v *T, key []byte) error) error {
+	if d.tryNull() {
+		*p = nil
+		return nil
+	}
+	v := *p
+	if v == nil {
+		v = new(T)
+	}
 	members, err := d.beginObject()
-	if err != nil || !members {
+	for members && err == nil {
+		var key []byte
+		if key, err = d.member(); err != nil {
+			break
+		}
+		if err = member(d, v, key); err != nil {
+			break
+		}
+		members, err = d.endElem('}')
+	}
+	if err != nil {
 		return err
 	}
-	for {
-		key, err := d.member()
-		if err != nil {
-			return err
-		}
-		switch string(key) {
-		case "scope":
-			err = setInt(d, &c.Scope)
-		case "revoked":
-			err = d.setBool(&c.Revoked)
-		case "exceedsscope":
-			err = d.setBool(&c.ExceedsScope)
-		case "allpartiesrequired":
-			err = d.setBool(&c.AllPartiesRequired)
-		default:
-			err = d.skipValue(0)
-		}
-		if err != nil {
-			return err
-		}
-		more, err := d.endElem('}')
-		if err != nil {
-			return err
-		}
-		if !more {
-			return nil
-		}
-	}
+	*p = v
+	return nil
 }
 
-func (d *decoder) decodeExigency(x *legal.Exigency) error {
-	members, err := d.beginObject()
-	if err != nil || !members {
-		return err
+func consentMember(d *decoder, c *legal.Consent, key []byte) error {
+	switch string(key) {
+	case "scope":
+		return setInt(d, &c.Scope)
+	case "revoked":
+		return d.setBool(&c.Revoked)
+	case "exceedsscope":
+		return d.setBool(&c.ExceedsScope)
+	case "allpartiesrequired":
+		return d.setBool(&c.AllPartiesRequired)
 	}
-	for {
-		key, err := d.member()
-		if err != nil {
-			return err
-		}
-		switch string(key) {
-		case "kind":
-			err = setInt(d, &x.Kind)
-		case "approved":
-			err = d.setBool(&x.Approved)
-		default:
-			err = d.skipValue(0)
-		}
-		if err != nil {
-			return err
-		}
-		more, err := d.endElem('}')
-		if err != nil {
-			return err
-		}
-		if !more {
-			return nil
-		}
-	}
+	return d.skipValue(0)
 }
 
-func (d *decoder) decodeTech(t *legal.SpecializedTech) error {
-	members, err := d.beginObject()
-	if err != nil || !members {
-		return err
+func exigencyMember(d *decoder, x *legal.Exigency, key []byte) error {
+	switch string(key) {
+	case "kind":
+		return setInt(d, &x.Kind)
+	case "approved":
+		return d.setBool(&x.Approved)
 	}
-	for {
-		key, err := d.member()
-		if err != nil {
-			return err
-		}
-		switch string(key) {
-		case "generalpublicuse":
-			err = d.setBool(&t.GeneralPublicUse)
-		case "revealshomeinterior":
-			err = d.setBool(&t.RevealsHomeInterior)
-		default:
-			err = d.skipValue(0)
-		}
-		if err != nil {
-			return err
-		}
-		more, err := d.endElem('}')
-		if err != nil {
-			return err
-		}
-		if !more {
-			return nil
-		}
-	}
+	return d.skipValue(0)
 }
 
-func (d *decoder) decodeWorkplace(w *legal.WorkplaceSearch) error {
-	members, err := d.beginObject()
-	if err != nil || !members {
-		return err
+func techMember(d *decoder, t *legal.SpecializedTech, key []byte) error {
+	switch string(key) {
+	case "generalpublicuse":
+		return d.setBool(&t.GeneralPublicUse)
+	case "revealshomeinterior":
+		return d.setBool(&t.RevealsHomeInterior)
 	}
-	for {
-		key, err := d.member()
-		if err != nil {
-			return err
-		}
-		switch string(key) {
-		case "governmentemployer":
-			err = d.setBool(&w.GovernmentEmployer)
-		case "workrelated":
-			err = d.setBool(&w.WorkRelated)
-		case "justifiedatinception":
-			err = d.setBool(&w.JustifiedAtInception)
-		case "permissiblescope":
-			err = d.setBool(&w.PermissibleScope)
-		default:
-			err = d.skipValue(0)
-		}
-		if err != nil {
-			return err
-		}
-		more, err := d.endElem('}')
-		if err != nil {
-			return err
-		}
-		if !more {
-			return nil
-		}
+	return d.skipValue(0)
+}
+
+func workplaceMember(d *decoder, w *legal.WorkplaceSearch, key []byte) error {
+	switch string(key) {
+	case "governmentemployer":
+		return d.setBool(&w.GovernmentEmployer)
+	case "workrelated":
+		return d.setBool(&w.WorkRelated)
+	case "justifiedatinception":
+		return d.setBool(&w.JustifiedAtInception)
+	case "permissiblescope":
+		return d.setBool(&w.PermissibleScope)
 	}
+	return d.skipValue(0)
 }
 
 // decodeAction fills a from one JSON object. Sub-objects and slices
@@ -850,29 +732,9 @@ func (d *decoder) decodeAction(a *legal.Action) error {
 		case "exposure":
 			err = decodeIntSlice(d, &a.Exposure)
 		case "consent":
-			if d.tryNull() {
-				a.Consent = nil
-			} else {
-				c := a.Consent
-				if c == nil {
-					c = new(legal.Consent)
-				}
-				if err = d.decodeConsent(c); err == nil {
-					a.Consent = c
-				}
-			}
+			err = subObject(d, &a.Consent, consentMember)
 		case "exigency":
-			if d.tryNull() {
-				a.Exigency = nil
-			} else {
-				x := a.Exigency
-				if x == nil {
-					x = new(legal.Exigency)
-				}
-				if err = d.decodeExigency(x); err == nil {
-					a.Exigency = x
-				}
-			}
+			err = subObject(d, &a.Exigency, exigencyMember)
 		case "plainview":
 			err = d.setBool(&a.PlainView)
 		case "lawfulvantage":
@@ -880,29 +742,9 @@ func (d *decoder) decodeAction(a *legal.Action) error {
 		case "probationsearch":
 			err = d.setBool(&a.ProbationSearch)
 		case "tech":
-			if d.tryNull() {
-				a.Tech = nil
-			} else {
-				t := a.Tech
-				if t == nil {
-					t = new(legal.SpecializedTech)
-				}
-				if err = d.decodeTech(t); err == nil {
-					a.Tech = t
-				}
-			}
+			err = subObject(d, &a.Tech, techMember)
 		case "workplace":
-			if d.tryNull() {
-				a.Workplace = nil
-			} else {
-				w := a.Workplace
-				if w == nil {
-					w = new(legal.WorkplaceSearch)
-				}
-				if err = d.decodeWorkplace(w); err == nil {
-					a.Workplace = w
-				}
-			}
+			err = subObject(d, &a.Workplace, workplaceMember)
 		case "providerrole":
 			err = setInt(d, &a.ProviderRole)
 		case "providerpublic":
@@ -911,206 +753,6 @@ func (d *decoder) decodeAction(a *legal.Action) error {
 			err = d.setBool(&a.InterceptsThirdParty)
 		case "searchbeyondauthority":
 			err = d.setBool(&a.SearchBeyondAuthority)
-		default:
-			err = d.skipValue(0)
-		}
-		if err != nil {
-			return err
-		}
-		more, err := d.endElem('}')
-		if err != nil {
-			return err
-		}
-		if !more {
-			return nil
-		}
-	}
-}
-
-func (d *decoder) decodeCitation(c *legal.Citation) error {
-	members, err := d.beginObject()
-	if err != nil || !members {
-		return err
-	}
-	for {
-		key, err := d.member()
-		if err != nil {
-			return err
-		}
-		switch string(key) {
-		case "id":
-			err = d.copiedString(&c.ID)
-		case "title":
-			err = d.copiedString(&c.Title)
-		default:
-			err = d.skipValue(0)
-		}
-		if err != nil {
-			return err
-		}
-		more, err := d.endElem('}')
-		if err != nil {
-			return err
-		}
-		if !more {
-			return nil
-		}
-	}
-}
-
-func (d *decoder) citationSlice(p *[]legal.Citation) error {
-	if d.tryNull() {
-		*p = nil
-		return nil
-	}
-	if err := d.expect('['); err != nil {
-		return err
-	}
-	cs := make([]legal.Citation, 0)
-	d.skipSpace()
-	if d.pos < len(d.data) && d.data[d.pos] == ']' {
-		d.pos++
-		*p = cs
-		return nil
-	}
-	for {
-		d.skipSpace()
-		cs = append(cs, legal.Citation{})
-		if !d.tryNull() {
-			if err := d.decodeCitation(&cs[len(cs)-1]); err != nil {
-				return err
-			}
-		}
-		more, err := d.endElem(']')
-		if err != nil {
-			return err
-		}
-		if !more {
-			*p = cs
-			return nil
-		}
-	}
-}
-
-func (d *decoder) decodePrivacy(p *legal.PrivacyFinding) error {
-	members, err := d.beginObject()
-	if err != nil || !members {
-		return err
-	}
-	for {
-		key, err := d.member()
-		if err != nil {
-			return err
-		}
-		switch string(key) {
-		case "reasonable":
-			err = d.setBool(&p.Reasonable)
-		case "reasons":
-			err = d.stringSlice(&p.Reasons)
-		case "citations":
-			err = d.citationSlice(&p.Citations)
-		default:
-			err = d.skipValue(0)
-		}
-		if err != nil {
-			return err
-		}
-		more, err := d.endElem('}')
-		if err != nil {
-			return err
-		}
-		if !more {
-			return nil
-		}
-	}
-}
-
-func (d *decoder) decodeRuling(r *legal.Ruling) error {
-	d.skipSpace()
-	if d.tryNull() {
-		return nil
-	}
-	members, err := d.beginObject()
-	if err != nil || !members {
-		return err
-	}
-	for {
-		key, err := d.member()
-		if err != nil {
-			return err
-		}
-		switch string(key) {
-		case "action":
-			err = d.decodeAction(&r.Action)
-		case "required":
-			err = setInt(d, &r.Required)
-		case "regime":
-			err = setInt(d, &r.Regime)
-		case "exceptions":
-			err = decodeIntSlice(d, &r.Exceptions)
-		case "privacy":
-			if d.tryNull() {
-				r.Privacy = nil
-			} else {
-				p := r.Privacy
-				if p == nil {
-					p = new(legal.PrivacyFinding)
-				}
-				if err = d.decodePrivacy(p); err == nil {
-					r.Privacy = p
-				}
-			}
-		case "rationale":
-			err = d.stringSlice(&r.Rationale)
-		case "citations":
-			err = d.citationSlice(&r.Citations)
-		case "applied":
-			err = d.stringSlice(&r.Applied)
-		default:
-			err = d.skipValue(0)
-		}
-		if err != nil {
-			return err
-		}
-		more, err := d.endElem('}')
-		if err != nil {
-			return err
-		}
-		if !more {
-			return nil
-		}
-	}
-}
-
-func (d *decoder) decodeRulingView(v *report.RulingView) error {
-	d.skipSpace()
-	if d.tryNull() {
-		return nil
-	}
-	members, err := d.beginObject()
-	if err != nil || !members {
-		return err
-	}
-	for {
-		key, err := d.member()
-		if err != nil {
-			return err
-		}
-		switch string(key) {
-		case "action":
-			err = d.copiedString(&v.Action)
-		case "required":
-			err = d.copiedString(&v.Required)
-		case "regime":
-			err = d.copiedString(&v.Regime)
-		case "needsprocess":
-			err = d.setBool(&v.NeedsProcess)
-		case "exceptions":
-			err = d.stringSlice(&v.Exceptions)
-		case "rationale":
-			err = d.stringSlice(&v.Rationale)
-		case "citations":
-			err = d.stringSlice(&v.Citations)
 		default:
 			err = d.skipValue(0)
 		}
@@ -1174,23 +816,4 @@ func DecodeActions(data []byte, dst []legal.Action) ([]legal.Action, error) {
 			return dst, nil
 		}
 	}
-}
-
-// DecodeRuling parses data's first JSON value into r, resetting r
-// first. The unexported cache-key words stay zero, exactly as with
-// encoding/json; the engine rebuilds them on evaluation.
-func DecodeRuling(data []byte, r *legal.Ruling) error {
-	d := getDecoder(data)
-	defer putDecoder(d)
-	*r = legal.Ruling{}
-	return d.decodeRuling(r)
-}
-
-// DecodeRulingView parses data's first JSON value into v, resetting v
-// first.
-func DecodeRulingView(data []byte, v *report.RulingView) error {
-	d := getDecoder(data)
-	defer putDecoder(d)
-	*v = report.RulingView{}
-	return d.decodeRulingView(v)
 }

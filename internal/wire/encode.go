@@ -5,7 +5,6 @@ import (
 	"unicode/utf8"
 
 	"lawgate/internal/legal"
-	"lawgate/internal/report"
 )
 
 const hexDigits = "0123456789abcdef"
@@ -97,211 +96,11 @@ func AppendBool(dst []byte, v bool) []byte {
 	return append(dst, "false"...)
 }
 
-// AppendStringSlice appends a []string the way encoding/json renders
-// it: null when nil, [] when empty, an array otherwise.
-func AppendStringSlice(dst []byte, ss []string) []byte {
-	if ss == nil {
-		return append(dst, "null"...)
-	}
-	dst = append(dst, '[')
-	for i, s := range ss {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = AppendString(dst, s)
-	}
-	return append(dst, ']')
-}
-
-// AppendAction appends a's encoding/json rendering: Go field names
-// (the struct carries no tags), enums as ints, nil pointers and nil
-// slices as null.
-func AppendAction(dst []byte, a *legal.Action) []byte {
-	dst = append(dst, `{"Name":`...)
-	dst = AppendString(dst, a.Name)
-	dst = append(dst, `,"Actor":`...)
-	dst = AppendInt(dst, int64(a.Actor))
-	dst = append(dst, `,"Timing":`...)
-	dst = AppendInt(dst, int64(a.Timing))
-	dst = append(dst, `,"Data":`...)
-	dst = AppendInt(dst, int64(a.Data))
-	dst = append(dst, `,"Source":`...)
-	dst = AppendInt(dst, int64(a.Source))
-	dst = append(dst, `,"Encrypted":`...)
-	dst = AppendBool(dst, a.Encrypted)
-	dst = append(dst, `,"Exposure":`...)
-	if a.Exposure == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i, e := range a.Exposure {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = AppendInt(dst, int64(e))
-		}
-		dst = append(dst, ']')
-	}
-	dst = append(dst, `,"Consent":`...)
-	if c := a.Consent; c == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, `{"Scope":`...)
-		dst = AppendInt(dst, int64(c.Scope))
-		dst = append(dst, `,"Revoked":`...)
-		dst = AppendBool(dst, c.Revoked)
-		dst = append(dst, `,"ExceedsScope":`...)
-		dst = AppendBool(dst, c.ExceedsScope)
-		dst = append(dst, `,"AllPartiesRequired":`...)
-		dst = AppendBool(dst, c.AllPartiesRequired)
-		dst = append(dst, '}')
-	}
-	dst = append(dst, `,"Exigency":`...)
-	if x := a.Exigency; x == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, `{"Kind":`...)
-		dst = AppendInt(dst, int64(x.Kind))
-		dst = append(dst, `,"Approved":`...)
-		dst = AppendBool(dst, x.Approved)
-		dst = append(dst, '}')
-	}
-	dst = append(dst, `,"PlainView":`...)
-	dst = AppendBool(dst, a.PlainView)
-	dst = append(dst, `,"LawfulVantage":`...)
-	dst = AppendBool(dst, a.LawfulVantage)
-	dst = append(dst, `,"ProbationSearch":`...)
-	dst = AppendBool(dst, a.ProbationSearch)
-	dst = append(dst, `,"Tech":`...)
-	if t := a.Tech; t == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, `{"GeneralPublicUse":`...)
-		dst = AppendBool(dst, t.GeneralPublicUse)
-		dst = append(dst, `,"RevealsHomeInterior":`...)
-		dst = AppendBool(dst, t.RevealsHomeInterior)
-		dst = append(dst, '}')
-	}
-	dst = append(dst, `,"Workplace":`...)
-	if ws := a.Workplace; ws == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, `{"GovernmentEmployer":`...)
-		dst = AppendBool(dst, ws.GovernmentEmployer)
-		dst = append(dst, `,"WorkRelated":`...)
-		dst = AppendBool(dst, ws.WorkRelated)
-		dst = append(dst, `,"JustifiedAtInception":`...)
-		dst = AppendBool(dst, ws.JustifiedAtInception)
-		dst = append(dst, `,"PermissibleScope":`...)
-		dst = AppendBool(dst, ws.PermissibleScope)
-		dst = append(dst, '}')
-	}
-	dst = append(dst, `,"ProviderRole":`...)
-	dst = AppendInt(dst, int64(a.ProviderRole))
-	dst = append(dst, `,"ProviderPublic":`...)
-	dst = AppendBool(dst, a.ProviderPublic)
-	dst = append(dst, `,"InterceptsThirdParty":`...)
-	dst = AppendBool(dst, a.InterceptsThirdParty)
-	dst = append(dst, `,"SearchBeyondAuthority":`...)
-	dst = AppendBool(dst, a.SearchBeyondAuthority)
-	return append(dst, '}')
-}
-
-// appendCitation appends one legal.Citation object.
-func appendCitation(dst []byte, c *legal.Citation) []byte {
-	dst = append(dst, `{"ID":`...)
-	dst = AppendString(dst, c.ID)
-	dst = append(dst, `,"Title":`...)
-	dst = AppendString(dst, c.Title)
-	return append(dst, '}')
-}
-
-// appendCitations appends a []legal.Citation (null when nil).
-func appendCitations(dst []byte, cs []legal.Citation) []byte {
-	if cs == nil {
-		return append(dst, "null"...)
-	}
-	dst = append(dst, '[')
-	for i := range cs {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = appendCitation(dst, &cs[i])
-	}
-	return append(dst, ']')
-}
-
-// AppendRuling appends r's encoding/json rendering. Only exported
-// fields travel, exactly as with the stdlib (the cache-key words are
-// unexported and rebuilt on evaluation).
-func AppendRuling(dst []byte, r *legal.Ruling) []byte {
-	dst = append(dst, `{"Action":`...)
-	dst = AppendAction(dst, &r.Action)
-	dst = append(dst, `,"Required":`...)
-	dst = AppendInt(dst, int64(r.Required))
-	dst = append(dst, `,"Regime":`...)
-	dst = AppendInt(dst, int64(r.Regime))
-	dst = append(dst, `,"Exceptions":`...)
-	if r.Exceptions == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i, e := range r.Exceptions {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = AppendInt(dst, int64(e))
-		}
-		dst = append(dst, ']')
-	}
-	dst = append(dst, `,"Privacy":`...)
-	if p := r.Privacy; p == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, `{"Reasonable":`...)
-		dst = AppendBool(dst, p.Reasonable)
-		dst = append(dst, `,"Reasons":`...)
-		dst = AppendStringSlice(dst, p.Reasons)
-		dst = append(dst, `,"Citations":`...)
-		dst = appendCitations(dst, p.Citations)
-		dst = append(dst, '}')
-	}
-	dst = append(dst, `,"Rationale":`...)
-	dst = AppendStringSlice(dst, r.Rationale)
-	dst = append(dst, `,"Citations":`...)
-	dst = appendCitations(dst, r.Citations)
-	dst = append(dst, `,"Applied":`...)
-	dst = AppendStringSlice(dst, r.Applied)
-	return append(dst, '}')
-}
-
-// AppendRulingView appends v's encoding/json rendering (lowercase
-// tagged names, exceptions omitted when empty).
-func AppendRulingView(dst []byte, v *report.RulingView) []byte {
-	dst = append(dst, `{"action":`...)
-	dst = AppendString(dst, v.Action)
-	dst = append(dst, `,"required":`...)
-	dst = AppendString(dst, v.Required)
-	dst = append(dst, `,"regime":`...)
-	dst = AppendString(dst, v.Regime)
-	dst = append(dst, `,"needsProcess":`...)
-	dst = AppendBool(dst, v.NeedsProcess)
-	if len(v.Exceptions) > 0 {
-		dst = append(dst, `,"exceptions":`...)
-		dst = AppendStringSlice(dst, v.Exceptions)
-	}
-	dst = append(dst, `,"rationale":`...)
-	dst = AppendStringSlice(dst, v.Rationale)
-	dst = append(dst, `,"citations":`...)
-	dst = AppendStringSlice(dst, v.Citations)
-	return append(dst, '}')
-}
-
-// AppendRulingViewFromRuling appends the RulingView projection of r
-// without materializing the view: byte-for-byte what
-// AppendRulingView(dst, report.FromRuling(r)) — and therefore what
-// encoding/json — would produce, with zero intermediate slices. This
-// is the serving hot path's response body core.
+// AppendRulingViewFromRuling appends the report.RulingView projection
+// of r without materializing the view: byte-for-byte what
+// json.Marshal(report.FromRuling(*r)) produces (lowercase tagged
+// names, exceptions omitted when empty), with zero intermediate
+// slices. This is the serving hot path's response body core.
 func AppendRulingViewFromRuling(dst []byte, r *legal.Ruling) []byte {
 	dst = append(dst, `{"action":`...)
 	dst = AppendString(dst, r.Action.Name)

@@ -1,26 +1,30 @@
 // Package wire is the zero-allocation JSON codec for the serving hot
-// path. It hand-encodes and hand-decodes the request/response types
-// lawgated moves per request — legal.Action, legal.Ruling,
-// report.RulingView, and the primitives the server's response
-// envelopes are built from — producing output byte-identical to
-// encoding/json (the compatibility contract, proven by differential
-// fuzz in wire_test.go) while allocating nothing at steady state:
-// encoders append into pooled buffers, decoders run off a pooled
-// scratch + name-intern cache, and the only allocations left are the
-// ones Go's aliasing rules force (fresh sub-objects and slices that
-// outlive the request inside the engine's ruling cache, and
-// first-sight strings before they are interned).
+// path. It carries exactly what lawgated moves per request: it decodes
+// legal.Action bodies (DecodeAction, and DecodeActions for batches),
+// encodes each ruling as its report.RulingView projection
+// (AppendRulingViewFromRuling), and supplies the primitives the
+// server's response envelopes are built from (AppendString, AppendInt,
+// AppendUint, AppendBool) plus a pool of encode buffers. Its output and
+// its decoded values match encoding/json exactly — the compatibility
+// contract, checked by the differential fuzz in wire_test.go — while
+// allocating nothing at steady state: encoders append into pooled
+// buffers, decoders run off a pooled scratch + name-intern cache, and
+// the only allocations left are the ones Go's aliasing rules force
+// (fresh sub-objects and slices that outlive the request inside the
+// engine's ruling cache, and first-sight strings before they are
+// interned).
 //
 // Byte-identity with encoding/json is a hard requirement, not a
 // nicety: golden files, external clients, and the conformance probe
-// all pin the stdlib rendering, so the codec must reproduce stdlib
+// all pin the stdlib rendering, so the encoder must reproduce stdlib
 // field order, omitempty behavior, nil-vs-empty slice distinction,
 // and string escaping (HTML-safe escapes for <, >, &; \u00xx for
 // control characters with the \b \f \n \r \t shorthands; U+2028 and
 // U+2029 escaped; invalid UTF-8 bytes replaced by �) exactly.
 // Decoding matches encoding/json semantics for the inputs the server
 // accepts: case-insensitive key matching, unknown fields skipped,
-// null handling, and [] decoding to a non-nil empty slice.
+// null handling, duplicate keys merged, and [] decoding to a non-nil
+// empty slice.
 package wire
 
 import "sync"

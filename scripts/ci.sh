@@ -33,12 +33,17 @@
 # proves the loadgen schedule completes with every request accounted,
 # and the committed BENCH_server.json is gated on latency budgets and a
 # rulings/sec floor.
-# The wire codec gets its own gates: a short differential fuzz run
-# against encoding/json, a bench smoke pinning encode and decode to 0
+# The wire codec gets its own gates: a short differential fuzz run of
+# the functions lawgated serves through (DecodeAction, DecodeActions,
+# AppendRulingViewFromRuling and the string escaper) against
+# encoding/json, a bench smoke pinning encode and decode to 0
 # allocs/op, and pair gates on the committed BENCH_wire.json proving
 # the codec's speedup over stdlib; the committed BENCH_ledger.json
 # additionally proves AppendBatch amortizes at least 2x over looped
 # Append.
+# The experiment record is byte-reproducible: scripts/regenerate.sh
+# rebuilds every artifact into a temp dir, and each file git lists
+# under out/ must match its regenerated copy exactly.
 # Full benchmarks are not part of the gate (run `scripts/bench.sh` for
 # those), but a -short bench smoke proves the bench tooling itself
 # still runs and emits parseable JSON; the golden-ruling test in
@@ -111,6 +116,17 @@ cmp "$tmpdir/p2p-run1.json" "$tmpdir/p2p-run2.json"
 go run ./cmd/tracewatermark -smoke -json >"$tmpdir/wm-run1.json"
 go run ./cmd/tracewatermark -smoke -json >"$tmpdir/wm-run2.json"
 cmp "$tmpdir/wm-run1.json" "$tmpdir/wm-run2.json"
+
+echo "== reproducibility: regenerated out/ matches every committed artifact"
+tracked=$(git ls-files out/)
+if [ -z "$tracked" ]; then
+	echo "git lists no committed out/ files to compare" >&2
+	exit 1
+fi
+sh scripts/regenerate.sh -o "$tmpdir/out" >/dev/null
+for f in $tracked; do
+	cmp "$f" "$tmpdir/out/${f#out/}"
+done
 
 echo "== delta equivalence sweep under the race detector"
 go test -race -run 'TestDeltaMatchesFullEvaluate|TestDeltaRoundTrip|TestBatchDeltaChainWorkersIdentity' ./internal/legal

@@ -1,12 +1,25 @@
 #!/bin/sh
-# Regenerates every artifact in EXPERIMENTS.md into out/.
-# Usage: scripts/regenerate.sh [trials]
+# Regenerates every artifact in EXPERIMENTS.md into out/ (or into the
+# directory given with -o).
+# Usage: scripts/regenerate.sh [-o outdir] [trials]
 #
 # The E2/E3 sweeps run their trials in parallel on all CPUs (the shared
 # experiment harness); results depend only on -seed, not on -workers.
+# Every artifact is byte-reproducible: scripts/ci.sh regenerates into a
+# temp dir and compares each committed out/ file against it.
 set -eu
-trials="${1:-5}"
 out=out
+while getopts o: opt; do
+	case $opt in
+	o) out=$OPTARG ;;
+	*)
+		echo "usage: scripts/regenerate.sh [-o outdir] [trials]" >&2
+		exit 2
+		;;
+	esac
+done
+shift $((OPTIND - 1))
+trials="${1:-5}"
 mkdir -p "$out"
 echo "E1: Table 1 ..."
 go run ./cmd/scenariotable > "$out/table1.txt"
