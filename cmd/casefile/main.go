@@ -27,9 +27,11 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
+	"lawgate/internal/evidence"
 	"lawgate/internal/investigation"
 	"lawgate/internal/ledger"
 	"lawgate/internal/opinion"
@@ -91,213 +93,175 @@ func verifyLedgerCmd(args []string) int {
 	return 0
 }
 
+// A step runs one investigation, writes its text report to w, and
+// returns its case for the -json export and -export-ledger.
+type step func(w io.Writer) (*investigation.Case, error)
+
+// flows lists every flow in run order with its steps; the text and -json
+// renderings both run this one list.
+var flows = []struct {
+	name  string
+	steps []step
+}{
+	{"p2p", []step{p2pStep}},
+	{"watermark", []step{watermarkStep}},
+	{"kyllo", []step{kylloStep}},
+	{"drive", []step{driveStep(true), driveStep(false)}},
+	{"attribution", []step{attributionStep(true), attributionStep(false)}},
+	{"exigent", []step{
+		exigentStep(investigation.DeviceThreat{RemoteWipeObserved: true}),
+		exigentStep(investigation.DeviceThreat{}),
+	}},
+}
+
 func run(flow string, asJSON bool, exportLedger string) error {
-	// last tracks the most recently completed flow's case; -export-ledger
-	// serializes its audit ledger.
-	var last *investigation.Case
-	export := func() error {
-		if exportLedger == "" {
-			return nil
+	var selected []step
+	for _, f := range flows {
+		if flow == "all" || flow == f.name {
+			selected = append(selected, f.steps...)
 		}
-		if last == nil {
-			return fmt.Errorf("-export-ledger: no flow ran")
-		}
-		return last.Ledger().WriteFile(exportLedger)
 	}
-	runP2P := flow == "all" || flow == "p2p"
-	runWM := flow == "all" || flow == "watermark"
-	runKyllo := flow == "all" || flow == "kyllo"
-	runDrive := flow == "all" || flow == "drive"
-	runAttr := flow == "all" || flow == "attribution"
-	runExig := flow == "all" || flow == "exigent"
-	if !runP2P && !runWM && !runKyllo && !runDrive && !runAttr && !runExig {
+	if len(selected) == 0 {
 		return fmt.Errorf("unknown flow %q", flow)
 	}
-
+	// JSON mode discards the text reports and collects the cases.
+	w := io.Writer(os.Stdout)
 	if asJSON {
-		var cases []report.CaseView
-		if runP2P {
-			res, err := investigation.RunP2PTraceback(investigation.P2PTracebackConfig{
-				Seed: 1, Neighbors: 8, Sources: 3, Probes: 8,
-			}, caseClock())
-			if err != nil {
-				return err
-			}
-			cases = append(cases, report.CaseReport(res.Case))
-			last = res.Case
-		}
-		if runWM {
-			res, err := investigation.RunWatermarkTraceback(watermark.DefaultExperimentConfig(), caseClock())
-			if err != nil {
-				return err
-			}
-			cases = append(cases, report.CaseReport(res.Case))
-			last = res.Case
-		}
-		if runKyllo {
-			res, err := investigation.RunKylloDemo(caseClock())
-			if err != nil {
-				return err
-			}
-			cases = append(cases, report.CaseReport(res.Case))
-			last = res.Case
-		}
-		if runDrive {
-			for _, withWarrant := range []bool{true, false} {
-				res, err := investigation.RunDriveExam(withWarrant, caseClock())
-				if err != nil {
-					return err
-				}
-				cases = append(cases, report.CaseReport(res.Case))
-				last = res.Case
-			}
-		}
-		if runAttr {
-			for _, exclusive := range []bool{true, false} {
-				res, err := investigation.RunAttributionExam(exclusive, caseClock())
-				if err != nil {
-					return err
-				}
-				cases = append(cases, report.CaseReport(res.Case))
-				last = res.Case
-			}
-		}
-		if runExig {
-			for _, threat := range []investigation.DeviceThreat{{RemoteWipeObserved: true}, {}} {
-				res, err := investigation.RunExigentSeizure(threat, caseClock())
-				if err != nil {
-					return err
-				}
-				cases = append(cases, report.CaseReport(res.Case))
-				last = res.Case
-			}
-		}
-		if err := export(); err != nil {
+		w = io.Discard
+	}
+	// last is the most recently completed flow's case; -export-ledger
+	// serializes its audit ledger.
+	var last *investigation.Case
+	var cases []report.CaseView
+	for _, s := range selected {
+		c, err := s(w)
+		if err != nil {
 			return err
 		}
+		last = c
+		if asJSON {
+			cases = append(cases, report.CaseReport(c))
+		}
+	}
+	if exportLedger != "" {
+		if err := last.Ledger().WriteFile(exportLedger); err != nil {
+			return err
+		}
+	}
+	if asJSON {
 		return report.WriteJSON(os.Stdout, cases)
 	}
+	return nil
+}
 
-	if runP2P {
-		res, err := investigation.RunP2PTraceback(investigation.P2PTracebackConfig{
-			Seed: 1, Neighbors: 8, Sources: 3, Probes: 8,
-		}, caseClock())
+// admissibleCount counts the hearing's admissible items.
+func admissibleCount(hearing []evidence.Assessment) int {
+	n := 0
+	for _, a := range hearing {
+		if a.Admissible() {
+			n++
+		}
+	}
+	return n
+}
+
+func p2pStep(w io.Writer) (*investigation.Case, error) {
+	res, err := investigation.RunP2PTraceback(investigation.P2PTracebackConfig{
+		Seed: 1, Neighbors: 8, Sources: 3, Probes: 8,
+	}, caseClock())
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintln(w, "================ SECTION IV-A: P2P TIMING TRACEBACK ================")
+	fmt.Fprint(w, res.Case.Report())
+	fmt.Fprintf(w, "Identified subscribers: %d\n", len(res.Identified))
+	for _, s := range res.Identified {
+		fmt.Fprintf(w, "  - %s, %s\n", s.Name, s.Street)
+	}
+	fmt.Fprintf(w, "Suppression hearing: %d/%d items admissible\n\n", admissibleCount(res.Hearing), len(res.Hearing))
+	return res.Case, nil
+}
+
+func watermarkStep(w io.Writer) (*investigation.Case, error) {
+	res, err := investigation.RunWatermarkTraceback(watermark.DefaultExperimentConfig(), caseClock())
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintln(w, "================ SECTION IV-B: DSSS WATERMARK TRACEBACK ================")
+	fmt.Fprint(w, res.Case.Report())
+	fmt.Fprintf(w, "Watermark: detected=%v Z=%.1f BER=%.2f; baseline corr=%.2f\n",
+		res.Experiment.Detected, res.Experiment.Watermark.Z,
+		res.Experiment.Watermark.BER, res.Experiment.BaselineCorr)
+	fmt.Fprintf(w, "Rate collection required process: %s (non-content — no wiretap order)\n\n",
+		res.Experiment.RequiredProcess)
+	return res.Case, nil
+}
+
+func kylloStep(w io.Writer) (*investigation.Case, error) {
+	res, err := investigation.RunKylloDemo(caseClock())
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintln(w, "================ KYLLO DEMO: ILLEGAL TECHNIQUE, SUPPRESSED FRUITS ================")
+	fmt.Fprint(w, res.Case.Report())
+	for _, a := range res.Hearing {
+		fmt.Fprintf(w, "  %s: %s\n", a.ItemID, a.Status)
+	}
+	fmt.Fprintln(w, "\n--- suppression opinion ---")
+	fmt.Fprintln(w, opinion.Write(res.Case, "United States v. Kyllo-Redux, No. 12-cr-0533"))
+	return res.Case, nil
+}
+
+func driveStep(withWarrant bool) step {
+	return func(w io.Writer) (*investigation.Case, error) {
+		res, err := investigation.RunDriveExam(withWarrant, caseClock())
 		if err != nil {
-			return err
+			return nil, err
 		}
-		last = res.Case
-		fmt.Println("================ SECTION IV-A: P2P TIMING TRACEBACK ================")
-		fmt.Print(res.Case.Report())
-		fmt.Printf("Identified subscribers: %d\n", len(res.Identified))
-		for _, s := range res.Identified {
-			fmt.Printf("  - %s, %s\n", s.Name, s.Street)
+		label := "WITH second warrant (Crist satisfied)"
+		if !withWarrant {
+			label = "WITHOUT second warrant (Crist violated)"
 		}
-		admissible := 0
-		for _, a := range res.Hearing {
-			if a.Admissible() {
-				admissible++
-			}
-		}
-		fmt.Printf("Suppression hearing: %d/%d items admissible\n\n", admissible, len(res.Hearing))
+		fmt.Fprintf(w, "================ DRIVE EXAM %s ================\n", label)
+		fmt.Fprint(w, res.Case.Report())
+		fmt.Fprintf(w, "hash hits: %d (image sha256 %s…)\n", len(res.Hits), res.ImageHash[:12])
+		fmt.Fprintf(w, "Suppression hearing: %d/%d items admissible\n\n", admissibleCount(res.Hearing), len(res.Hearing))
+		return res.Case, nil
 	}
+}
 
-	if runWM {
-		res, err := investigation.RunWatermarkTraceback(watermark.DefaultExperimentConfig(), caseClock())
+func attributionStep(exclusive bool) step {
+	return func(w io.Writer) (*investigation.Case, error) {
+		res, err := investigation.RunAttributionExam(exclusive, caseClock())
 		if err != nil {
-			return err
+			return nil, err
 		}
-		last = res.Case
-		fmt.Println("================ SECTION IV-B: DSSS WATERMARK TRACEBACK ================")
-		fmt.Print(res.Case.Report())
-		fmt.Printf("Watermark: detected=%v Z=%.1f BER=%.2f; baseline corr=%.2f\n",
-			res.Experiment.Detected, res.Experiment.Watermark.Z,
-			res.Experiment.Watermark.BER, res.Experiment.BaselineCorr)
-		fmt.Printf("Rate collection required process: %s (non-content — no wiretap order)\n\n",
-			res.Experiment.RequiredProcess)
+		label := "EXCLUSIVE attribution"
+		if !exclusive {
+			label = "SHARED machine (non-exclusive)"
+		}
+		fmt.Fprintf(w, "================ ATTRIBUTION EXAM: %s ================\n", label)
+		fmt.Fprint(w, res.Case.Report())
+		fmt.Fprintf(w, "warrant issued: %v; malware clean: %v; knowledge findings: %d\n\n",
+			res.WarrantIssued, res.Report.MalwareClean, len(res.Report.Knowledge))
+		return res.Case, nil
 	}
+}
 
-	if runKyllo {
-		res, err := investigation.RunKylloDemo(caseClock())
+func exigentStep(threat investigation.DeviceThreat) step {
+	return func(w io.Writer) (*investigation.Case, error) {
+		res, err := investigation.RunExigentSeizure(threat, caseClock())
 		if err != nil {
-			return err
+			return nil, err
 		}
-		last = res.Case
-		fmt.Println("================ KYLLO DEMO: ILLEGAL TECHNIQUE, SUPPRESSED FRUITS ================")
-		fmt.Print(res.Case.Report())
-		for _, a := range res.Hearing {
-			fmt.Printf("  %s: %s\n", a.ItemID, a.Status)
+		label := "EXIGENT (destroy command observed)"
+		if !threat.Exigent() {
+			label = "NO EXIGENCY (warrantless seizure)"
 		}
-		fmt.Println("\n--- suppression opinion ---")
-		fmt.Println(opinion.Write(res.Case, "United States v. Kyllo-Redux, No. 12-cr-0533"))
+		fmt.Fprintf(w, "================ EXIGENT SEIZURE: %s ================\n", label)
+		fmt.Fprint(w, res.Case.Report())
+		fmt.Fprintf(w, "seizure lawful: %v; hearing: %d/%d admissible\n\n",
+			res.SeizureLawful, admissibleCount(res.Hearing), len(res.Hearing))
+		return res.Case, nil
 	}
-
-	if runDrive {
-		for _, withWarrant := range []bool{true, false} {
-			res, err := investigation.RunDriveExam(withWarrant, caseClock())
-			if err != nil {
-				return err
-			}
-			last = res.Case
-			label := "WITH second warrant (Crist satisfied)"
-			if !withWarrant {
-				label = "WITHOUT second warrant (Crist violated)"
-			}
-			fmt.Printf("================ DRIVE EXAM %s ================\n", label)
-			fmt.Print(res.Case.Report())
-			fmt.Printf("hash hits: %d (image sha256 %s…)\n", len(res.Hits), res.ImageHash[:12])
-			admissible := 0
-			for _, a := range res.Hearing {
-				if a.Admissible() {
-					admissible++
-				}
-			}
-			fmt.Printf("Suppression hearing: %d/%d items admissible\n\n", admissible, len(res.Hearing))
-		}
-	}
-
-	if runAttr {
-		for _, exclusive := range []bool{true, false} {
-			res, err := investigation.RunAttributionExam(exclusive, caseClock())
-			if err != nil {
-				return err
-			}
-			last = res.Case
-			label := "EXCLUSIVE attribution"
-			if !exclusive {
-				label = "SHARED machine (non-exclusive)"
-			}
-			fmt.Printf("================ ATTRIBUTION EXAM: %s ================\n", label)
-			fmt.Print(res.Case.Report())
-			fmt.Printf("warrant issued: %v; malware clean: %v; knowledge findings: %d\n\n",
-				res.WarrantIssued, res.Report.MalwareClean, len(res.Report.Knowledge))
-		}
-	}
-
-	if runExig {
-		for _, threat := range []investigation.DeviceThreat{
-			{RemoteWipeObserved: true},
-			{},
-		} {
-			res, err := investigation.RunExigentSeizure(threat, caseClock())
-			if err != nil {
-				return err
-			}
-			last = res.Case
-			label := "EXIGENT (destroy command observed)"
-			if !threat.Exigent() {
-				label = "NO EXIGENCY (warrantless seizure)"
-			}
-			fmt.Printf("================ EXIGENT SEIZURE: %s ================\n", label)
-			fmt.Print(res.Case.Report())
-			admissible := 0
-			for _, a := range res.Hearing {
-				if a.Admissible() {
-					admissible++
-				}
-			}
-			fmt.Printf("seizure lawful: %v; hearing: %d/%d admissible\n\n",
-				res.SeizureLawful, admissible, len(res.Hearing))
-		}
-	}
-	return export()
 }

@@ -71,6 +71,7 @@ type route struct {
 	layer      cipher.Block  // this hop's cipher, built at BuildCircuit
 	flow       netsim.FlowID // flowFor of the route's circuit
 	exitSeq    uint64        // backward cell sequence, assigned by the exit
+	iv         counterBlock  // applyLayer's scratch; only the relay's node touches it
 }
 
 // Relay is one onion router.
@@ -166,6 +167,7 @@ type Circuit struct {
 	layers []cipher.Block // one cipher per hop, entry first
 	flow   netsim.FlowID
 	fwdSeq uint64
+	iv     counterBlock // applyLayer's scratch; only the client's node touches it
 }
 
 // BuildCircuit telescopes a circuit from the client through the given
@@ -234,25 +236,26 @@ func (a *Anonet) CloseCircuit(client *Client, circ *Circuit) error {
 }
 
 // Send transmits application data through the circuit to a destination
-// server adjacent to the exit. The data is wrapped in one encryption layer
-// per hop.
+// server adjacent to the exit. The relay payload is written straight into
+// one padded cell, which is then wrapped in one encryption layer per hop.
 func (c *Client) Send(circ *Circuit, dst netsim.NodeID, data []byte) error {
 	if _, ok := c.circuits[circ.ID]; !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownCircuit, circ.ID)
 	}
-	inner, err := relayPayload{Dst: string(dst), Data: data}.marshal()
-	if err != nil {
-		return err
+	if len(dst) > 255 {
+		return fmt.Errorf("%w: destination name too long", ErrBadCell)
 	}
 	circ.fwdSeq++
 	seq := circ.fwdSeq
-	onion := inner
-	for i := len(circ.layers) - 1; i >= 0; i-- {
-		onion = applyLayer(circ.layers[i], circ.ID, seq, false, onion)
+	n := 1 + len(dst) + len(data) // the relay payload's size
+	if n > cellDataCap {
+		return fmt.Errorf("%w: %d > %d", ErrCellTooLarge, n, cellDataCap)
 	}
-	wire, err := cell{Circ: circ.ID, Seq: seq, Data: onion}.marshal()
-	if err != nil {
-		return err
+	wire := newCell(circ.ID, seq, n)
+	onion := wire[cellHeaderLen : cellHeaderLen+n]
+	relayPayload{Dst: string(dst), Data: data}.put(onion)
+	for i := len(circ.layers) - 1; i >= 0; i-- {
+		applyLayer(circ.layers[i], &circ.iv, circ.ID, seq, false, onion, onion)
 	}
 	return c.a.net.Send(&netsim.Packet{
 		Header: netsim.Header{
@@ -264,28 +267,29 @@ func (c *Client) Send(circ *Circuit, dst netsim.NodeID, data []byte) error {
 	})
 }
 
-// handle processes backward cells arriving at the client.
+// handle peels backward cells arriving at the client in place; only a
+// packet on its circuit's flow is a cell anonet built.
 func (c *Client) handle(_ *netsim.Network, pkt *netsim.Packet) {
 	cl, err := unmarshalCell(pkt.Payload)
 	if err != nil {
 		return
 	}
 	circ, ok := c.circuits[cl.Circ]
-	if !ok {
+	if !ok || pkt.Header.Flow != circ.flow {
 		return
 	}
-	data := cl.Data
 	for _, layer := range circ.layers {
-		data = applyLayer(layer, cl.Circ, cl.Seq, true, data)
+		applyLayer(layer, &circ.iv, cl.Circ, cl.Seq, true, cl.Data, cl.Data)
 	}
 	if c.OnData != nil {
-		c.OnData(cl.Circ, data, pkt.DeliveredAt)
+		c.OnData(cl.Circ, cl.Data, pkt.DeliveredAt)
 	}
 }
 
 // handle processes cells at a relay: forward cells shed one layer and move
 // toward the exit; backward traffic gains one layer and moves toward the
-// client; the exit bridges to plaintext.
+// client; the exit bridges to plaintext. Relayed cells are rewritten in
+// place (see package doc).
 func (r *Relay) handle(_ *netsim.Network, pkt *netsim.Packet) {
 	rtCirc, fromServer := circFromFlow(pkt.Header.Flow)
 	if !fromServer {
@@ -297,11 +301,17 @@ func (r *Relay) handle(_ *netsim.Network, pkt *netsim.Packet) {
 	}
 	isExit := rt.next == ""
 
-	// Backward plaintext from an adjacent server, at the exit only.
+	// Backward plaintext from an adjacent server, at the exit only, into
+	// a new cell: a server may share one buffer across replies.
 	if isExit && pkt.Header.Src != rt.prev {
 		rt.exitSeq++
-		enc := applyLayer(rt.layer, rtCirc, rt.exitSeq, true, pkt.Payload)
-		r.sendCell(rt.prev, rt.flow, cell{Circ: rtCirc, Seq: rt.exitSeq, Data: enc})
+		n := len(pkt.Payload)
+		if n > cellDataCap {
+			return
+		}
+		wire := newCell(rtCirc, rt.exitSeq, n)
+		applyLayer(rt.layer, &rt.iv, rtCirc, rt.exitSeq, true, wire[cellHeaderLen:cellHeaderLen+n], pkt.Payload)
+		r.forward(rt.prev, rt.flow, wire)
 		return
 	}
 
@@ -309,18 +319,20 @@ func (r *Relay) handle(_ *netsim.Network, pkt *netsim.Packet) {
 	if err != nil {
 		return
 	}
+	// A forwarded cell is exactly the padded cell its header describes.
+	clear(pkt.Payload[cellHeaderLen+len(cl.Data):])
 	flow := rt.flow
 	if cl.Circ != rtCirc {
 		flow = flowFor(cl.Circ)
 	}
 	switch pkt.Header.Src {
 	case rt.prev: // forward direction
-		data := applyLayer(rt.layer, cl.Circ, cl.Seq, false, cl.Data)
+		applyLayer(rt.layer, &rt.iv, cl.Circ, cl.Seq, false, cl.Data, cl.Data)
 		if !isExit {
-			r.sendCell(rt.next, flow, cell{Circ: cl.Circ, Seq: cl.Seq, Data: data})
+			r.forward(rt.next, flow, pkt.Payload)
 			return
 		}
-		rp, err := unmarshalRelayPayload(data)
+		rp, err := unmarshalRelayPayload(cl.Data)
 		if err != nil {
 			return
 		}
@@ -333,17 +345,13 @@ func (r *Relay) handle(_ *netsim.Network, pkt *netsim.Packet) {
 			Payload: rp.Data,
 		})
 	case rt.next: // backward direction: add this relay's layer
-		data := applyLayer(rt.layer, cl.Circ, cl.Seq, true, cl.Data)
-		r.sendCell(rt.prev, flow, cell{Circ: cl.Circ, Seq: cl.Seq, Data: data})
+		applyLayer(rt.layer, &rt.iv, cl.Circ, cl.Seq, true, cl.Data, cl.Data)
+		r.forward(rt.prev, flow, pkt.Payload)
 	}
 }
 
-// sendCell marshals cl and sends it to the neighbouring hop on flow.
-func (r *Relay) sendCell(to netsim.NodeID, flow netsim.FlowID, cl cell) {
-	wire, err := cl.marshal()
-	if err != nil {
-		return
-	}
+// forward sends a padded cell to the neighbouring hop on flow.
+func (r *Relay) forward(to netsim.NodeID, flow netsim.FlowID, wire []byte) {
 	r.Relayed++
 	_ = r.a.net.Send(&netsim.Packet{
 		Header: netsim.Header{

@@ -18,7 +18,7 @@ type rig struct {
 	circ   *Circuit
 }
 
-func buildRig(t *testing.T, seed int64) *rig {
+func buildRig(t testing.TB, seed int64) *rig {
 	t.Helper()
 	sim := netsim.NewSimulator(seed)
 	net := netsim.NewNetwork(sim)
@@ -262,11 +262,8 @@ func TestSendValidation(t *testing.T) {
 }
 
 func TestCellMarshalRoundTrip(t *testing.T) {
-	c := cell{Circ: 77, Seq: 12345, Data: []byte("payload")}
-	wire, err := c.marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
+	wire := newCell(77, 12345, len("payload"))
+	copy(wire[cellHeaderLen:], "payload")
 	if len(wire) != CellSize {
 		t.Fatalf("wire size = %d", len(wire))
 	}
@@ -289,10 +286,8 @@ func TestCellMarshalRoundTrip(t *testing.T) {
 
 func TestRelayPayloadRoundTrip(t *testing.T) {
 	rp := relayPayload{Dst: "webserver", Data: []byte("hello")}
-	b, err := rp.marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := make([]byte, 1+len(rp.Dst)+len(rp.Data))
+	rp.put(b)
 	got, err := unmarshalRelayPayload(b)
 	if err != nil {
 		t.Fatal(err)
@@ -316,16 +311,20 @@ func TestApplyLayerInvolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	plain := []byte("some data to protect")
-	enc := applyLayer(layer, 5, 9, false, plain)
+	var iv counterBlock
+	enc := make([]byte, len(plain))
+	applyLayer(layer, &iv, 5, 9, false, enc, plain)
 	if bytes.Equal(enc, plain) {
 		t.Error("layer must change the data")
 	}
-	dec := applyLayer(layer, 5, 9, false, enc)
+	dec := make([]byte, len(enc))
+	applyLayer(layer, &iv, 5, 9, false, dec, enc)
 	if !bytes.Equal(dec, plain) {
 		t.Error("applying the layer twice must restore the plaintext")
 	}
 	// Direction separates keystreams.
-	back := applyLayer(layer, 5, 9, true, plain)
+	back := make([]byte, len(plain))
+	applyLayer(layer, &iv, 5, 9, true, back, plain)
 	if bytes.Equal(back, enc) {
 		t.Error("forward and backward keystreams must differ")
 	}

@@ -10,12 +10,17 @@
 // wiretap order would be required, and decryption would be useless without
 // keys), but packet *rates* remain observable at the suspect's ISP — the
 // non-content signal the internal/watermark package modulates and detects.
+//
+// Cell buffers are created only by anonet (the client's forward cells,
+// the exit's backward ones), so a relay may rewrite the cell it is
+// handed in place and forward that buffer in a fresh packet: netsim
+// keeps no reference to a delivered packet and deep-clones duplicates
+// (see netsim.Handler).
 package anonet
 
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -47,19 +52,17 @@ type cell struct {
 	Data []byte // plaintext or onion-encrypted; length ≤ cellDataCap
 }
 
-// marshal encodes the cell padded to CellSize. The header (circuit ID,
-// sequence, length) stays in the clear, as in Tor: relays need it to
-// route; it is addressing information, not content.
-func (c cell) marshal() ([]byte, error) {
-	if len(c.Data) > cellDataCap {
-		return nil, fmt.Errorf("%w: %d > %d", ErrCellTooLarge, len(c.Data), cellDataCap)
-	}
+// newCell returns a zeroed CellSize buffer whose header names circ, seq
+// and n data bytes; the caller writes the data at
+// [cellHeaderLen, cellHeaderLen+n), n ≤ cellDataCap. The header stays in
+// the clear, as in Tor: relays need it to route; it is addressing
+// information, not content.
+func newCell(circ CircuitID, seq uint64, n int) []byte {
 	buf := make([]byte, CellSize)
-	binary.BigEndian.PutUint64(buf[0:8], uint64(c.Circ))
-	binary.BigEndian.PutUint64(buf[8:16], c.Seq)
-	binary.BigEndian.PutUint16(buf[16:18], uint16(len(c.Data)))
-	copy(buf[cellHeaderLen:], c.Data)
-	return buf, nil
+	binary.BigEndian.PutUint64(buf[0:8], uint64(circ))
+	binary.BigEndian.PutUint64(buf[8:16], seq)
+	binary.BigEndian.PutUint16(buf[16:18], uint16(n))
+	return buf
 }
 
 // Cell parse errors, preallocated: a client sees every cross-traffic
@@ -69,8 +72,8 @@ var (
 	errCellLength = fmt.Errorf("%w: length exceeds %d", ErrBadCell, cellDataCap)
 )
 
-// unmarshalCell parses a padded cell. Data aliases b: callers only ever
-// pass it through applyLayer, which writes a fresh buffer.
+// unmarshalCell parses a padded cell. Data aliases b, so a layer applied
+// to it in place rewrites the cell.
 func unmarshalCell(b []byte) (cell, error) {
 	if len(b) != CellSize {
 		return cell{}, errCellSize
@@ -99,36 +102,25 @@ func newLayer(k LayerKey) (cipher.Block, error) {
 	return block, nil
 }
 
-// applyLayer applies one AES-CTR layer under block and returns the
-// result in a fresh buffer. CTR is an involution under a fixed
-// keystream, so the same call encrypts and decrypts. The initial counter
-// binds circuit, sequence number, and direction so keystreams never
-// repeat across cells or directions. The output is byte-identical to
-// cipher.NewCTR over the same block and initial counter; the counter
-// blocks are laid out and encrypted in place in the output's
-// block-rounded backing array, so the call allocates only that array.
-func applyLayer(block cipher.Block, circ CircuitID, seq uint64, backward bool, data []byte) []byte {
-	hi := uint64(circ)
+// counterBlock holds a layer's initial counter. Circuits and routes
+// each keep one as scratch: a counter on the stack would escape through
+// cipher.NewCTR and cost an allocation per layer.
+type counterBlock [aes.BlockSize]byte
+
+// applyLayer XORs one AES-CTR layer under block over src into dst, which
+// may be src itself. CTR is an involution under a fixed keystream, so
+// the same call encrypts and decrypts. The initial counter, laid out in
+// iv, binds circuit, sequence number, and direction so keystreams never
+// repeat across cells or directions. With the block built once per hop
+// (newLayer), the call does no key expansion; it allocates only the CTR
+// state, and the keystream runs eight blocks at a time.
+func applyLayer(block cipher.Block, iv *counterBlock, circ CircuitID, seq uint64, backward bool, dst, src []byte) {
+	binary.BigEndian.PutUint64(iv[0:8], uint64(circ))
+	binary.BigEndian.PutUint64(iv[8:16], seq)
 	if backward {
-		hi ^= 0x80 << 56
+		iv[0] ^= 0x80
 	}
-	lo := seq
-	n := len(data)
-	buf := make([]byte, (n+aes.BlockSize-1)/aes.BlockSize*aes.BlockSize)
-	for off := 0; off < len(buf); off += aes.BlockSize {
-		ks := buf[off : off+aes.BlockSize]
-		binary.BigEndian.PutUint64(ks[0:8], hi)
-		binary.BigEndian.PutUint64(ks[8:16], lo)
-		block.Encrypt(ks, ks)
-		// The counter is the whole 128-bit block, big-endian.
-		lo++
-		if lo == 0 {
-			hi++
-		}
-	}
-	subtle.XORBytes(buf, buf[:n], data)
-	clear(buf[n:]) // drop the unused keystream tail
-	return buf[:n]
+	cipher.NewCTR(block, iv[:]).XORKeyStream(dst, src)
 }
 
 // relayPayload is the innermost (exit-layer) plaintext of a forward cell:
@@ -138,15 +130,12 @@ type relayPayload struct {
 	Data []byte
 }
 
-func (r relayPayload) marshal() ([]byte, error) {
-	if len(r.Dst) > 255 {
-		return nil, fmt.Errorf("%w: destination name too long", ErrBadCell)
-	}
-	out := make([]byte, 1+len(r.Dst)+len(r.Data))
-	out[0] = byte(len(r.Dst))
-	copy(out[1:], r.Dst)
-	copy(out[1+len(r.Dst):], r.Data)
-	return out, nil
+// put encodes the payload into b: a one-byte length, the destination
+// (at most 255 bytes), then the data.
+func (r relayPayload) put(b []byte) {
+	b[0] = byte(len(r.Dst))
+	copy(b[1:], r.Dst)
+	copy(b[1+len(r.Dst):], r.Data)
 }
 
 func unmarshalRelayPayload(b []byte) (relayPayload, error) {

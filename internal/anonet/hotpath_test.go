@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"math"
 	"testing"
+	"time"
 
 	"lawgate/internal/netsim"
 )
@@ -28,7 +29,9 @@ func referenceLayer(block cipher.Block, circ CircuitID, seq uint64, backward boo
 // cipher.NewCTR for every length from 0 to 600 — empty, partial final
 // blocks and whole blocks — in both directions, including sequence
 // numbers and circuit IDs at which the 128-bit counter carries from the
-// low word into the high word and wraps around entirely.
+// low word into the high word and wraps around entirely. Each case runs
+// into a separate buffer and in place (dst == src), the way relays call
+// it.
 func TestApplyLayerMatchesNewCTR(t *testing.T) {
 	var k LayerKey
 	copy(k[:], "differential-key")
@@ -51,13 +54,21 @@ func TestApplyLayerMatchesNewCTR(t *testing.T) {
 		{math.MaxUint64, math.MaxUint64 - 1}, // full 128-bit wrap
 		{1 << 63, math.MaxUint64 - 20},       // backward flips the top bit
 	}
+	var iv counterBlock
+	got := make([]byte, len(data))
 	for _, c := range counters {
 		for _, backward := range []bool{false, true} {
 			for n := 0; n <= len(data); n++ {
-				got := applyLayer(layer, c.circ, c.seq, backward, data[:n])
 				want := referenceLayer(layer, c.circ, c.seq, backward, data[:n])
-				if !bytes.Equal(got, want) {
+				applyLayer(layer, &iv, c.circ, c.seq, backward, got[:n], data[:n])
+				if !bytes.Equal(got[:n], want) {
 					t.Fatalf("circ=%#x seq=%#x backward=%v len=%d: applyLayer differs from cipher.NewCTR",
+						uint64(c.circ), c.seq, backward, n)
+				}
+				copy(got, data[:n])
+				applyLayer(layer, &iv, c.circ, c.seq, backward, got[:n], got[:n])
+				if !bytes.Equal(got[:n], want) {
+					t.Fatalf("circ=%#x seq=%#x backward=%v len=%d: in-place applyLayer differs from cipher.NewCTR",
 						uint64(c.circ), c.seq, backward, n)
 				}
 			}
@@ -81,23 +92,34 @@ func TestUnmarshalCellRejectsWithoutAlloc(t *testing.T) {
 }
 
 // relayForwardAllocs is the pinned allocation count of one forward hop
-// at a middle relay: the layer's output buffer, the marshalled cell and
-// the outgoing packet. Cipher state, the flow name and the packet's
-// hop list cost nothing per cell.
-const relayForwardAllocs = 3
+// at a middle relay: the layer's CTR state (a copy of the expanded key)
+// and the outgoing packet. The cell is rewritten in place; cipher
+// setup, the counter block, the flow name and the packet's hop list
+// cost nothing per cell.
+const relayForwardAllocs = 2
 
-// TestRelayForwardAllocs pins Relay.handle on one forward cell at the
-// middle relay to relayForwardAllocs allocations.
-func TestRelayForwardAllocs(t *testing.T) {
-	r := buildRig(t, 21)
+// exitWrapAllocs is the pinned allocation count of the exit wrapping
+// one server reply into the circuit: the new cell, the CTR state and
+// the packet.
+const exitWrapAllocs = 3
+
+// clientHandleAllocs is the pinned allocation count of the client
+// peeling one backward cell: one CTR state per hop, and no output
+// buffer.
+const clientHandleAllocs = 3
+
+// middleHop returns a function that hands the middle relay one full
+// forward cell and runs the network dry, and the middle relay. The exit
+// forgets the circuit, so delivering the forwarded cell there costs
+// nothing and the work measured is the middle hop alone. Every call
+// rewrites the same cell in place, so it alternates between two
+// ciphertexts; its length never changes.
+func middleHop(tb testing.TB) (func(), *Relay) {
+	r := buildRig(tb, 21)
 	middle, exit := r.relays[1], r.relays[2]
-	// The exit forgets the circuit, so delivering the forwarded cell
-	// there costs nothing and the measurement is the middle hop alone.
 	delete(exit.routes, r.circ.ID)
-	wire, err := cell{Circ: r.circ.ID, Seq: 1, Data: bytes.Repeat([]byte{0xA5}, cellDataCap)}.marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
+	wire := newCell(r.circ.ID, 1, cellDataCap)
+	copy(wire[cellHeaderLen:], bytes.Repeat([]byte{0xA5}, cellDataCap))
 	pkt := &netsim.Packet{
 		Header:    netsim.Header{Src: "entry", Dst: "middle", Flow: flowFor(r.circ.ID), Proto: netsim.ProtoTCP},
 		Payload:   wire,
@@ -110,6 +132,13 @@ func TestRelayForwardAllocs(t *testing.T) {
 		}
 	}
 	hop() // warm the event slab
+	return hop, middle
+}
+
+// TestRelayForwardAllocs pins Relay.handle on one forward cell at the
+// middle relay to relayForwardAllocs allocations.
+func TestRelayForwardAllocs(t *testing.T) {
+	hop, middle := middleHop(t)
 	before := middle.Relayed
 	allocs := testing.AllocsPerRun(1000, hop)
 	if middle.Relayed == before {
@@ -117,5 +146,76 @@ func TestRelayForwardAllocs(t *testing.T) {
 	}
 	if allocs > relayForwardAllocs {
 		t.Errorf("Relay.handle forward hop allocs/op = %v, want <= %d", allocs, relayForwardAllocs)
+	}
+}
+
+// BenchmarkRelayForward measures one forward hop at a middle relay:
+// a full cell rewritten in place and sent on to the exit.
+func BenchmarkRelayForward(b *testing.B) {
+	hop, _ := middleHop(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hop()
+	}
+}
+
+// TestExitWrapAllocs pins the exit wrapping one server reply into the
+// circuit to exitWrapAllocs allocations, and checks the reply buffer,
+// which a server may share across replies, is left as it was.
+func TestExitWrapAllocs(t *testing.T) {
+	r := buildRig(t, 22)
+	exit, middle := r.relays[2], r.relays[1]
+	// The middle forgets the circuit, so the wrapped cell is dropped on
+	// arrival and the work measured is the exit's alone.
+	delete(middle.routes, r.circ.ID)
+	reply := bytes.Repeat([]byte{0x5A}, 400)
+	pkt := &netsim.Packet{
+		Header:  netsim.Header{Src: "webserver", Dst: "exit", Flow: flowFor(r.circ.ID), Proto: netsim.ProtoTCP},
+		Payload: reply,
+	}
+	net, sim := r.a.Net(), r.a.Net().Sim()
+	wrap := func() {
+		exit.handle(net, pkt)
+		for sim.Step() {
+		}
+	}
+	wrap() // warm the event slab
+	before := exit.Relayed
+	allocs := testing.AllocsPerRun(1000, wrap)
+	if exit.Relayed == before {
+		t.Fatal("exit wrapped nothing")
+	}
+	if allocs > exitWrapAllocs {
+		t.Errorf("exit backward wrap allocs/op = %v, want <= %d", allocs, exitWrapAllocs)
+	}
+	if !bytes.Equal(reply, bytes.Repeat([]byte{0x5A}, 400)) {
+		t.Error("the exit rewrote the server's reply buffer")
+	}
+}
+
+// TestClientHandleAllocs pins the client peeling one backward cell to
+// clientHandleAllocs allocations.
+func TestClientHandleAllocs(t *testing.T) {
+	r := buildRig(t, 23)
+	wire := newCell(r.circ.ID, 1, 400)
+	pkt := &netsim.Packet{
+		Header:    netsim.Header{Src: "entry", Dst: "suspect", Flow: flowFor(r.circ.ID), Proto: netsim.ProtoTCP},
+		Payload:   wire,
+		Encrypted: true,
+	}
+	got := 0
+	r.client.OnData = func(_ CircuitID, data []byte, _ time.Duration) {
+		if len(data) == 400 {
+			got++
+		}
+	}
+	net := r.a.Net()
+	allocs := testing.AllocsPerRun(1000, func() { r.client.handle(net, pkt) })
+	if got == 0 {
+		t.Fatal("client delivered nothing")
+	}
+	if allocs > clientHandleAllocs {
+		t.Errorf("Client.handle allocs/op = %v, want <= %d", allocs, clientHandleAllocs)
 	}
 }

@@ -122,13 +122,22 @@ type Device struct {
 	expiry    time.Duration
 	ruling    legal.Ruling
 	armed     bool
-	records   []Record
+	// log holds the records in order, in chunks of logChunk; only the
+	// last chunk may be partly full. Growing the log adds a chunk and
+	// never copies a record.
+	log [][]Record
+	n   int // records in log
 	// Expired counts observations dropped after the authorization
 	// lapsed.
 	Expired int
 }
 
 var _ netsim.Tap = (*Device)(nil)
+
+// logChunk is how many records one chunk of a device's log holds
+// (256 × 128 bytes = 32 KB). A log that regrew by doubling would copy
+// every record, payload pointer and all, at each regrowth.
+const logChunk = 256
 
 // New constructs an unarmed device. held is the legal process the operator
 // possesses.
@@ -240,7 +249,12 @@ func (d *Device) Observe(dir netsim.Direction, at time.Duration, pkt *netsim.Pac
 	if d.kind == FullWiretap {
 		rec.Payload = append([]byte(nil), pkt.Payload...)
 	}
-	d.records = append(d.records, rec)
+	if d.n%logChunk == 0 {
+		d.log = append(d.log, make([]Record, 0, logChunk))
+	}
+	last := &d.log[len(d.log)-1]
+	*last = append(*last, rec)
+	d.n++
 }
 
 // Acquisition summarizes how much evidence a device has obtained — the
@@ -266,9 +280,11 @@ func (a Acquisition) String() string {
 
 // Acquired summarizes the evidence obtained so far.
 func (d *Device) Acquired() Acquisition {
-	a := Acquisition{Records: len(d.records), Expired: d.Expired}
-	for _, r := range d.records {
-		a.Bytes += int64(r.Header.SizeBytes)
+	a := Acquisition{Records: d.n, Expired: d.Expired}
+	for _, chunk := range d.log {
+		for i := range chunk {
+			a.Bytes += int64(chunk[i].Header.SizeBytes)
+		}
 	}
 	return a
 }
@@ -276,8 +292,10 @@ func (d *Device) Acquired() Acquisition {
 // Records returns a copy of the captured observations; payloads are
 // deep-copied so callers cannot mutate the device's log.
 func (d *Device) Records() []Record {
-	out := make([]Record, len(d.records))
-	copy(out, d.records)
+	out := make([]Record, 0, d.n)
+	for _, chunk := range d.log {
+		out = append(out, chunk...)
+	}
 	for i := range out {
 		if out[i].Payload != nil {
 			out[i].Payload = append([]byte(nil), out[i].Payload...)
@@ -295,10 +313,12 @@ func (d *Device) Counts(bin time.Duration, horizon time.Duration) []int {
 	}
 	n := int(horizon / bin)
 	counts := make([]int, n)
-	for _, r := range d.records {
-		i := int(r.At / bin)
-		if i >= 0 && i < n {
-			counts[i]++
+	for _, chunk := range d.log {
+		for j := range chunk {
+			i := int(chunk[j].At / bin)
+			if i >= 0 && i < n {
+				counts[i]++
+			}
 		}
 	}
 	return counts

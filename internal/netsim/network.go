@@ -17,7 +17,13 @@ var (
 	ErrDuplicateNode = errors.New("netsim: duplicate node")
 )
 
-// Handler receives packets delivered to a node.
+// Handler receives packets delivered to a node. The network keeps no
+// reference to a delivered packet once HandlePacket returns: the taps at
+// the node observed their own snapshot before the call, and each
+// fault-injected duplicate is a deep clone (Packet.Clone) delivered on
+// its own. A handler may therefore rewrite the payload of a packet it
+// was handed, provided the sender gave up the buffer (see Send) and no
+// other copy shares it.
 type Handler interface {
 	// HandlePacket is invoked when a packet arrives at the node.
 	HandlePacket(net *Network, pkt *Packet)

@@ -236,6 +236,9 @@ func RunScaleExperiment(ec ExperimentConfig, sc ScaleConfig, hosts int) (Experim
 	tail := 500 * time.Millisecond
 	streamEnd := params.Duration() + tail
 	firstHop := path[1]
+	// Every packet carries the same zero payload, as RunExperiment's
+	// server does: no handler on the path rewrites a payload.
+	payload := make([]byte, params.PacketSize)
 	var emit func()
 	emit = func() {
 		if srvSim.Now() > streamEnd {
@@ -246,7 +249,7 @@ func RunScaleExperiment(ec ExperimentConfig, sc ScaleConfig, hosts int) (Experim
 				Src: server, Dst: firstHop,
 				Flow: wmFlow, Proto: netsim.ProtoTCP,
 			},
-			Payload:   make([]byte, params.PacketSize),
+			Payload:   payload,
 			Encrypted: true,
 		})
 		_ = srvSim.Schedule(embedder.NextGap(rng), emit)

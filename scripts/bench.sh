@@ -5,6 +5,7 @@
 # The default `netsim` target runs the internal/netsim micro-benchmarks
 # (scheduler step, send paths — including a send across a capped trunk
 # of a 1,000-node composite — neighbor lookup, heap churn), the
+# internal/anonet middle-relay forward hop (BenchmarkRelayForward), the
 # BenchmarkSweepRunner macro-bench, and the BenchmarkShardedRun
 # parallel-engine macro-bench (a 100k-node composite topology run at 1
 # and 8 partitions, reporting events/sec and nodes/sec), and writes to
@@ -104,6 +105,11 @@ netsim)
 	go test -run '^$' \
 		-bench '^(BenchmarkSimulatorStep|BenchmarkSimulatorStepDeep|BenchmarkSend|BenchmarkSendWide|BenchmarkSendTapped|BenchmarkSendFaulty|BenchmarkNeighbors|BenchmarkHeapChurn)$' \
 		-benchmem -benchtime "$benchtime" -count "$count" ./internal/netsim |
+		tee -a "$tmp" >&2
+
+	echo "== onion relay hop (count=$count, benchtime=$benchtime)" >&2
+	go test -run '^$' -bench '^BenchmarkRelayForward$' \
+		-benchmem -benchtime "$benchtime" -count "$count" ./internal/anonet |
 		tee -a "$tmp" >&2
 
 	echo "== sweep macro-benchmark (count=$count, benchtime=1x)" >&2

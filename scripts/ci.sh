@@ -19,7 +19,9 @@
 # budgets pinning ledger append to <= 1000 ns/op and 0 allocs/op.
 # The netsim bench smoke pins the engine's scheduler step (shallow and
 # deep heap), Send (two-node and across a 1,000-node composite's capped
-# trunk) and heap churn, all at one partition, to 0 allocs/op; the legal bench smoke pins
+# trunk) and heap churn, all at one partition, to 0 allocs/op, and an
+# onion relay's forward hop to 2 (its CTR state and the packet; the
+# cell is rewritten in place); the legal bench smoke pins
 # the warm ruling-cache hit, with and without fresh case names, the
 # same way, and the committed BENCH_legal.json must show that hit at
 # least 2x faster than its pre-dispatch baseline. The delta pipeline
@@ -188,13 +190,15 @@ scripts/bench.sh -short -o "$tmpdir/bench.json"
 # The scheduler and send hot paths must stay allocation-free: the event
 # queue moves pointer-free keys over a reused slab, a delivered packet
 # rides its event with no clone, and a send across a wide topology reads
-# the dense topology tables.
+# the dense topology tables. A relay rewrites the cell it was handed in
+# place, so its forward hop allocates only the CTR state and the packet.
 go run ./scripts/benchcheck \
 	-max-allocs 'BenchmarkSimulatorStep=0' \
 	-max-allocs 'BenchmarkSimulatorStepDeep=0' \
 	-max-allocs 'BenchmarkSend=0' \
 	-max-allocs 'BenchmarkSendWide=0' \
 	-max-allocs 'BenchmarkHeapChurn=0' \
+	-max-allocs 'BenchmarkRelayForward=2' \
 	"$tmpdir/bench.json"
 scripts/bench.sh -short -o "$tmpdir/bench_legal.json" legal
 # A warm ruling-cache hit must stay allocation-free, including under
