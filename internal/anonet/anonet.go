@@ -68,10 +68,10 @@ func (a *Anonet) Net() *netsim.Network { return a.net }
 // route is one relay's per-circuit state.
 type route struct {
 	prev, next netsim.NodeID // next is empty at the exit
-	layer      cipher.Block  // this hop's cipher, built at BuildCircuit
+	layer      cipher.AEAD   // this hop's cipher, built at BuildCircuit
 	flow       netsim.FlowID // flowFor of the route's circuit
 	exitSeq    uint64        // backward cell sequence, assigned by the exit
-	iv         counterBlock  // applyLayer's scratch; only the relay's node touches it
+	sc         layerScratch  // applyLayer's scratch; only the relay's node touches it
 }
 
 // Relay is one onion router.
@@ -164,10 +164,10 @@ type Circuit struct {
 	// Hops are the relays in path order (entry first).
 	Hops []netsim.NodeID
 
-	layers []cipher.Block // one cipher per hop, entry first
+	layers []cipher.AEAD // one cipher per hop, entry first
 	flow   netsim.FlowID
 	fwdSeq uint64
-	iv     counterBlock // applyLayer's scratch; only the client's node touches it
+	sc     layerScratch // applyLayer's scratch; only the client's node touches it
 }
 
 // BuildCircuit telescopes a circuit from the client through the given
@@ -255,7 +255,7 @@ func (c *Client) Send(circ *Circuit, dst netsim.NodeID, data []byte) error {
 	onion := wire[cellHeaderLen : cellHeaderLen+n]
 	relayPayload{Dst: string(dst), Data: data}.put(onion)
 	for i := len(circ.layers) - 1; i >= 0; i-- {
-		applyLayer(circ.layers[i], &circ.iv, circ.ID, seq, false, onion, onion)
+		applyLayer(circ.layers[i], &circ.sc, circ.ID, seq, false, onion, onion)
 	}
 	return c.a.net.Send(&netsim.Packet{
 		Header: netsim.Header{
@@ -279,7 +279,7 @@ func (c *Client) handle(_ *netsim.Network, pkt *netsim.Packet) {
 		return
 	}
 	for _, layer := range circ.layers {
-		applyLayer(layer, &circ.iv, cl.Circ, cl.Seq, true, cl.Data, cl.Data)
+		applyLayer(layer, &circ.sc, cl.Circ, cl.Seq, true, cl.Data, cl.Data)
 	}
 	if c.OnData != nil {
 		c.OnData(cl.Circ, cl.Data, pkt.DeliveredAt)
@@ -310,7 +310,7 @@ func (r *Relay) handle(_ *netsim.Network, pkt *netsim.Packet) {
 			return
 		}
 		wire := newCell(rtCirc, rt.exitSeq, n)
-		applyLayer(rt.layer, &rt.iv, rtCirc, rt.exitSeq, true, wire[cellHeaderLen:cellHeaderLen+n], pkt.Payload)
+		applyLayer(rt.layer, &rt.sc, rtCirc, rt.exitSeq, true, wire[cellHeaderLen:cellHeaderLen+n], pkt.Payload)
 		r.forward(rt.prev, rt.flow, wire)
 		return
 	}
@@ -327,7 +327,7 @@ func (r *Relay) handle(_ *netsim.Network, pkt *netsim.Packet) {
 	}
 	switch pkt.Header.Src {
 	case rt.prev: // forward direction
-		applyLayer(rt.layer, &rt.iv, cl.Circ, cl.Seq, false, cl.Data, cl.Data)
+		applyLayer(rt.layer, &rt.sc, cl.Circ, cl.Seq, false, cl.Data, cl.Data)
 		if !isExit {
 			r.forward(rt.next, flow, pkt.Payload)
 			return
@@ -345,7 +345,7 @@ func (r *Relay) handle(_ *netsim.Network, pkt *netsim.Packet) {
 			Payload: rp.Data,
 		})
 	case rt.next: // backward direction: add this relay's layer
-		applyLayer(rt.layer, &rt.iv, cl.Circ, cl.Seq, true, cl.Data, cl.Data)
+		applyLayer(rt.layer, &rt.sc, cl.Circ, cl.Seq, true, cl.Data, cl.Data)
 		r.forward(rt.prev, flow, pkt.Payload)
 	}
 }

@@ -311,20 +311,20 @@ func TestApplyLayerInvolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	plain := []byte("some data to protect")
-	var iv counterBlock
+	var sc layerScratch
 	enc := make([]byte, len(plain))
-	applyLayer(layer, &iv, 5, 9, false, enc, plain)
+	applyLayer(layer, &sc, 5, 9, false, enc, plain)
 	if bytes.Equal(enc, plain) {
 		t.Error("layer must change the data")
 	}
 	dec := make([]byte, len(enc))
-	applyLayer(layer, &iv, 5, 9, false, dec, enc)
+	applyLayer(layer, &sc, 5, 9, false, dec, enc)
 	if !bytes.Equal(dec, plain) {
 		t.Error("applying the layer twice must restore the plaintext")
 	}
 	// Direction separates keystreams.
 	back := make([]byte, len(plain))
-	applyLayer(layer, &iv, 5, 9, true, back, plain)
+	applyLayer(layer, &sc, 5, 9, true, back, plain)
 	if bytes.Equal(back, enc) {
 		t.Error("forward and backward keystreams must differ")
 	}

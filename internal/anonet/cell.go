@@ -1,9 +1,10 @@
 // Package anonet implements the Section IV-B substrate: a Tor-like
 // low-latency anonymity network with telescoped three-hop circuits and
-// per-hop layered encryption (AES-CTR). Clients wrap traffic in one
-// encryption layer per relay; each relay strips (or, on the return path,
-// adds) exactly one layer, so no relay sees both endpoints and only the
-// exit sees plaintext.
+// per-hop layered encryption (AES-CTR, taken from AES-GCM's encryption
+// so a layer allocates nothing). Clients wrap traffic in one encryption
+// layer per relay; each relay strips (or, on the return path, adds)
+// exactly one layer, so no relay sees both endpoints and only the exit
+// sees plaintext.
 //
 // The network exists to carry the paper's watermark-traceback experiment:
 // law enforcement cannot read the suspect's circuit traffic (a Title III
@@ -92,35 +93,49 @@ func unmarshalCell(b []byte) (cell, error) {
 // LayerKey is one hop's symmetric key.
 type LayerKey [16]byte
 
-// newLayer expands k into the hop's AES block cipher. Circuits build
-// each hop's cipher once, at BuildCircuit, and reuse it for every cell.
-func newLayer(k LayerKey) (cipher.Block, error) {
+// newLayer expands k into the hop's AES-GCM cipher, whose encryption is
+// the AES-CTR keystream applyLayer uses. Circuits build each hop's
+// cipher once, at BuildCircuit, and reuse it for every cell. A build
+// that refuses caller-chosen nonces (GODEBUG=fips140=only) fails here.
+func newLayer(k LayerKey) (cipher.AEAD, error) {
 	block, err := aes.NewCipher(k[:])
 	if err != nil {
 		return nil, fmt.Errorf("anonet: cipher: %w", err)
 	}
-	return block, nil
+	aead, err := cipher.NewGCM(block)
+	if err != nil {
+		return nil, fmt.Errorf("anonet: cipher: %w", err)
+	}
+	return aead, nil
 }
 
-// counterBlock holds a layer's initial counter. Circuits and routes
-// each keep one as scratch: a counter on the stack would escape through
-// cipher.NewCTR and cost an allocation per layer.
-type counterBlock [aes.BlockSize]byte
+// layerScratch is applyLayer's working space. Circuits and routes each
+// keep one: a nonce on the stack would escape through the AEAD
+// interface and cost an allocation per layer.
+type layerScratch struct {
+	nonce [12]byte
+	out   [cellDataCap + 16]byte // a full cell's sealed data and GCM's 16-byte tag
+}
 
-// applyLayer XORs one AES-CTR layer under block over src into dst, which
+// applyLayer XORs one AES-CTR layer under aead over src into dst, which
 // may be src itself. CTR is an involution under a fixed keystream, so
-// the same call encrypts and decrypts. The initial counter, laid out in
-// iv, binds circuit, sequence number, and direction so keystreams never
-// repeat across cells or directions. With the block built once per hop
-// (newLayer), the call does no key expansion; it allocates only the CTR
-// state, and the keystream runs eight blocks at a time.
-func applyLayer(block cipher.Block, iv *counterBlock, circ CircuitID, seq uint64, backward bool, dst, src []byte) {
-	binary.BigEndian.PutUint64(iv[0:8], uint64(circ))
-	binary.BigEndian.PutUint64(iv[8:16], seq)
+// the same call encrypts and decrypts. GCM encrypts by AES-CTR from the
+// counter block nonce‖be32(2), so applyLayer seals src into sc.out,
+// keeps the first len(src) bytes and drops the tag. The nonce binds
+// direction and circuit (the top bit and low 31 bits of its first
+// word) and the cell's sequence number (its last eight bytes), so a
+// cell's blocks run counters 2..33 under a nonce of their own and no
+// two cells or directions under one key share a keystream block. The
+// call does no key expansion, allocates nothing, and runs the keystream
+// eight blocks at a time.
+func applyLayer(aead cipher.AEAD, sc *layerScratch, circ CircuitID, seq uint64, backward bool, dst, src []byte) {
+	dc := uint32(circ) &^ (1 << 31)
 	if backward {
-		iv[0] ^= 0x80
+		dc |= 1 << 31
 	}
-	cipher.NewCTR(block, iv[:]).XORKeyStream(dst, src)
+	binary.BigEndian.PutUint32(sc.nonce[0:4], dc)
+	binary.BigEndian.PutUint64(sc.nonce[4:12], seq)
+	copy(dst, aead.Seal(sc.out[:0], sc.nonce[:], src, nil)[:len(src)])
 }
 
 // relayPayload is the innermost (exit-layer) plaintext of a forward cell:

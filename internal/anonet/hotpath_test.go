@@ -2,24 +2,39 @@ package anonet
 
 import (
 	"bytes"
+	"crypto/aes"
 	"crypto/cipher"
 	"encoding/binary"
 	"math"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 	"time"
 
 	"lawgate/internal/netsim"
 )
 
+// differentialKey is the layer key the differential tests share.
+var differentialKey = LayerKey([]byte("differential-key"))
+
 // referenceLayer is applyLayer written against cipher.NewCTR: the
-// standard library's CTR mode over the same block and initial counter.
-func referenceLayer(block cipher.Block, circ CircuitID, seq uint64, backward bool, data []byte) []byte {
-	iv := make([]byte, 16)
-	binary.BigEndian.PutUint64(iv[0:8], uint64(circ))
-	binary.BigEndian.PutUint64(iv[8:16], seq)
-	if backward {
-		iv[0] ^= 0x80
+// standard library's CTR mode over the same AES key, started at the
+// counter block GCM encrypts from, nonce‖be32(2).
+func referenceLayer(t *testing.T, circ CircuitID, seq uint64, backward bool, data []byte) []byte {
+	t.Helper()
+	block, err := aes.NewCipher(differentialKey[:])
+	if err != nil {
+		t.Fatal(err)
 	}
+	dc := uint32(circ) &^ (1 << 31)
+	if backward {
+		dc |= 1 << 31
+	}
+	iv := make([]byte, aes.BlockSize)
+	binary.BigEndian.PutUint32(iv[0:4], dc)
+	binary.BigEndian.PutUint64(iv[4:12], seq)
+	binary.BigEndian.PutUint32(iv[12:16], 2)
 	out := make([]byte, len(data))
 	cipher.NewCTR(block, iv).XORKeyStream(out, data)
 	return out
@@ -27,15 +42,13 @@ func referenceLayer(block cipher.Block, circ CircuitID, seq uint64, backward boo
 
 // TestApplyLayerMatchesNewCTR checks applyLayer byte for byte against
 // cipher.NewCTR for every length from 0 to 600 — empty, partial final
-// blocks and whole blocks — in both directions, including sequence
-// numbers and circuit IDs at which the 128-bit counter carries from the
-// low word into the high word and wraps around entirely. Each case runs
-// into a separate buffer and in place (dst == src), the way relays call
-// it.
+// blocks, whole blocks, and lengths past a cell's data capacity — in
+// both directions, with circuit IDs and sequence numbers at their
+// extremes, including a circuit ID whose top nonce bit the direction
+// takes. Each case runs into a separate buffer and in place
+// (dst == src), the way relays call it.
 func TestApplyLayerMatchesNewCTR(t *testing.T) {
-	var k LayerKey
-	copy(k[:], "differential-key")
-	layer, err := newLayer(k)
+	layer, err := newLayer(differentialKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,32 +60,101 @@ func TestApplyLayerMatchesNewCTR(t *testing.T) {
 		circ CircuitID
 		seq  uint64
 	}{
+		{0, 0},
 		{1, 1},
 		{42, 1 << 40},
-		{7, math.MaxUint64 - 3},              // carry into the circuit word mid-cell
-		{7, math.MaxUint64},                  // carry after the first block
-		{math.MaxUint64, math.MaxUint64 - 1}, // full 128-bit wrap
-		{1 << 63, math.MaxUint64 - 20},       // backward flips the top bit
+		{7, math.MaxUint64},
+		{1<<31 - 1, math.MaxUint64 - 1},
+		{1 << 31, 3}, // the direction bit's position in the nonce
+		{math.MaxUint64, math.MaxUint64},
 	}
-	var iv counterBlock
+	var sc layerScratch
 	got := make([]byte, len(data))
 	for _, c := range counters {
 		for _, backward := range []bool{false, true} {
 			for n := 0; n <= len(data); n++ {
-				want := referenceLayer(layer, c.circ, c.seq, backward, data[:n])
-				applyLayer(layer, &iv, c.circ, c.seq, backward, got[:n], data[:n])
+				want := referenceLayer(t, c.circ, c.seq, backward, data[:n])
+				applyLayer(layer, &sc, c.circ, c.seq, backward, got[:n], data[:n])
 				if !bytes.Equal(got[:n], want) {
 					t.Fatalf("circ=%#x seq=%#x backward=%v len=%d: applyLayer differs from cipher.NewCTR",
 						uint64(c.circ), c.seq, backward, n)
 				}
 				copy(got, data[:n])
-				applyLayer(layer, &iv, c.circ, c.seq, backward, got[:n], got[:n])
+				applyLayer(layer, &sc, c.circ, c.seq, backward, got[:n], got[:n])
 				if !bytes.Equal(got[:n], want) {
 					t.Fatalf("circ=%#x seq=%#x backward=%v len=%d: in-place applyLayer differs from cipher.NewCTR",
 						uint64(c.circ), c.seq, backward, n)
 				}
 			}
 		}
+	}
+}
+
+// TestConsecutiveCellsShareNoKeystreamBlock checks that cells seq and
+// seq+1 of one circuit and direction, under one key, share no 16-byte
+// keystream block at any offset. A counter that ran seq+j across a
+// cell's blocks would reuse all but one block of the next cell's
+// keystream, shifted by one block, and XORing the two ciphertexts at
+// that shift would cancel the layer.
+func TestConsecutiveCellsShareNoKeystreamBlock(t *testing.T) {
+	layer, err := newLayer(differentialKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sc layerScratch
+	zero := make([]byte, cellDataCap)
+	keystream := func(circ CircuitID, seq uint64, backward bool) map[[aes.BlockSize]byte]bool {
+		ks := make([]byte, cellDataCap)
+		applyLayer(layer, &sc, circ, seq, backward, ks, zero)
+		blocks := make(map[[aes.BlockSize]byte]bool)
+		for off := 0; off+aes.BlockSize <= len(ks); off += aes.BlockSize {
+			blocks[[aes.BlockSize]byte(ks[off:])] = true
+		}
+		return blocks
+	}
+	for _, circ := range []CircuitID{1, 1<<31 - 1, math.MaxUint64} {
+		for _, seq := range []uint64{0, 1, 1 << 32, math.MaxUint64 - 1} {
+			for _, backward := range []bool{false, true} {
+				a, b := keystream(circ, seq, backward), keystream(circ, seq+1, backward)
+				for blk := range a {
+					if b[blk] {
+						t.Fatalf("circ=%#x backward=%v: cells %d and %d share keystream block %x",
+							uint64(circ), backward, seq, seq+1, blk)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBuildCircuitFailsUnderFIPSOnly runs itself again in a child
+// process under GODEBUG=fips140=only, where cipher.NewGCM refuses
+// caller-chosen nonces, and checks that BuildCircuit reports the
+// refusal as an error instead of panicking.
+func TestBuildCircuitFailsUnderFIPSOnly(t *testing.T) {
+	if strings.Contains(os.Getenv("GODEBUG"), "fips140=only") {
+		net := netsim.NewNetwork(netsim.NewSimulator(5))
+		a := New(net)
+		client, err := a.AddClient("c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.AddRelay("r1"); err != nil {
+			t.Fatal(err)
+		}
+		if err := net.Connect("c", "r1", netsim.Link{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.BuildCircuit(client, "r1"); err == nil {
+			t.Fatal("BuildCircuit succeeded with caller-chosen nonces refused")
+		}
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestBuildCircuitFailsUnderFIPSOnly$", "-test.count=1", "-test.v")
+	cmd.Env = append(os.Environ(), "GODEBUG=fips140=only")
+	out, err := cmd.CombinedOutput()
+	if err != nil || !bytes.Contains(out, []byte("--- PASS: TestBuildCircuitFailsUnderFIPSOnly")) {
+		t.Fatalf("child under fips140=only: %v\n%s", err, out)
 	}
 }
 
@@ -92,21 +174,18 @@ func TestUnmarshalCellRejectsWithoutAlloc(t *testing.T) {
 }
 
 // relayForwardAllocs is the pinned allocation count of one forward hop
-// at a middle relay: the layer's CTR state (a copy of the expanded key)
-// and the outgoing packet. The cell is rewritten in place; cipher
-// setup, the counter block, the flow name and the packet's hop list
-// cost nothing per cell.
-const relayForwardAllocs = 2
+// at a middle relay: the outgoing packet. The cell is rewritten in
+// place; the layer, its nonce and the flow name cost nothing per cell.
+const relayForwardAllocs = 1
 
 // exitWrapAllocs is the pinned allocation count of the exit wrapping
-// one server reply into the circuit: the new cell, the CTR state and
-// the packet.
-const exitWrapAllocs = 3
+// one server reply into the circuit: the new cell and the packet.
+const exitWrapAllocs = 2
 
 // clientHandleAllocs is the pinned allocation count of the client
-// peeling one backward cell: one CTR state per hop, and no output
-// buffer.
-const clientHandleAllocs = 3
+// peeling one backward cell: none, since every layer is peeled in place
+// through the circuit's scratch.
+const clientHandleAllocs = 0
 
 // middleHop returns a function that hands the middle relay one full
 // forward cell and runs the network dry, and the middle relay. The exit

@@ -5,6 +5,7 @@
 package netsim_test
 
 import (
+	"strconv"
 	"testing"
 	"time"
 
@@ -59,10 +60,9 @@ func TestScheduleStepDeepZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSendFreshPacketAllocs pins a fresh packet (Hops == nil, the shape
-// every protocol handler sends) to one allocation: the packet itself.
-// Its source and destination hops land in the packet's inline hop
-// buffer, and the delivery event reuses a slab slot.
+// TestSendFreshPacketAllocs pins a fresh packet (the shape every
+// protocol handler sends) to one allocation: the packet itself. The
+// delivery event reuses a slab slot.
 func TestSendFreshPacketAllocs(t *testing.T) {
 	sim := netsim.NewSimulator(1)
 	n := netsim.NewNetwork(sim)
@@ -93,15 +93,81 @@ func TestSendFreshPacketAllocs(t *testing.T) {
 	if allocs != 1 {
 		t.Errorf("fresh-packet Send+deliver allocs/op = %v, want 1 (the packet)", allocs)
 	}
-	if len(last.Hops) != 2 || last.Hops[0] != "src" || last.Hops[1] != "dst" {
-		t.Errorf("Hops = %v, want [src dst]", last.Hops)
+	if last.Header.Src != "src" || last.Header.Dst != "dst" {
+		t.Errorf("Src, Dst = %q, %q, want src, dst", last.Header.Src, last.Header.Dst)
+	}
+	if last.DeliveredAt != sim.Now() || last.DeliveredAt-last.SentAt != time.Millisecond {
+		t.Errorf("SentAt, DeliveredAt = %v, %v, want one 1ms hop ending now (%v)",
+			last.SentAt, last.DeliveredAt, sim.Now())
+	}
+}
+
+// TestResendChainZeroAlloc re-sends one delivered packet along a 6-hop
+// chain, each node rewriting its endpoints and sending it on the way the
+// scale watermark relays do, and pins every hop to zero allocations: a
+// re-sent packet carries nothing that grows with the hops it has made.
+func TestResendChainZeroAlloc(t *testing.T) {
+	const hops = 6
+	sim := netsim.NewSimulator(1)
+	n := netsim.NewNetwork(sim)
+	ids := make([]netsim.NodeID, hops+1)
+	for i := range ids {
+		ids[i] = netsim.NodeID("n" + strconv.Itoa(i))
+	}
+	var last *netsim.Packet
+	for i, id := range ids {
+		var h netsim.Handler
+		if i < hops {
+			next := ids[i+1]
+			h = netsim.HandlerFunc(func(n *netsim.Network, pkt *netsim.Packet) {
+				pkt.Header.Src, pkt.Header.Dst = id, next
+				if err := n.Send(pkt); err != nil {
+					t.Error(err)
+				}
+			})
+		} else {
+			h = netsim.HandlerFunc(func(_ *netsim.Network, pkt *netsim.Packet) { last = pkt })
+		}
+		if err := n.AddNode(id, h); err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 {
+			if err := n.Connect(ids[i-1], id, netsim.Link{Latency: time.Millisecond}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	pkt := &netsim.Packet{Payload: []byte("watermark-payload")}
+	chain := func() {
+		pkt.Header = netsim.Header{Src: ids[0], Dst: ids[1], Flow: "wm", Proto: netsim.ProtoUDP}
+		if err := n.Send(pkt); err != nil {
+			t.Fatal(err)
+		}
+		for sim.Step() {
+		}
+	}
+	chain() // warm the event slab
+	delivered := n.Delivered
+	allocs := testing.AllocsPerRun(1000, chain)
+	if perHop := allocs / hops; perHop != 0 {
+		t.Errorf("re-sent packet allocs/hop = %v, want 0", perHop)
+	}
+	if got := n.Delivered - delivered; got != 1001*hops {
+		t.Errorf("delivered %d packets over 1001 chains, want %d", got, 1001*hops)
+	}
+	if last != pkt || last.Header.Src != ids[hops-1] || last.Header.Dst != ids[hops] {
+		t.Errorf("chain ended with %p %q→%q, want the re-sent packet %q→%q",
+			last, last.Header.Src, last.Header.Dst, ids[hops-1], ids[hops])
+	}
+	if last.DeliveredAt-last.SentAt != time.Millisecond {
+		t.Errorf("last hop took %v, want 1ms", last.DeliveredAt-last.SentAt)
 	}
 }
 
 // TestSendSteadyStateAllocs pins the common un-faulted case — Send with
 // no taps and no fault hook, packet delivered and handled — to at most
 // 2 allocations per packet (currently 0: the packet rides the typed
-// delivery event with no clone and its Hops capacity is reused).
+// delivery event with no clone).
 func TestSendSteadyStateAllocs(t *testing.T) {
 	sim := netsim.NewSimulator(1)
 	n := netsim.NewNetwork(sim)
@@ -118,14 +184,13 @@ func TestSendSteadyStateAllocs(t *testing.T) {
 		Payload: []byte("steady-state-payload"),
 	}
 	send := func() {
-		pkt.Hops = pkt.Hops[:0]
 		if err := n.Send(pkt); err != nil {
 			t.Fatal(err)
 		}
 		for sim.Step() {
 		}
 	}
-	send() // warm Hops capacity and the event slab
+	send() // warm the event slab
 	allocs := testing.AllocsPerRun(1000, send)
 	if allocs > 2 {
 		t.Errorf("steady-state Send+deliver allocs/op = %v, want <= 2", allocs)
@@ -156,14 +221,13 @@ func TestSendTappedSteadyStateAllocs(t *testing.T) {
 		Payload: []byte("steady-state-payload"),
 	}
 	send := func() {
-		pkt.Hops = pkt.Hops[:0]
 		if err := n.Send(pkt); err != nil {
 			t.Fatal(err)
 		}
 		for sim.Step() {
 		}
 	}
-	send() // warm Hops, the event slab, and the snapshot buffers
+	send() // warm the event slab and the snapshot buffers
 	allocs := testing.AllocsPerRun(1000, send)
 	if allocs != 0 {
 		t.Errorf("steady-state tapped Send allocs/op = %v, want 0", allocs)

@@ -69,9 +69,8 @@ func benchNet(b *testing.B, link netsim.Link) *netsim.Network {
 
 // sendDrain transmits one packet and drives the simulator until the
 // delivery lands, reusing pkt across calls (the network owns the packet
-// during delivery, so the caller resets Hops between sends).
+// only until it is delivered).
 func sendDrain(b *testing.B, n *netsim.Network, pkt *netsim.Packet) {
-	pkt.Hops = pkt.Hops[:0]
 	if err := n.Send(pkt); err != nil {
 		b.Fatal(err)
 	}

@@ -361,7 +361,6 @@ func (d delivery) run() {
 	}
 	pkt := d.pkt
 	pkt.DeliveredAt = n.sim.Now()
-	pkt.Hops = append(pkt.Hops, dst.id)
 	n.Delivered++
 	if d.duplicate {
 		n.Duplicated++
@@ -392,10 +391,9 @@ func (n *Network) resolve(src, dst NodeID) (route, error) {
 // Send transmits a packet from pkt.Header.Src to pkt.Header.Dst over their
 // direct link. The packet is stamped, observed by taps at both ends,
 // subjected to loss, and delivered after latency plus jitter. Send assigns
-// pkt.ID and appends the source hop. The network takes ownership of pkt:
-// in the common single-delivery case the packet itself is delivered
-// (no clone); only fault-injected duplicate deliveries clone. Callers
-// must not reuse pkt after Send without resetting Hops.
+// pkt.ID. The network takes ownership of pkt: in the common
+// single-delivery case the packet itself is delivered (no clone); only
+// fault-injected duplicate deliveries clone.
 func (n *Network) Send(pkt *Packet) error {
 	r, err := n.resolve(pkt.Header.Src, pkt.Header.Dst)
 	if err != nil {
@@ -428,17 +426,6 @@ func (n *Network) send(pkt *Packet, r route) error {
 	st.pkt++
 	pkt.ID = int64(r.src+1)<<32 | int64(st.pkt)
 	pkt.SentAt = n.sim.Now()
-	// Pre-size Hops for the two appends every delivered packet receives
-	// (src here, dst at delivery) so neither append reallocates. A fresh
-	// packet uses its inline buffer, so it costs one allocation, not two.
-	if pkt.Hops == nil {
-		pkt.Hops = pkt.hopBuf[:0]
-	} else if cap(pkt.Hops)-len(pkt.Hops) < 2 {
-		grown := make([]NodeID, len(pkt.Hops), len(pkt.Hops)+2)
-		copy(grown, pkt.Hops)
-		pkt.Hops = grown
-	}
-	pkt.Hops = append(pkt.Hops, src)
 	if pkt.Header.SizeBytes == 0 {
 		pkt.Header.SizeBytes = len(pkt.Payload) + 40 // headers
 	}

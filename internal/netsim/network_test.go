@@ -71,8 +71,8 @@ func TestNetworkDelivery(t *testing.T) {
 	if p.SentAt != 0 {
 		t.Errorf("SentAt = %v, want 0", p.SentAt)
 	}
-	if len(p.Hops) != 2 || p.Hops[0] != "alice" || p.Hops[1] != "bob" {
-		t.Errorf("Hops = %v", p.Hops)
+	if p.Header.Src != "alice" || p.Header.Dst != "bob" {
+		t.Errorf("Src, Dst = %q, %q, want alice, bob", p.Header.Src, p.Header.Dst)
 	}
 	if p.Header.SizeBytes != len("hello")+40 {
 		t.Errorf("SizeBytes = %d", p.Header.SizeBytes)
@@ -254,13 +254,12 @@ func TestPacketClone(t *testing.T) {
 	p := &Packet{
 		Header:  Header{Src: "a", Dst: "b"},
 		Payload: []byte("data"),
-		Hops:    []NodeID{"a"},
 	}
 	c := p.Clone()
 	c.Payload[0] = 'X'
-	c.Hops[0] = "z"
-	if string(p.Payload) != "data" || p.Hops[0] != "a" {
-		t.Error("Clone must deep-copy payload and hops")
+	c.Header.Src = "z"
+	if string(p.Payload) != "data" || p.Header.Src != "a" {
+		t.Error("Clone must deep-copy the payload and copy the header")
 	}
 }
 

@@ -64,12 +64,6 @@ type Packet struct {
 	Encrypted bool
 	// SentAt and DeliveredAt are stamped by the network.
 	SentAt, DeliveredAt time.Duration
-	// Hops lists the nodes traversed, in order.
-	Hops []NodeID
-	// hopBuf backs Hops for a fresh packet (Hops == nil at Send), whose
-	// two hops — source and destination — then need no allocation of
-	// their own.
-	hopBuf [2]NodeID
 }
 
 // Clone returns a deep copy of the packet; forwarding nodes clone before
@@ -77,18 +71,15 @@ type Packet struct {
 func (p *Packet) Clone() *Packet {
 	cp := *p
 	cp.Payload = append([]byte(nil), p.Payload...)
-	cp.Hops = append([]NodeID(nil), p.Hops...)
 	return &cp
 }
 
-// cloneInto copies p into dst, reusing dst's Payload and Hops capacity.
+// cloneInto copies p into dst, reusing dst's Payload capacity.
 // Tap observation snapshots go through here so steady-state observation
 // allocates nothing once the buffers have grown to the packet sizes in
 // play.
 func (p *Packet) cloneInto(dst *Packet) {
 	payload := append(dst.Payload[:0], p.Payload...)
-	hops := append(dst.Hops[:0], p.Hops...)
 	*dst = *p
 	dst.Payload = payload
-	dst.Hops = hops
 }

@@ -161,7 +161,7 @@ func TestShardedPartitionCountInvariance(t *testing.T) {
 
 // TestShardedCrossPartitionDelivery checks the basic cross-partition
 // path: a message sent from partition 0 arrives at partition 1 exactly
-// one link latency later, with hops and totals accounted.
+// one link latency later, with its endpoints and totals accounted.
 func TestShardedCrossPartitionDelivery(t *testing.T) {
 	o := netsim.NewShardedNetwork(7, 2)
 	if err := o.SetPartitionFunc(func(id netsim.NodeID) int {
@@ -172,14 +172,15 @@ func TestShardedCrossPartitionDelivery(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	var deliveredAt time.Duration
-	var hops []netsim.NodeID
+	var deliveredAt, stamped time.Duration
+	var hdr netsim.Header
 	if err := o.AddNode("a", nil); err != nil {
 		t.Fatal(err)
 	}
 	err := o.AddNode("b", netsim.HandlerFunc(func(n *netsim.Network, pkt *netsim.Packet) {
 		deliveredAt = n.Sim().Now()
-		hops = append(hops, pkt.Hops...)
+		stamped = pkt.DeliveredAt
+		hdr = pkt.Header
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -199,11 +200,11 @@ func TestShardedCrossPartitionDelivery(t *testing.T) {
 	if err := o.Run(2); err != nil {
 		t.Fatal(err)
 	}
-	if deliveredAt != 5*time.Millisecond {
-		t.Errorf("delivered at %v, want 5ms", deliveredAt)
+	if deliveredAt != 5*time.Millisecond || stamped != deliveredAt {
+		t.Errorf("delivered at %v, DeliveredAt %v, want 5ms", deliveredAt, stamped)
 	}
-	if !reflect.DeepEqual(hops, []netsim.NodeID{"a", "b"}) {
-		t.Errorf("hops = %v", hops)
+	if hdr.Src != "a" || hdr.Dst != "b" {
+		t.Errorf("Src, Dst = %q, %q, want a, b", hdr.Src, hdr.Dst)
 	}
 	if tot := o.Totals(); tot.Delivered != 1 {
 		t.Errorf("totals = %+v", tot)
