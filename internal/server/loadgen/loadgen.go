@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -46,6 +47,25 @@ const (
 	opPoison
 )
 
+// maxDrops caps the transport errors a Result keeps.
+const maxDrops = 5
+
+// opNames labels each operation kind in a Result's Drops.
+var opNames = [...]string{
+	opEvaluate:      "evaluate",
+	opBatch:         "batch",
+	opAdvise:        "advise",
+	opCheckpoint:    "checkpoint",
+	opMalformed:     "malformed",
+	opOversized:     "oversized",
+	opZeroDeadline:  "zero-deadline",
+	opUnknownTenant: "unknown-tenant",
+	opPoison:        "poison",
+}
+
+// errRunOver marks a slow-loris dial the run's own deadline cut short.
+var errRunOver = errors.New("loadgen: run over")
+
 // Config shapes one load run.
 type Config struct {
 	// BaseURL is the server under test, e.g. "http://127.0.0.1:8080".
@@ -77,6 +97,9 @@ type Result struct {
 	// Unaccounted counts requests that ended without any HTTP status —
 	// the number a robust server keeps at zero.
 	Unaccounted uint64 `json:"unaccounted"`
+	// Drops holds the first maxDrops errors behind Unaccounted, each
+	// naming the request that ended without a status.
+	Drops []string `json:"drops,omitempty"`
 	// Rulings counts 200s on /v1/evaluate (the latency population).
 	Rulings uint64 `json:"rulings"`
 	// Swaps counts completed mid-run doctrine hot swaps.
@@ -118,7 +141,8 @@ var DeliberateStatuses = map[int]bool{
 // unaccounted request or a status outside DeliberateStatuses.
 func (r *Result) Check() error {
 	if r.Unaccounted > 0 {
-		return fmt.Errorf("loadgen: %d of %d requests ended without a status", r.Unaccounted, r.Requests)
+		return fmt.Errorf("loadgen: %d of %d requests ended without a status; first: %s",
+			r.Unaccounted, r.Requests, strings.Join(r.Drops, "; "))
 	}
 	for status, n := range r.Statuses {
 		if !DeliberateStatuses[status] {
@@ -183,6 +207,7 @@ func Run(cfg Config) (*Result, error) {
 		wg        sync.WaitGroup
 		mu        sync.Mutex
 		statuses  = map[int]uint64{}
+		drops     []string
 		latencies = make([][]int64, cfg.Workers)
 		requests  atomic.Uint64
 		unacct    atomic.Uint64
@@ -192,6 +217,14 @@ func Run(cfg Config) (*Result, error) {
 	record := func(status int) {
 		mu.Lock()
 		statuses[status]++
+		mu.Unlock()
+	}
+	drop := func(what string, err error) {
+		unacct.Add(1)
+		mu.Lock()
+		if len(drops) < maxDrops {
+			drops = append(drops, what+": "+err.Error())
+		}
 		mu.Unlock()
 	}
 
@@ -241,34 +274,34 @@ func Run(cfg Config) (*Result, error) {
 				requests.Add(1)
 				var (
 					status int
-					ok     bool
+					err    error
 					t0     time.Time
 				)
 				switch op {
 				case opEvaluate: // valid evaluate, latency recorded
 					t0 = time.Now()
-					status, ok = post(client, cfg.BaseURL+"/v1/evaluate", steady, nil)
+					status, err = post(client, cfg.BaseURL+"/v1/evaluate", steady, nil)
 				case opBatch:
-					status, ok = post(client, cfg.BaseURL+"/v1/evaluate/batch", batch, nil)
+					status, err = post(client, cfg.BaseURL+"/v1/evaluate/batch", batch, nil)
 				case opAdvise:
-					status, ok = post(client, cfg.BaseURL+"/v1/advise", steady, nil)
+					status, err = post(client, cfg.BaseURL+"/v1/advise", steady, nil)
 				case opCheckpoint:
-					status, ok = get(client, cfg.BaseURL+"/v1/ledger/checkpoint")
+					status, err = get(client, cfg.BaseURL+"/v1/ledger/checkpoint")
 				case opMalformed: // -> 400
-					status, ok = post(client, cfg.BaseURL+"/v1/evaluate",
+					status, err = post(client, cfg.BaseURL+"/v1/evaluate",
 						[]byte(`{"Name": "broken`), nil)
 				case opOversized: // -> 413
-					status, ok = post(client, cfg.BaseURL+"/v1/evaluate", oversized, nil)
+					status, err = post(client, cfg.BaseURL+"/v1/evaluate", oversized, nil)
 				case opZeroDeadline: // -> 504
-					status, ok = post(client, cfg.BaseURL+"/v1/evaluate", steady,
+					status, err = post(client, cfg.BaseURL+"/v1/evaluate", steady,
 						map[string]string{"X-Lawgate-Deadline-Ms": "0"})
 				case opUnknownTenant: // -> 404
-					status, ok = post(client, cfg.BaseURL+"/v1/evaluate?tenant=no-such", steady, nil)
+					status, err = post(client, cfg.BaseURL+"/v1/evaluate?tenant=no-such", steady, nil)
 				case opPoison: // -> recovered 500
-					status, ok = post(client, cfg.BaseURL+"/v1/evaluate", poison, nil)
+					status, err = post(client, cfg.BaseURL+"/v1/evaluate", poison, nil)
 				}
-				if !ok {
-					unacct.Add(1)
+				if err != nil {
+					drop(opNames[op], err)
 					continue
 				}
 				record(status)
@@ -297,9 +330,9 @@ func Run(cfg Config) (*Result, error) {
 				case <-tick.C:
 				}
 				requests.Add(1)
-				status, ok := put(client, cfg.BaseURL+"/v1/tenants/default/rules", cfgs[i%2])
-				if !ok {
-					unacct.Add(1)
+				status, err := put(client, cfg.BaseURL+"/v1/tenants/default/rules", cfgs[i%2])
+				if err != nil {
+					drop("swap", err)
 					continue
 				}
 				record(status)
@@ -316,14 +349,13 @@ func Run(cfg Config) (*Result, error) {
 			go func() {
 				defer wg.Done()
 				for ctx.Err() == nil {
-					status, ok := slowLoris(ctx, u.Host)
-					if !ok && ctx.Err() != nil {
-						// The harness canceled the dial; not a drop.
+					status, err := slowLoris(ctx, u.Host)
+					if errors.Is(err, errRunOver) {
 						return
 					}
 					requests.Add(1)
-					if !ok {
-						unacct.Add(1)
+					if err != nil {
+						drop("slow-loris", err)
 						continue
 					}
 					record(status)
@@ -346,6 +378,7 @@ func Run(cfg Config) (*Result, error) {
 		Requests:    requests.Load(),
 		Statuses:    statuses,
 		Unaccounted: unacct.Load(),
+		Drops:       drops,
 		Rulings:     rulings.Load(),
 		Swaps:       swaps.Load(),
 		Elapsed:     elapsed,
@@ -371,12 +404,12 @@ func mustJSON(v any) []byte {
 	return b
 }
 
-// post issues the request and reports the status; ok is false when the
-// request ended without one.
-func post(client *http.Client, url string, body []byte, headers map[string]string) (int, bool) {
+// post issues the request and reports the status, or the error that
+// ended the request without one.
+func post(client *http.Client, url string, body []byte, headers map[string]string) (int, error) {
 	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
-		return 0, false
+		return 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	for k, v := range headers {
@@ -385,58 +418,66 @@ func post(client *http.Client, url string, body []byte, headers map[string]strin
 	return do(client, req)
 }
 
-func put(client *http.Client, url string, body []byte) (int, bool) {
+func put(client *http.Client, url string, body []byte) (int, error) {
 	req, err := http.NewRequest(http.MethodPut, url, bytes.NewReader(body))
 	if err != nil {
-		return 0, false
+		return 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	return do(client, req)
 }
 
-func get(client *http.Client, url string) (int, bool) {
+func get(client *http.Client, url string) (int, error) {
 	req, err := http.NewRequest(http.MethodGet, url, nil)
 	if err != nil {
-		return 0, false
+		return 0, err
 	}
 	return do(client, req)
 }
 
-func do(client *http.Client, req *http.Request) (int, bool) {
+func do(client *http.Client, req *http.Request) (int, error) {
 	resp, err := client.Do(req)
 	if err != nil {
-		return 0, false
+		return 0, err
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	return resp.StatusCode, true
+	return resp.StatusCode, nil
 }
 
 // slowLoris opens a raw TCP connection, sends headers promising a body
 // it never delivers, and waits for the server's verdict. A robust
 // server answers 408 within its body-read timeout instead of leaving
 // the socket open.
-func slowLoris(ctx context.Context, host string) (int, bool) {
+//
+// A dial the run's deadline cuts short returns errRunOver: the harness
+// ended it before any request reached the server, so it is not a drop.
+// The clock decides, not ctx.Err(): the dialer times out on the
+// context's deadline before the context itself reports done.
+func slowLoris(ctx context.Context, host string) (int, error) {
 	d := net.Dialer{Timeout: 5 * time.Second}
 	conn, err := d.DialContext(ctx, "tcp", host)
 	if err != nil {
-		return 0, false
+		if dl, ok := ctx.Deadline(); ctx.Err() != nil || ok && !time.Now().Before(dl) {
+			return 0, errRunOver
+		}
+		return 0, err
 	}
 	defer conn.Close()
 	_, err = fmt.Fprintf(conn, "POST /v1/evaluate HTTP/1.1\r\nHost: %s\r\n"+
 		"Content-Type: application/json\r\nContent-Length: 4096\r\n\r\n{\"Name\":", host)
 	if err != nil {
-		return 0, false
+		return 0, err
 	}
 	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
 	buf := make([]byte, 64)
 	n, err := conn.Read(buf)
-	if err != nil || n < 12 {
-		return 0, false
+	if err != nil {
+		return 0, err
 	}
 	var status int
 	if _, err := fmt.Sscanf(string(buf[:n]), "HTTP/1.1 %d", &status); err != nil {
-		return 0, false
+		return 0, fmt.Errorf("status line %q: %w", buf[:n], err)
 	}
-	return status, true
+	return status, nil
 }

@@ -2,8 +2,10 @@ package loadgen
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -97,9 +99,14 @@ func TestResultCheck(t *testing.T) {
 	if err := ok.Check(); err != nil {
 		t.Fatal(err)
 	}
-	if err := (&Result{Requests: 10, Rulings: 5, Unaccounted: 1,
-		Statuses: map[int]uint64{200: 5}}).Check(); err == nil {
+	err := (&Result{Requests: 10, Rulings: 5, Unaccounted: 1,
+		Drops:    []string{"evaluate: connection reset by peer"},
+		Statuses: map[int]uint64{200: 5}}).Check()
+	if err == nil {
 		t.Fatal("unaccounted request passed Check")
+	}
+	if !strings.Contains(err.Error(), "evaluate: connection reset by peer") {
+		t.Fatalf("Check does not name the drop: %v", err)
 	}
 	if err := (&Result{Requests: 10, Rulings: 5,
 		Statuses: map[int]uint64{200: 5, 502: 1}}).Check(); err == nil {
@@ -107,5 +114,25 @@ func TestResultCheck(t *testing.T) {
 	}
 	if err := (&Result{Requests: 10, Statuses: map[int]uint64{400: 10}}).Check(); err == nil {
 		t.Fatal("zero rulings passed Check")
+	}
+}
+
+// overCtx reports a deadline already past while its Err is still nil:
+// the window between the run's deadline and the context timer firing,
+// which a loaded (race-built) process can stretch.
+type overCtx struct{ context.Context }
+
+func (overCtx) Deadline() (time.Time, bool) { return time.Now().Add(-time.Millisecond), true }
+
+// TestSlowLorisDialAfterDeadline pins that a slow-loris dial the run's
+// own deadline cuts short is the run ending, not a request the server
+// dropped, even before the context reports done.
+func TestSlowLorisDialAfterDeadline(t *testing.T) {
+	ctx := overCtx{context.Background()}
+	if ctx.Err() != nil {
+		t.Fatal("overCtx must not report done")
+	}
+	if _, err := slowLoris(ctx, "127.0.0.1:1"); !errors.Is(err, errRunOver) {
+		t.Fatalf("slowLoris after the deadline = %v, want errRunOver", err)
 	}
 }

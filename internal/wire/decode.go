@@ -66,6 +66,9 @@ func (d *decoder) errAt(msg string) error {
 }
 
 func (d *decoder) skipSpace() {
+	if d.pos < len(d.data) && d.data[d.pos] > ' ' {
+		return
+	}
 	for d.pos < len(d.data) {
 		switch d.data[d.pos] {
 		case ' ', '\t', '\n', '\r':
@@ -429,6 +432,47 @@ func (d *decoder) skipNumber() error {
 	return nil
 }
 
+// keyFold maps each byte that may appear unescaped in a plain ASCII
+// key to its lowercase form and every other byte — the quote, the
+// backslash, control characters and non-ASCII — to 0, the stop mark
+// for memberFast.
+var keyFold = func() (t [256]byte) {
+	for c := 0x20; c < utf8.RuneSelf; c++ {
+		t[c] = byte(c)
+		if c >= 'A' && c <= 'Z' {
+			t[c] |= 0x20
+		}
+	}
+	t['"'], t['\\'] = 0, 0
+	return
+}()
+
+// memberFast scans a `"key":` prefix and folds the key into keybuf in
+// one pass. It succeeds only for a plain ASCII key of at most
+// len(keybuf) bytes whose closing quote is followed directly by ':';
+// on any other shape it leaves d.pos alone and the caller parses the
+// member from the key's start the general way.
+func (d *decoder) memberFast() ([]byte, bool) {
+	data := d.data
+	if d.pos >= len(data) || data[d.pos] != '"' {
+		return nil, false
+	}
+	i, n := d.pos+1, 0
+	for ; i < len(data) && n < len(d.keybuf); i++ {
+		c := keyFold[data[i]]
+		if c == 0 {
+			break
+		}
+		d.keybuf[n] = c
+		n++
+	}
+	if i+1 >= len(data) || data[i] != '"' || data[i+1] != ':' {
+		return nil, false
+	}
+	d.pos = i + 2
+	return d.keybuf[:n], true
+}
+
 // lowerKey folds an object key into the decoder's fixed buffer. The
 // field structs here have no case-colliding names, so one folded
 // comparison reproduces encoding/json's exact-then-case-insensitive
@@ -547,7 +591,9 @@ func (d *decoder) setBool(p *bool) error {
 // decodeIntSlice decodes a JSON array of integers into a FRESH slice:
 // null → nil, [] → non-nil empty, null elements → zero values — all
 // encoding/json semantics. The backing is never pooled because decoded
-// slices escape into the engine's ruling cache.
+// slices escape into the engine's ruling cache. Elements collect in a
+// stack array and are copied out once, so a slice costs one allocation
+// whatever its length.
 func decodeIntSlice[T ~int](d *decoder, p *[]T) error {
 	if d.tryNull() {
 		*p = nil
@@ -556,13 +602,14 @@ func decodeIntSlice[T ~int](d *decoder, p *[]T) error {
 	if err := d.expect('['); err != nil {
 		return err
 	}
-	xs := make([]T, 0)
 	d.skipSpace()
 	if d.pos < len(d.data) && d.data[d.pos] == ']' {
 		d.pos++
-		*p = xs
+		*p = make([]T, 0)
 		return nil
 	}
+	var stack [8]T
+	xs := stack[:0]
 	for {
 		d.skipSpace()
 		if d.tryNull() {
@@ -579,7 +626,7 @@ func decodeIntSlice[T ~int](d *decoder, p *[]T) error {
 			return err
 		}
 		if !more {
-			*p = xs
+			*p = append(make([]T, 0, len(xs)), xs...)
 			return nil
 		}
 	}
@@ -602,6 +649,10 @@ func (d *decoder) beginObject() (members bool, err error) {
 // member parses one `"key":` prefix and returns the folded key.
 func (d *decoder) member() ([]byte, error) {
 	d.skipSpace()
+	if k, ok := d.memberFast(); ok {
+		d.skipSpace()
+		return k, nil
+	}
 	key, err := d.parseString()
 	if err != nil {
 		return nil, err

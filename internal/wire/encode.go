@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"hash/maphash"
 	"strconv"
+	"sync/atomic"
 	"unicode/utf8"
 
 	"lawgate/internal/legal"
@@ -102,12 +104,14 @@ func AppendBool(dst []byte, v bool) []byte {
 // names, exceptions omitted when empty), with zero intermediate
 // slices. This is the serving hot path's response body core.
 func AppendRulingViewFromRuling(dst []byte, r *legal.Ruling) []byte {
+	// The action name is client-supplied: it is escaped on every call
+	// and never enters the memo.
 	dst = append(dst, `{"action":`...)
 	dst = AppendString(dst, r.Action.Name)
 	dst = append(dst, `,"required":`...)
-	dst = AppendString(dst, r.Required.String())
+	dst = appendName(dst, processJSON, r.Required)
 	dst = append(dst, `,"regime":`...)
-	dst = AppendString(dst, r.Regime.String())
+	dst = appendName(dst, regimeJSON, r.Regime)
 	dst = append(dst, `,"needsProcess":`...)
 	dst = AppendBool(dst, r.NeedsProcess())
 	if len(r.Exceptions) > 0 {
@@ -116,7 +120,7 @@ func AppendRulingViewFromRuling(dst []byte, r *legal.Ruling) []byte {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = AppendString(dst, e.String())
+			dst = appendName(dst, exceptionJSON, e)
 		}
 		dst = append(dst, ']')
 	}
@@ -132,7 +136,7 @@ func AppendRulingViewFromRuling(dst []byte, r *legal.Ruling) []byte {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = AppendString(dst, s)
+			dst = appendMemo(dst, s)
 		}
 		dst = append(dst, ']')
 	}
@@ -145,9 +149,98 @@ func AppendRulingViewFromRuling(dst []byte, r *legal.Ruling) []byte {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = AppendString(dst, r.Citations[i].Title)
+			dst = appendMemo(dst, r.Citations[i].Title)
 		}
 		dst = append(dst, ']')
 	}
 	return append(dst, '}')
+}
+
+// processJSON, regimeJSON and exceptionJSON hold the JSON string of
+// every defined Process, Regime and ExceptionKind name (and of value
+// 0), escaped once at init; appendName falls back to escaping String()
+// for values outside them.
+var (
+	processJSON   = quoteNames(legal.ProcessWiretapOrder)
+	regimeJSON    = quoteNames(legal.RegimeSCA)
+	exceptionJSON = quoteNames(legal.ExceptionWorkplace)
+)
+
+// named is an int-kinded doctrine enum with a String name.
+type named interface {
+	~int
+	String() string
+}
+
+// quoteNames escapes the names of values 0..last.
+func quoteNames[T named](last T) [][]byte {
+	q := make([][]byte, last+1)
+	for v := range q {
+		q[v] = AppendString(nil, T(v).String())
+	}
+	return q
+}
+
+// appendName appends v's name as a JSON string from its table.
+func appendName[T named](dst []byte, table [][]byte, v T) []byte {
+	if v >= 0 && int(v) < len(table) {
+		return append(dst, table[v]...)
+	}
+	return AppendString(dst, v.String())
+}
+
+// memoSlots sizes the escape memo: a power of two, in sets of memoWays
+// adjacent slots. Strings longer than maxMemoLen bypass it, which
+// bounds what the memo holds; the longest Table 1 rationale line is
+// 195 bytes.
+const (
+	memoSlots  = 4096
+	memoWays   = 4
+	maxMemoLen = 512
+)
+
+// memoEntry is one memoized string and its JSON form.
+type memoEntry struct {
+	s string
+	q []byte
+}
+
+// memo caches the JSON form of the rationale lines and citation titles
+// rulings repeat: the engine draws them from a fixed doctrine
+// vocabulary, so escaping each once saves a byte-by-byte pass per
+// ruling. An entry hits only when its string equals the one asked for,
+// so the memo is keyed on content, never on an address. A string hashes
+// to one set of memoWays slots; a miss fills an empty slot of the set
+// or overwrites one the hash picks, so the memo never grows and a few
+// strings sharing a set do not evict each other on every call. Entries
+// are immutable once published; concurrent encoders may overwrite each
+// other's stores, which only costs a later miss.
+var (
+	memo     [memoSlots]atomic.Pointer[memoEntry]
+	memoSeed = maphash.MakeSeed()
+)
+
+// appendMemo appends s as a JSON string through the memo.
+func appendMemo(dst []byte, s string) []byte {
+	if len(s) > maxMemoLen {
+		return AppendString(dst, s)
+	}
+	h := maphash.String(memoSeed, s)
+	set := memo[h&(memoSlots-memoWays):][:memoWays]
+	for i := range set {
+		if e := set[i].Load(); e != nil && e.s == s {
+			return append(dst, e.q...)
+		}
+	}
+	start := len(dst)
+	dst = AppendString(dst, s)
+	slot := &set[h%memoWays]
+	for i := range set {
+		if set[i].Load() == nil {
+			slot = &set[i]
+			break
+		}
+	}
+	slot.Store(&memoEntry{s: s, q: append([]byte(nil), dst[start:]...)})
+	return dst
 }

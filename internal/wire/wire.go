@@ -25,6 +25,16 @@
 // accepts: case-insensitive key matching, unknown fields skipped,
 // null handling, duplicate keys merged, and [] decoding to a non-nil
 // empty slice.
+//
+// Two byte-by-byte passes stay off the hot path. Object keys are
+// scanned and ASCII-folded in one pass through a 256-entry table;
+// escaped or non-ASCII keys, keys over 32 bytes and whitespace before
+// the ':' fall back to the general parse-then-fold path. On encode the
+// doctrine vocabulary is escaped once: Process, Regime and
+// ExceptionKind names come from tables built at init, and rationale
+// lines and citation titles pass through a fixed-size escape memo keyed
+// on their content. Action names are client-supplied and never enter
+// the memo; they are escaped on every call.
 package wire
 
 import "sync"

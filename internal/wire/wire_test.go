@@ -3,11 +3,16 @@ package wire_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 
 	"lawgate/internal/legal"
 	"lawgate/internal/report"
+	"lawgate/internal/scenario"
 	"lawgate/internal/wire"
 )
 
@@ -165,6 +170,7 @@ func TestDecodeActionRejects(t *testing.T) {
 		`{"Actor":1.5}`, `{"Actor":1e3}`, `{"Actor":007}`, `{"Actor":99999999999999999999}`,
 		`{"Name":"raw ` + "\x01" + ` ctrl"}`, `{"Name":"bad \q escape"}`,
 		`{"Encrypted":yes}`, `{"Name":"x" "y":1}`, `{"Exposure":[1,]}`,
+		`{"Name`, `{"Name"`, `{"Name" `, `{"Name";1}`, `{"` + strings.Repeat("k", 32),
 	} {
 		var a legal.Action
 		if err := wire.DecodeAction([]byte(in), &a); err == nil {
@@ -237,6 +243,88 @@ func TestDecodeActionsReusesBacking(t *testing.T) {
 	}
 }
 
+// keyCases are object bodies exercising member-key matching: the
+// one-pass ASCII fold and every shape that falls back to the general
+// parse-then-fold path.
+func keyCases() []string {
+	full := legal.Action{
+		Name: "keys", Actor: 1, Timing: 2, Data: 1, Source: 3, Encrypted: true,
+		Exposure: []legal.ExposureFact{1}, Consent: &legal.Consent{Scope: 2, Revoked: true},
+		Exigency: &legal.Exigency{Kind: 1}, Tech: &legal.SpecializedTech{GeneralPublicUse: true},
+		Workplace: &legal.WorkplaceSearch{WorkRelated: true}, ProviderRole: 2,
+		PlainView: true, LawfulVantage: true, ProbationSearch: true, ProviderPublic: true,
+		InterceptsThirdParty: true, SearchBeyondAuthority: true,
+	}
+	canon, err := json.Marshal(full)
+	if err != nil {
+		panic(err)
+	}
+	// Only keys are re-cased: each is a quoted word followed by ':'.
+	keyRE := regexp.MustCompile(`"\w+":`)
+	recase := func(f func(string) string) string {
+		return keyRE.ReplaceAllStringFunc(string(canon), f)
+	}
+	mixed := func(k string) string {
+		b := []byte(strings.ToLower(k))
+		for i := 1; i < len(b); i += 2 {
+			b[i] = strings.ToUpper(string(b[i]))[0]
+		}
+		return string(b)
+	}
+	k32, k33 := strings.Repeat("k", 32), strings.Repeat("K", 33)
+	return []string{
+		string(canon),
+		recase(strings.ToLower),
+		recase(strings.ToUpper),
+		recase(mixed),
+		// Reordered, duplicated and unknown keys.
+		`{"SearchBeyondAuthority":true,"Source":3,"Data":1,"Timing":2,"Actor":1,"Name":"reordered"}`,
+		`{"Actor":1,"actor":2,"ACTOR":3,"Consent":{"Scope":1,"scope":2},"Name":"dup","name":"dup2"}`,
+		`{"Unknown":1,"Name":"unknown","NameX":"x","Nam":"y","Consent":{"Bogus":[1,{"a":2}],"Revoked":true}}`,
+		// An escaped key and whitespace before ':' take the general path.
+		`{"N\u0061me":"escaped","Act\u006fr":2,"Consent":{"Sc\u006Fpe":1}}`,
+		`{"Name" :"spaced","Actor"` + "\t\n" + `:2,"Consent":{"Revoked"  : true}}`,
+		`{"Name":"pad", "Actor"` + " \r" + `: 1 }`,
+		// Keys of exactly the fold buffer's length and one byte past it.
+		`{"` + k32 + `":1,"Name":"k32","Exigency":{"` + k32 + `":{"x":1},"Kind":2}}`,
+		`{"` + k33 + `":1,"Name":"k33","Exigency":{"` + k33 + `":[],"Kind":2}}`,
+		`{"` + k32 + `":"` + k33 + `","` + strings.ToUpper(k32) + `":null}`,
+		// The Kelvin sign folds to k and the long s to s, escaped or raw.
+		`{"Exigency":{"\u212aind":3},"Con\u017fent":{"\u017fcope":1}}`,
+		`{"Exigency":{"` + "\u212a" + `ind":3},"` + "Con\u017fent" + `":{"Revoked":true}}`,
+		`{"` + "Wor\u212aplace" + `":{"` + "Wor\u212aRelated" + `":true}}`,
+		// An empty key.
+		`{"":1,"Name":"empty key"}`,
+	}
+}
+
+// TestKeyMatchingMatchesStdlib checks member-key matching against
+// encoding/json case by case, singly and as one batch element by
+// element.
+func TestKeyMatchingMatchesStdlib(t *testing.T) {
+	cases := keyCases()
+	for _, in := range cases {
+		decodeActionBoth(t, []byte(in))
+	}
+	batch := []byte("[" + strings.Join(cases, ",") + "]")
+	var want []legal.Action
+	if err := json.Unmarshal(batch, &want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := wire.DecodeActions(batch, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got %d actions, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("element %d (%s):\n got %+v\nwant %+v", i, cases[i], got[i], want[i])
+		}
+	}
+}
+
 // FuzzWireRoundTrip is the differential proof of the codec's contract
 // on the functions lawgated serves through: any input encoding/json
 // accepts as an Action or an []Action, DecodeAction and DecodeActions
@@ -267,6 +355,10 @@ func FuzzWireRoundTrip(f *testing.F) {
 	// values and array edges the long marshaled seeds bury.
 	f.Add([]byte(`[ ]`))
 	f.Add([]byte(`{"Required":2,"Regime":1,"Exceptions":[3],"Rationale":[""],"Citations":[{}]}`))
+	for _, in := range keyCases() {
+		f.Add([]byte(in))
+		f.Add([]byte("[" + in + "]"))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The escaper must match stdlib on arbitrary string content.
 		s := string(data)
@@ -450,5 +542,86 @@ func BenchmarkWireDecodeStdlib(b *testing.B) {
 		if err := json.Unmarshal(data, &a); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// batchActions mirrors the batches lawgated's batch-closed workload
+// sends: 192 Table 1 scene actions under distinct case names, 32 exact
+// duplicates of earlier slots and 32 variants with Encrypted flipped,
+// shuffled, 256 in all.
+func batchActions() []legal.Action {
+	scenes := scenario.Table1()
+	r := rand.New(rand.NewSource(1))
+	var actions []legal.Action
+	for i := 0; i < 192; i++ {
+		a := scenes[r.Intn(len(scenes))].Action
+		a.Name = fmt.Sprintf("case-%06d", r.Intn(200_000))
+		actions = append(actions, a)
+	}
+	for i := 0; i < 32; i++ {
+		actions = append(actions, actions[r.Intn(192)])
+	}
+	for i := 0; i < 32; i++ {
+		a := actions[r.Intn(192)]
+		a.Encrypted = !a.Encrypted
+		actions = append(actions, a)
+	}
+	r.Shuffle(len(actions), func(i, j int) { actions[i], actions[j] = actions[j], actions[i] })
+	return actions
+}
+
+// BenchmarkWireDecodeBatch decodes one 256-action batch per op into a
+// reused slice. Its only allocations are the fresh Exposure slices and
+// sub-objects the batch's scene actions carry (see
+// TestWireDecodeBatchAllocs).
+func BenchmarkWireDecodeBatch(b *testing.B) {
+	data, err := json.Marshal(batchActions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	actions, err := wire.DecodeActions(data, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if actions, err = wire.DecodeActions(data, actions); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestWireDecodeBatchAllocs pins the batch decode's allocations to the
+// ones aliasing forces: one per non-nil Exposure slice and sub-object,
+// which the engine's ruling cache may retain. Names are interned and
+// the scalar fields allocate nothing.
+func TestWireDecodeBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates on the decode path; AllocsPerRun is meaningless here")
+	}
+	batch := batchActions()
+	forced := 0
+	for _, a := range batch {
+		for _, set := range []bool{a.Exposure != nil, a.Consent != nil, a.Exigency != nil, a.Tech != nil, a.Workplace != nil} {
+			if set {
+				forced++
+			}
+		}
+	}
+	data, err := json.Marshal(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	actions, err := wire.DecodeActions(data, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if actions, err = wire.DecodeActions(data, actions); err != nil {
+			t.Fatal(err)
+		}
+	}); int(n) != forced {
+		t.Errorf("DecodeActions allocs/op = %v, want the %d fresh slices and sub-objects", n, forced)
 	}
 }

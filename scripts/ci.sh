@@ -38,9 +38,11 @@
 # The wire codec gets its own gates: a short differential fuzz run of
 # the functions lawgated serves through (DecodeAction, DecodeActions,
 # AppendRulingViewFromRuling and the string escaper) against
-# encoding/json, a bench smoke pinning encode and decode to 0
-# allocs/op, and pair gates on the committed BENCH_wire.json proving
-# the codec's speedup over stdlib; the committed BENCH_ledger.json
+# encoding/json, a bench smoke pinning the single-ruling, Table 1 and
+# single-action benchmarks to 0 allocs/op and the 256-action batch
+# decode to its 90 fresh slices and sub-objects, and pair gates on the
+# committed BENCH_wire.json proving the codec's speedup over stdlib
+# (the same alloc budgets hold on it); the committed BENCH_ledger.json
 # additionally proves AppendBatch amortizes at least 2x over looped
 # Append.
 # The experiment record is byte-reproducible: scripts/regenerate.sh
@@ -219,9 +221,14 @@ go run ./scripts/benchcheck \
 	"$tmpdir/bench_ledger.json"
 
 scripts/bench.sh -short -o "$tmpdir/bench_wire.json" wire
+# A 256-action batch allocates only the 90 fresh Exposure slices and
+# sub-objects its Table 1 actions carry (the ruling cache may keep
+# them); names are interned and scalar fields cost nothing.
 go run ./scripts/benchcheck \
 	-max-allocs 'BenchmarkWireEncode=0' \
+	-max-allocs 'BenchmarkWireEncodeTable1=0' \
 	-max-allocs 'BenchmarkWireDecode=0' \
+	-max-allocs 'BenchmarkWireDecodeBatch=90' \
 	"$tmpdir/bench_wire.json"
 
 echo "== bench smoke: chaos bench completes with every request accounted (server)"
@@ -261,7 +268,9 @@ go run ./scripts/benchcheck \
 # encoding/json implementations it mirrors byte-for-byte.
 go run ./scripts/benchcheck \
 	-max-allocs 'BenchmarkWireEncode=0' \
+	-max-allocs 'BenchmarkWireEncodeTable1=0' \
 	-max-allocs 'BenchmarkWireDecode=0' \
+	-max-allocs 'BenchmarkWireDecodeBatch=90' \
 	-min-pair-speedup 'BenchmarkWireEncodeStdlib:BenchmarkWireEncode:2.0' \
 	-min-pair-speedup 'BenchmarkWireDecodeStdlib:BenchmarkWireDecode:3.0' \
 	BENCH_wire.json
