@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"lawgate/internal/experiment"
+	"lawgate/internal/faults"
 	"lawgate/internal/p2p"
 	"lawgate/internal/watermark"
 )
@@ -109,5 +110,79 @@ func TestSweepGoldenHash(t *testing.T) {
 	}
 	if got := hex.EncodeToString(all.Sum(nil)); got != goldenSweepSHA256 {
 		t.Fatalf("sweep series sha256 = %s, want %s: simulation output changed", got, goldenSweepSHA256)
+	}
+}
+
+// goldenSeriesExtraSHA256 pins, in goldenExtraSweeps order, the sha256 of
+// each series no goldenSweeps entry covers: the E3 code-length and
+// amplitude series and the E2/E3 degradation series under the lossy
+// fault profile. They share the trial stages goldenSweeps pins, so a
+// refactor of those stages must leave these hashes unchanged too.
+var goldenSeriesExtraSHA256 = []struct{ sweep, sha256 string }{
+	{"watermark-code-length", "97af0362ed8a7bf3f0322e42db394a67bb29a16839cb8e0a14fcbb147d5069d7"},
+	{"watermark-amplitude", "3b8c06c2f4fc324442139f29e63e9dc4b7d469104341ea5ca2d51216a0bfc7eb"},
+	{"watermark-loss", "15f03c69dca0ed87e18d265e626f6211423aeec5ff14dacd3faa3aa2ae5ffc5a"},
+	{"watermark-jitter", "f8cac98f494cd54aeba410ff78d62724b96fd1237e8cc57fb71163db3d49c7ed"},
+	{"p2p-loss", "8963986ee3dd18580ce1d0698d68a1fd3a732365c22ed2d7b11eb6128946093e"},
+	{"p2p-churn", "bad96802fb01984f3896f3713da04cd1ae0055e47443620e3ec0dae11efbb7c5"},
+}
+
+// goldenExtraSweeps is a small grid on a fixed seed: two points per
+// series, a 2-bit watermark, and the lossy profile with the resilient
+// probing the experiment commands use under faults.
+func goldenExtraSweeps() []experiment.Sweep {
+	lossy, err := faults.Profile("lossy")
+	if err != nil {
+		panic(err)
+	}
+	wseed := experiment.DeriveSeed(43, 4)
+	base := watermark.DefaultExperimentConfig()
+	base.Bits = 2
+	degraded := base
+	degraded.Faults = lossy
+	sc := p2p.SweepConfig{
+		Neighbors:    8,
+		Sources:      3,
+		Reps:         2,
+		Seed:         experiment.DeriveSeed(43, 3),
+		Overlay:      p2p.DefaultConfig(p2p.ModeAnonymous),
+		Faults:       lossy,
+		ProbeRetries: 2,
+	}
+	return []experiment.Sweep{
+		watermark.CodeSweep(base, 1, wseed, []int{5, 6}),
+		watermark.AmplitudeSweep(base, 1, wseed, []float64{0.1, 0.3}),
+		watermark.LossSweep(degraded, 1, wseed, []float64{0, 0.2}),
+		watermark.JitterSweep(degraded, 1, wseed, []time.Duration{0, 20 * time.Millisecond}),
+		p2p.LossSweep(sc, 4, []float64{0, 0.3}),
+		p2p.ChurnSweep(sc, 4, []float64{0, 0.2}),
+	}
+}
+
+// TestSweepGoldenExtraHash compares the sha256 of each goldenExtraSweeps
+// series' JSON with goldenSeriesExtraSHA256.
+func TestSweepGoldenExtraHash(t *testing.T) {
+	runner := experiment.Runner{Workers: 2}
+	sweeps := goldenExtraSweeps()
+	if len(sweeps) != len(goldenSeriesExtraSHA256) {
+		t.Fatalf("%d golden sweeps, %d pinned series hashes", len(sweeps), len(goldenSeriesExtraSHA256))
+	}
+	for i, sw := range sweeps {
+		want := goldenSeriesExtraSHA256[i]
+		if sw.Name != want.sweep {
+			t.Fatalf("golden sweep %d is %s, pinned hash is for %s", i, sw.Name, want.sweep)
+		}
+		series, err := runner.Run(context.Background(), sw)
+		if err != nil {
+			t.Fatalf("sweep %s: %v", sw.Name, err)
+		}
+		js, err := series.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(js)
+		if got := hex.EncodeToString(sum[:]); got != want.sha256 {
+			t.Errorf("sweep %s series sha256 = %s, want %s: simulation output changed", sw.Name, got, want.sha256)
+		}
 	}
 }
