@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"lawgate/internal/anonet"
-	"lawgate/internal/capture"
 	"lawgate/internal/experiment"
 	"lawgate/internal/faults"
 	"lawgate/internal/legal"
@@ -117,27 +116,8 @@ func RunExperiment(ec ExperimentConfig) (ExperimentResult, error) {
 	if ec.Bits <= 0 || ec.BaseGap <= 0 || ec.ChipDuration <= 0 {
 		return ExperimentResult{}, fmt.Errorf("%w: %+v", ErrBadExperiment, ec)
 	}
-	code, err := MSequence(ec.CodeDegree)
+	params, err := trialParams(ec.CodeDegree, ec.Bits, ec.ChipDuration, ec.Amplitude, ec.BaseGap, ErrBadExperiment)
 	if err != nil {
-		return ExperimentResult{}, err
-	}
-	bits := make([]int8, ec.Bits)
-	for i := range bits {
-		if i%2 == 0 {
-			bits[i] = 1
-		} else {
-			bits[i] = -1
-		}
-	}
-	params := Params{
-		Code:         code,
-		Bits:         bits,
-		ChipDuration: ec.ChipDuration,
-		Amplitude:    ec.Amplitude,
-		BaseGap:      ec.BaseGap,
-		PacketSize:   400,
-	}
-	if err := params.Validate(); err != nil {
 		return ExperimentResult{}, err
 	}
 
@@ -206,57 +186,14 @@ func RunExperiment(ec ExperimentConfig) (ExperimentResult, error) {
 		return ExperimentResult{}, err
 	}
 
-	// ISP-side rate meter at the suspect: non-content, needs (and here
-	// holds) pen/trap-class process. Strict gate: the experiment only
-	// runs if the collection is lawful.
-	gate := capture.NewGate(true)
-	suspectMeter, err := capture.New(capture.RateMeter, capture.Placement{
-		Node:   "suspect",
-		Actor:  legal.ActorGovernment,
-		Source: legal.SourceThirdPartyNetwork,
-	}, ec.HeldProcess)
+	// Strict gate: the experiment only runs if the collection is lawful.
+	suspectMeter, serverMeter, err := armRateMeters(net, "suspect", "seized-server", ec.HeldProcess)
 	if err != nil {
 		return ExperimentResult{}, err
 	}
-	if err := gate.Arm(net, suspectMeter); err != nil {
-		return ExperimentResult{}, fmt.Errorf("arming suspect-side meter: %w", err)
-	}
-	// Server-side meter: law enforcement operates the seized server and
-	// is a party to the flows it emits; no process needed.
-	serverMeter, err := capture.New(capture.RateMeter, capture.Placement{
-		Node:    "seized-server",
-		Actor:   legal.ActorGovernment,
-		Source:  legal.SourceThirdPartyNetwork,
-		Consent: &legal.Consent{Scope: legal.ConsentCommunicationParty},
-	}, legal.ProcessNone)
-	if err != nil {
+	streamEnd := params.Duration() + 500*time.Millisecond
+	if err := serveWatermark(sim, server, params, streamEnd); err != nil {
 		return ExperimentResult{}, err
-	}
-	if err := gate.Arm(net, serverMeter); err != nil {
-		return ExperimentResult{}, fmt.Errorf("arming server-side meter: %w", err)
-	}
-
-	// The watermarked download: on request, the server streams packets
-	// whose gaps the embedder modulates.
-	embedder, err := NewEmbedder(params)
-	if err != nil {
-		return ExperimentResult{}, err
-	}
-	tail := 500 * time.Millisecond
-	streamEnd := params.Duration() + tail
-	server.OnRequest = func(from netsim.NodeID, flow netsim.FlowID, _ []byte) {
-		payload := make([]byte, params.PacketSize)
-		var emit func()
-		emit = func() {
-			if sim.Now() > streamEnd {
-				return
-			}
-			if err := server.Reply(from, flow, payload); err != nil {
-				return
-			}
-			_ = sim.Schedule(embedder.NextGap(sim.Rand()), emit)
-		}
-		_ = sim.Schedule(embedder.NextGap(sim.Rand()), emit)
 	}
 
 	// Cross traffic at the suspect: other encrypted flows arriving from
@@ -288,41 +225,5 @@ func RunExperiment(ec ExperimentConfig) (ExperimentResult, error) {
 			netsim.ErrStepBudget, sim.Steps(), sa, ta)
 	}
 
-	// Analysis. Bin at 1/4 chip for offset search.
-	bin := ec.ChipDuration / 4
-	horizon := streamEnd + time.Second
-	rx := suspectMeter.Counts(bin, horizon)
-	tx := serverMeter.Counts(bin, horizon)
-
-	detector, err := NewDetector(params)
-	if err != nil {
-		return ExperimentResult{}, err
-	}
-	maxOffset := int((100 * time.Millisecond) / bin) // absorbs path delay
-	wm, err := detector.Score(rx, bin, maxOffset)
-	if err != nil {
-		return ExperimentResult{}, err
-	}
-	// The baseline sees the same observation window the DSSS detector
-	// uses; without the trim, the silent tail after the stream ends
-	// correlates trivially between the two taps.
-	window := len(params.Bits)*len(params.Code)*int(ec.ChipDuration/bin) + maxOffset
-	if window > len(tx) {
-		window = len(tx)
-	}
-	baseCorr, _ := BaselineCorrelation(tx[:window-maxOffset], rx[:window], maxOffset)
-
-	res := ExperimentResult{
-		Watermark:        wm,
-		Detected:         wm.Detected(DefaultZThreshold),
-		BaselineCorr:     baseCorr,
-		BaselineDetected: baseCorr >= BaselineThreshold,
-		SuspectPackets:   suspectMeter.Acquired().Records,
-		ServerPackets:    serverMeter.Acquired().Records,
-		RequiredProcess:  suspectMeter.Ruling().Required,
-	}
-	if hook != nil {
-		res.Faults = hook.Stats()
-	}
-	return res, nil
+	return scoreMeters(params, streamEnd, suspectMeter, serverMeter, hook)
 }

@@ -79,27 +79,8 @@ func RunLineup(lc LineupConfig) (LineupResult, error) {
 	if lc.Suspects <= 0 || lc.Guilty < -1 || lc.Guilty >= lc.Suspects || lc.Bits <= 0 {
 		return LineupResult{}, fmt.Errorf("%w: %+v", ErrBadLineup, lc)
 	}
-	code, err := MSequence(lc.CodeDegree)
+	params, err := trialParams(lc.CodeDegree, lc.Bits, lc.ChipDuration, lc.Amplitude, lc.BaseGap, ErrBadLineup)
 	if err != nil {
-		return LineupResult{}, err
-	}
-	bits := make([]int8, lc.Bits)
-	for i := range bits {
-		if i%2 == 0 {
-			bits[i] = 1
-		} else {
-			bits[i] = -1
-		}
-	}
-	params := Params{
-		Code:         code,
-		Bits:         bits,
-		ChipDuration: lc.ChipDuration,
-		Amplitude:    lc.Amplitude,
-		BaseGap:      lc.BaseGap,
-		PacketSize:   400,
-	}
-	if err := params.Validate(); err != nil {
 		return LineupResult{}, err
 	}
 
@@ -129,8 +110,7 @@ func RunLineup(lc LineupConfig) (LineupResult, error) {
 		}
 	}
 
-	tail := 500 * time.Millisecond
-	streamEnd := params.Duration() + tail
+	streamEnd := params.Duration() + 500*time.Millisecond
 	gate := capture.NewGate(true)
 	meters := make([]*capture.Device, lc.Suspects)
 	clients := make([]*anonet.Client, lc.Suspects)
@@ -172,23 +152,8 @@ func RunLineup(lc LineupConfig) (LineupResult, error) {
 		}
 	}
 
-	embedder, err := NewEmbedder(params)
-	if err != nil {
+	if err := serveWatermark(sim, server, params, streamEnd); err != nil {
 		return LineupResult{}, err
-	}
-	server.OnRequest = func(from netsim.NodeID, flow netsim.FlowID, _ []byte) {
-		payload := make([]byte, params.PacketSize)
-		var emit func()
-		emit = func() {
-			if sim.Now() > streamEnd {
-				return
-			}
-			if err := server.Reply(from, flow, payload); err != nil {
-				return
-			}
-			_ = sim.Schedule(embedder.NextGap(sim.Rand()), emit)
-		}
-		_ = sim.Schedule(embedder.NextGap(sim.Rand()), emit)
 	}
 
 	if lc.Guilty >= 0 {

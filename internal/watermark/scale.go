@@ -12,10 +12,8 @@ import (
 	"fmt"
 	"time"
 
-	"lawgate/internal/capture"
 	"lawgate/internal/experiment"
 	"lawgate/internal/faults"
-	"lawgate/internal/legal"
 	"lawgate/internal/netsim"
 	"lawgate/internal/netsim/topo"
 )
@@ -79,27 +77,8 @@ func RunScaleExperiment(ec ExperimentConfig, sc ScaleConfig, hosts int) (Experim
 			"%w: hosts=%d with %d per campus (campus 0 needs the suspect and the decoy)",
 			ErrBadExperiment, hosts, sc.HostsPerCampus)
 	}
-	code, err := MSequence(ec.CodeDegree)
+	params, err := trialParams(ec.CodeDegree, ec.Bits, ec.ChipDuration, ec.Amplitude, ec.BaseGap, ErrBadExperiment)
 	if err != nil {
-		return ExperimentResult{}, err
-	}
-	bits := make([]int8, ec.Bits)
-	for i := range bits {
-		if i%2 == 0 {
-			bits[i] = 1
-		} else {
-			bits[i] = -1
-		}
-	}
-	params := Params{
-		Code:         code,
-		Bits:         bits,
-		ChipDuration: ec.ChipDuration,
-		Amplitude:    ec.Amplitude,
-		BaseGap:      ec.BaseGap,
-		PacketSize:   400,
-	}
-	if err := params.Validate(); err != nil {
 		return ExperimentResult{}, err
 	}
 
@@ -196,29 +175,9 @@ func RunScaleExperiment(ec ExperimentConfig, sc ScaleConfig, hosts int) (Experim
 	if err != nil {
 		return ExperimentResult{}, err
 	}
-	gate := capture.NewGate(true)
-	suspectMeter, err := capture.New(capture.RateMeter, capture.Placement{
-		Node:   suspect,
-		Actor:  legal.ActorGovernment,
-		Source: legal.SourceThirdPartyNetwork,
-	}, ec.HeldProcess)
+	suspectMeter, serverMeter, err := armRateMeters(srvNet, suspect, server, ec.HeldProcess)
 	if err != nil {
 		return ExperimentResult{}, err
-	}
-	if err := gate.Arm(srvNet, suspectMeter); err != nil {
-		return ExperimentResult{}, fmt.Errorf("arming suspect-side meter: %w", err)
-	}
-	serverMeter, err := capture.New(capture.RateMeter, capture.Placement{
-		Node:    server,
-		Actor:   legal.ActorGovernment,
-		Source:  legal.SourceThirdPartyNetwork,
-		Consent: &legal.Consent{Scope: legal.ConsentCommunicationParty},
-	}, legal.ProcessNone)
-	if err != nil {
-		return ExperimentResult{}, err
-	}
-	if err := gate.Arm(srvNet, serverMeter); err != nil {
-		return ExperimentResult{}, fmt.Errorf("arming server-side meter: %w", err)
 	}
 
 	// The watermarked stream: the server's emission gaps carry the DSSS
@@ -233,8 +192,7 @@ func RunScaleExperiment(ec ExperimentConfig, sc ScaleConfig, hosts int) (Experim
 		return ExperimentResult{}, err
 	}
 	srvSim := srvNet.Sim()
-	tail := 500 * time.Millisecond
-	streamEnd := params.Duration() + tail
+	streamEnd := params.Duration() + 500*time.Millisecond
 	firstHop := path[1]
 	// Every packet carries the same zero payload, as RunExperiment's
 	// server does: no handler on the path rewrites a payload.
@@ -286,7 +244,7 @@ func RunScaleExperiment(ec ExperimentConfig, sc ScaleConfig, hosts int) (Experim
 	}
 	started := 0
 	for c := 0; c < campuses && started < hosts; c++ {
-		edge := netsim.NodeID(fmt.Sprintf("isp-edge%d", c%maxInt(sc.ISPEdges, 1)))
+		edge := netsim.NodeID(fmt.Sprintf("isp-edge%d", c%max(sc.ISPEdges, 1)))
 		for i := 0; i < sc.HostsPerCampus && started < hosts; i++ {
 			started++
 			if c == 0 && i < 2 {
@@ -317,46 +275,7 @@ func RunScaleExperiment(ec ExperimentConfig, sc ScaleConfig, hosts int) (Experim
 			hosts, netsim.ErrStepBudget, o.Steps(), sa, ta)
 	}
 
-	// Analysis: identical to the E3 experiment.
-	bin := ec.ChipDuration / 4
-	horizon := streamEnd + time.Second
-	rx := suspectMeter.Counts(bin, horizon)
-	tx := serverMeter.Counts(bin, horizon)
-	detector, err := NewDetector(params)
-	if err != nil {
-		return ExperimentResult{}, err
-	}
-	maxOffset := int((100 * time.Millisecond) / bin)
-	wm, err := detector.Score(rx, bin, maxOffset)
-	if err != nil {
-		return ExperimentResult{}, err
-	}
-	window := len(params.Bits)*len(params.Code)*int(ec.ChipDuration/bin) + maxOffset
-	if window > len(tx) {
-		window = len(tx)
-	}
-	baseCorr, _ := BaselineCorrelation(tx[:window-maxOffset], rx[:window], maxOffset)
-
-	res := ExperimentResult{
-		Watermark:        wm,
-		Detected:         wm.Detected(DefaultZThreshold),
-		BaselineCorr:     baseCorr,
-		BaselineDetected: baseCorr >= BaselineThreshold,
-		SuspectPackets:   suspectMeter.Acquired().Records,
-		ServerPackets:    serverMeter.Acquired().Records,
-		RequiredProcess:  suspectMeter.Ruling().Required,
-	}
-	if fb != nil {
-		res.Faults = fb.Stats()
-	}
-	return res, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return scoreMeters(params, streamEnd, suspectMeter, serverMeter, fb)
 }
 
 // ScaleSweep declares the load series: paired guilty/innocent detection
@@ -368,36 +287,8 @@ func ScaleSweep(base ExperimentConfig, sc ScaleConfig, reps int, seed int64, hos
 	for i, h := range hostCounts {
 		points[i] = experiment.Point{Label: fmt.Sprintf("hosts=%d", h), Value: float64(h)}
 	}
-	return experiment.Sweep{
-		Name:        "watermark-load",
-		Points:      points,
-		Reps:        reps,
-		Seed:        seed,
-		Proportions: detectionProportions,
-		Run: func(t experiment.Trial, pt experiment.Point) (experiment.Sample, error) {
-			hosts := int(pt.Value)
-			guilty := base
-			guilty.Guilty = true
-			guilty.Seed = t.SubSeed(0)
-			resG, err := RunScaleExperiment(guilty, sc, hosts)
-			if err != nil {
-				return nil, fmt.Errorf("guilty variant: %w", err)
-			}
-			innocent := guilty
-			innocent.Guilty = false
-			innocent.Seed = t.SubSeed(1)
-			resI, err := RunScaleExperiment(innocent, sc, hosts)
-			if err != nil {
-				return nil, fmt.Errorf("innocent variant: %w", err)
-			}
-			return experiment.Sample{
-				MetricDSSSTP:     experiment.Bool(resG.Detected),
-				MetricDSSSFP:     experiment.Bool(resI.Detected),
-				MetricBaselineTP: experiment.Bool(resG.BaselineDetected),
-				MetricBaselineFP: experiment.Bool(resI.BaselineDetected),
-				MetricZ:          resG.Watermark.Z,
-				MetricCoverage:   resG.Watermark.Coverage,
-			}, nil
-		},
-	}
+	return pairedSweep("watermark-load", base, reps, seed, points, degradationMetrics,
+		func(c ExperimentConfig, _ experiment.Trial, pt experiment.Point) (ExperimentResult, error) {
+			return RunScaleExperiment(c, sc, int(pt.Value))
+		})
 }

@@ -21,12 +21,21 @@ const (
 // detectionProportions are the 0/1 metrics Wilson intervals apply to.
 var detectionProportions = []string{MetricDSSSTP, MetricDSSSFP, MetricBaselineTP, MetricBaselineFP}
 
-// detectionSweep declares a guilty/innocent paired sweep: each trial
-// runs the configured experiment twice — once with the tapped suspect
-// downloading (detection), once with a decoy downloading (false
-// positive) — on independent sub-seeds of the trial seed.
-func detectionSweep(name string, base ExperimentConfig, reps int, seed int64,
-	points []experiment.Point, apply func(*ExperimentConfig, experiment.Trial, experiment.Point)) experiment.Sweep {
+// detectionMetrics is what the E3 detection series report per trial;
+// degradationMetrics adds how much of the watermark the faulty
+// substrate left the suspect-side capture.
+var (
+	detectionMetrics   = []string{MetricDSSSTP, MetricDSSSFP, MetricBaselineTP, MetricBaselineFP, MetricZ}
+	degradationMetrics = []string{MetricDSSSTP, MetricDSSSFP, MetricBaselineTP, MetricBaselineFP, MetricZ, MetricCoverage}
+)
+
+// pairedSweep declares a guilty/innocent paired sweep: each trial runs
+// trial twice on base at the trial's point — once with the tapped
+// suspect downloading (detection), once with a decoy downloading (false
+// positive) — on independent sub-seeds of the trial seed, and reports
+// the metrics named by keys.
+func pairedSweep(name string, base ExperimentConfig, reps int, seed int64, points []experiment.Point, keys []string,
+	trial func(ExperimentConfig, experiment.Trial, experiment.Point) (ExperimentResult, error)) experiment.Sweep {
 	return experiment.Sweep{
 		Name:        name,
 		Points:      points,
@@ -35,27 +44,37 @@ func detectionSweep(name string, base ExperimentConfig, reps int, seed int64,
 		Proportions: detectionProportions,
 		Run: func(t experiment.Trial, pt experiment.Point) (experiment.Sample, error) {
 			guilty := base
-			apply(&guilty, t, pt)
 			guilty.Guilty = true
 			guilty.Seed = t.SubSeed(0)
-			resG, err := RunExperiment(guilty)
+			g, err := trial(guilty, t, pt)
 			if err != nil {
 				return nil, fmt.Errorf("guilty variant: %w", err)
 			}
-			innocent := guilty
+			innocent := base
 			innocent.Guilty = false
 			innocent.Seed = t.SubSeed(1)
-			resI, err := RunExperiment(innocent)
+			i, err := trial(innocent, t, pt)
 			if err != nil {
 				return nil, fmt.Errorf("innocent variant: %w", err)
 			}
-			return experiment.Sample{
-				MetricDSSSTP:     experiment.Bool(resG.Detected),
-				MetricDSSSFP:     experiment.Bool(resI.Detected),
-				MetricBaselineTP: experiment.Bool(resG.BaselineDetected),
-				MetricBaselineFP: experiment.Bool(resI.BaselineDetected),
-				MetricZ:          resG.Watermark.Z,
-			}, nil
+			sample := make(experiment.Sample, len(keys))
+			for _, k := range keys {
+				switch k {
+				case MetricDSSSTP:
+					sample[k] = experiment.Bool(g.Detected)
+				case MetricDSSSFP:
+					sample[k] = experiment.Bool(i.Detected)
+				case MetricBaselineTP:
+					sample[k] = experiment.Bool(g.BaselineDetected)
+				case MetricBaselineFP:
+					sample[k] = experiment.Bool(i.BaselineDetected)
+				case MetricZ:
+					sample[k] = g.Watermark.Z
+				case MetricCoverage:
+					sample[k] = g.Watermark.Coverage
+				}
+			}
+			return sample, nil
 		},
 	}
 }
@@ -68,10 +87,11 @@ func CodeSweep(base ExperimentConfig, reps int, seed int64, degrees []int) exper
 		length := (1 << d) - 1
 		points[i] = experiment.Point{Label: fmt.Sprintf("code=%d", length), Value: float64(length)}
 	}
-	return detectionSweep("watermark-code-length", base, reps, seed, points,
-		func(c *ExperimentConfig, t experiment.Trial, _ experiment.Point) {
+	return pairedSweep("watermark-code-length", base, reps, seed, points, detectionMetrics,
+		func(c ExperimentConfig, t experiment.Trial, _ experiment.Point) (ExperimentResult, error) {
 			c.CodeDegree = degrees[t.Point]
 			c.NoiseRate = 1.0
+			return RunExperiment(c)
 		})
 }
 
@@ -82,9 +102,10 @@ func NoiseSweep(base ExperimentConfig, reps int, seed int64, noises []float64) e
 	for i, n := range noises {
 		points[i] = experiment.Point{Label: fmt.Sprintf("noise=%.1f", n), Value: n}
 	}
-	return detectionSweep("watermark-noise", base, reps, seed, points,
-		func(c *ExperimentConfig, _ experiment.Trial, pt experiment.Point) {
+	return pairedSweep("watermark-noise", base, reps, seed, points, detectionMetrics,
+		func(c ExperimentConfig, _ experiment.Trial, pt experiment.Point) (ExperimentResult, error) {
 			c.NoiseRate = pt.Value
+			return RunExperiment(c)
 		})
 }
 
@@ -95,10 +116,11 @@ func AmplitudeSweep(base ExperimentConfig, reps int, seed int64, amps []float64)
 	for i, a := range amps {
 		points[i] = experiment.Point{Label: fmt.Sprintf("amplitude=%.2f", a), Value: a}
 	}
-	return detectionSweep("watermark-amplitude", base, reps, seed, points,
-		func(c *ExperimentConfig, _ experiment.Trial, pt experiment.Point) {
+	return pairedSweep("watermark-amplitude", base, reps, seed, points, detectionMetrics,
+		func(c ExperimentConfig, _ experiment.Trial, pt experiment.Point) (ExperimentResult, error) {
 			c.Amplitude = pt.Value
 			c.NoiseRate = 1.0
+			return RunExperiment(c)
 		})
 }
 
@@ -107,45 +129,6 @@ func AmplitudeSweep(base ExperimentConfig, reps int, seed int64, amps []float64)
 // lossy substrate reduces.
 const MetricCoverage = "coverage"
 
-// degradationSweep is detectionSweep plus the coverage metric: the E3
-// robustness series report how much of the watermark survived the
-// faulty substrate alongside the detection rates.
-func degradationSweep(name string, base ExperimentConfig, reps int, seed int64,
-	points []experiment.Point, apply func(*ExperimentConfig, experiment.Trial, experiment.Point)) experiment.Sweep {
-	return experiment.Sweep{
-		Name:        name,
-		Points:      points,
-		Reps:        reps,
-		Seed:        seed,
-		Proportions: detectionProportions,
-		Run: func(t experiment.Trial, pt experiment.Point) (experiment.Sample, error) {
-			guilty := base
-			apply(&guilty, t, pt)
-			guilty.Guilty = true
-			guilty.Seed = t.SubSeed(0)
-			resG, err := RunExperiment(guilty)
-			if err != nil {
-				return nil, fmt.Errorf("guilty variant: %w", err)
-			}
-			innocent := guilty
-			innocent.Guilty = false
-			innocent.Seed = t.SubSeed(1)
-			resI, err := RunExperiment(innocent)
-			if err != nil {
-				return nil, fmt.Errorf("innocent variant: %w", err)
-			}
-			return experiment.Sample{
-				MetricDSSSTP:     experiment.Bool(resG.Detected),
-				MetricDSSSFP:     experiment.Bool(resI.Detected),
-				MetricBaselineTP: experiment.Bool(resG.BaselineDetected),
-				MetricBaselineFP: experiment.Bool(resI.BaselineDetected),
-				MetricZ:          resG.Watermark.Z,
-				MetricCoverage:   resG.Watermark.Coverage,
-			}, nil
-		},
-	}
-}
-
 // LossSweep declares the E3 robustness series: detection vs injected
 // substrate packet loss, at full cross-traffic noise.
 func LossSweep(base ExperimentConfig, reps int, seed int64, losses []float64) experiment.Sweep {
@@ -153,10 +136,11 @@ func LossSweep(base ExperimentConfig, reps int, seed int64, losses []float64) ex
 	for i, l := range losses {
 		points[i] = experiment.Point{Label: fmt.Sprintf("loss=%.0f%%", l*100), Value: l}
 	}
-	return degradationSweep("watermark-loss", base, reps, seed, points,
-		func(c *ExperimentConfig, _ experiment.Trial, pt experiment.Point) {
+	return pairedSweep("watermark-loss", base, reps, seed, points, degradationMetrics,
+		func(c ExperimentConfig, _ experiment.Trial, pt experiment.Point) (ExperimentResult, error) {
 			c.NoiseRate = 1.0
 			c.Faults.Loss = pt.Value
+			return RunExperiment(c)
 		})
 }
 
@@ -171,14 +155,14 @@ func JitterSweep(base ExperimentConfig, reps int, seed int64, spreads []time.Dur
 			Value: float64(s) / float64(time.Millisecond),
 		}
 	}
-	return degradationSweep("watermark-jitter", base, reps, seed, points,
-		func(c *ExperimentConfig, t experiment.Trial, _ experiment.Point) {
+	return pairedSweep("watermark-jitter", base, reps, seed, points, degradationMetrics,
+		func(c ExperimentConfig, t experiment.Trial, _ experiment.Point) (ExperimentResult, error) {
 			c.NoiseRate = 1.0
-			spread := spreads[t.Point]
-			if spread > 0 {
+			if spread := spreads[t.Point]; spread > 0 {
 				c.Faults.Reorder = 1.0
 				c.Faults.ReorderSpread = spread
 			}
+			return RunExperiment(c)
 		})
 }
 
