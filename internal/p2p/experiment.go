@@ -127,12 +127,10 @@ func RunExperiment(ec ExperimentConfig) (ExperimentResult, error) {
 		return ExperimentResult{}, err
 	}
 
-	truth := make(map[netsim.NodeID]bool, ec.Neighbors)
 	neighbors := make([]netsim.NodeID, 0, ec.Neighbors)
 	for i := 0; i < ec.Neighbors; i++ {
 		id := netsim.NodeID(fmt.Sprintf("peer-%02d", i))
 		isSource := i < ec.Sources
-		truth[id] = isSource
 		var keys []ContentKey
 		if isSource {
 			keys = []ContentKey{ContrabandKey}
@@ -202,24 +200,35 @@ func RunExperiment(ec ExperimentConfig) (ExperimentResult, error) {
 	if hook != nil {
 		res.Faults = hook.Stats()
 	}
-	for _, id := range neighbors {
-		verdict, err := cls.Classify(inv.MeasurementsFor(id))
-		if err != nil {
-			return ExperimentResult{}, fmt.Errorf("classifying %q: %w", id, err)
-		}
-		switch {
-		case verdict == VerdictSource && truth[id]:
-			res.TruePos++
-		case verdict == VerdictSource && !truth[id]:
-			res.FalsePos++
-		case verdict != VerdictSource && truth[id]:
-			res.FalseNeg++
-		default:
-			res.TrueNeg++
-		}
-		if verdict == VerdictNoResponse {
-			res.NoResponse++
-		}
+	if err := res.tally(cls, neighbors, ec.Sources, inv.MeasurementsFor); err != nil {
+		return ExperimentResult{}, err
 	}
 	return res, nil
+}
+
+// tally classifies each neighbor's measurements with cls and counts the
+// verdicts against ground truth, where the first sources neighbors are
+// the true sources.
+func (r *ExperimentResult) tally(cls Classifier, neighbors []netsim.NodeID, sources int, measurements func(netsim.NodeID) []Measurement) error {
+	for i, id := range neighbors {
+		verdict, err := cls.Classify(measurements(id))
+		if err != nil {
+			return fmt.Errorf("classifying %q: %w", id, err)
+		}
+		isSource := i < sources
+		switch {
+		case verdict == VerdictSource && isSource:
+			r.TruePos++
+		case verdict == VerdictSource && !isSource:
+			r.FalsePos++
+		case verdict != VerdictSource && isSource:
+			r.FalseNeg++
+		default:
+			r.TrueNeg++
+		}
+		if verdict == VerdictNoResponse {
+			r.NoResponse++
+		}
+	}
+	return nil
 }

@@ -302,12 +302,12 @@ func RunScaleExperiment(sc ScaleConfig, swarm int, seed int64) (ExperimentResult
 
 	// Build peers first so ApplyTo can wire their handlers.
 	peers := make(map[netsim.NodeID]*scalePeer, swarm+1)
-	truth := make(map[netsim.NodeID]bool, sc.Neighbors)
+	neighbors := make([]netsim.NodeID, 0, sc.Neighbors)
 	for i, node := range g.Nodes {
 		shares := false
 		if i < sc.Neighbors {
 			shares = i < sc.Sources
-			truth[node.ID] = shares
+			neighbors = append(neighbors, node.ID)
 		} else {
 			// Hidden sources: a per-peer coin from the trial seed.
 			coin := uint64(experiment.DeriveSeed(seed, scaleShareStream, int64(i)))
@@ -443,25 +443,8 @@ func RunScaleExperiment(sc ScaleConfig, swarm int, seed int64) (ExperimentResult
 			SentAt: pr.sentAt, RespondedAt: pr.respondedAt, Responded: pr.responded,
 		})
 	}
-	for k := 0; k < sc.Neighbors; k++ {
-		id := g.Nodes[k].ID
-		verdict, err := cls.Classify(byNbr[id])
-		if err != nil {
-			return ExperimentResult{}, fmt.Errorf("classifying %q: %w", id, err)
-		}
-		switch {
-		case verdict == VerdictSource && truth[id]:
-			res.TruePos++
-		case verdict == VerdictSource && !truth[id]:
-			res.FalsePos++
-		case verdict != VerdictSource && truth[id]:
-			res.FalseNeg++
-		default:
-			res.TrueNeg++
-		}
-		if verdict == VerdictNoResponse {
-			res.NoResponse++
-		}
+	if err := res.tally(cls, neighbors, sc.Sources, func(id netsim.NodeID) []Measurement { return byNbr[id] }); err != nil {
+		return ExperimentResult{}, err
 	}
 	return res, nil
 }
@@ -475,22 +458,8 @@ func ScaleSweep(sc ScaleConfig, swarms []int) experiment.Sweep {
 	for i, s := range swarms {
 		points[i] = experiment.Point{Label: fmt.Sprintf("swarm=%d", s), Value: float64(s)}
 	}
-	return experiment.Sweep{
-		Name:   "p2p-swarm-scale",
-		Points: points,
-		Reps:   sc.Reps,
-		Seed:   sc.Seed,
-		Run: func(t experiment.Trial, pt experiment.Point) (experiment.Sample, error) {
-			res, err := RunScaleExperiment(sc, int(pt.Value), t.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return experiment.Sample{
-				"accuracy":  res.Accuracy(),
-				"precision": res.Precision(),
-				"recall":    res.Recall(),
-				"answered":  res.Answered(),
-			}, nil
-		},
-	}
+	return classificationSweep("p2p-swarm-scale", points, sc.Reps, sc.Seed,
+		func(t experiment.Trial, pt experiment.Point) (ExperimentResult, error) {
+			return RunScaleExperiment(sc, int(pt.Value), t.Seed)
+		})
 }

@@ -42,11 +42,9 @@ func DefaultSweepConfig() SweepConfig {
 	}
 }
 
-// classificationSample runs one classification trial and reports its
-// quality metrics. "answered" is the probe-response completeness: 1.0
-// on a healthy substrate, explicitly lower when faults eat probes.
-func classificationSample(sc SweepConfig, probes int, overlay Config, plan faults.Plan, seed int64) (experiment.Sample, error) {
-	res, err := RunExperiment(ExperimentConfig{
+// trial runs one classification trial of the sweep's topology.
+func (sc SweepConfig) trial(probes int, overlay Config, plan faults.Plan, seed int64) (ExperimentResult, error) {
+	return RunExperiment(ExperimentConfig{
 		Seed:         seed,
 		Neighbors:    sc.Neighbors,
 		Sources:      sc.Sources,
@@ -57,15 +55,32 @@ func classificationSample(sc SweepConfig, probes int, overlay Config, plan fault
 		ProbeTimeout: sc.ProbeTimeout,
 		ProbeRetries: sc.ProbeRetries,
 	})
-	if err != nil {
-		return nil, err
+}
+
+// classificationSweep declares an E2 series: each trial runs trial at its
+// point and reports the run's classification quality. "answered" is the
+// probe-response completeness: 1.0 on a healthy substrate, explicitly
+// lower when faults eat probes.
+func classificationSweep(name string, points []experiment.Point, reps int, seed int64,
+	trial func(experiment.Trial, experiment.Point) (ExperimentResult, error)) experiment.Sweep {
+	return experiment.Sweep{
+		Name:   name,
+		Points: points,
+		Reps:   reps,
+		Seed:   seed,
+		Run: func(t experiment.Trial, pt experiment.Point) (experiment.Sample, error) {
+			res, err := trial(t, pt)
+			if err != nil {
+				return nil, err
+			}
+			return experiment.Sample{
+				"accuracy":  res.Accuracy(),
+				"precision": res.Precision(),
+				"recall":    res.Recall(),
+				"answered":  res.Answered(),
+			}, nil
+		},
 	}
-	return experiment.Sample{
-		"accuracy":  res.Accuracy(),
-		"precision": res.Precision(),
-		"recall":    res.Recall(),
-		"answered":  res.Answered(),
-	}, nil
 }
 
 // ProbeSweep declares E2 series 1: classification quality as a function
@@ -75,15 +90,10 @@ func ProbeSweep(sc SweepConfig, probes []int) experiment.Sweep {
 	for i, p := range probes {
 		points[i] = experiment.Point{Label: fmt.Sprintf("probes=%d", p), Value: float64(p)}
 	}
-	return experiment.Sweep{
-		Name:   "p2p-probe-budget",
-		Points: points,
-		Reps:   sc.Reps,
-		Seed:   sc.Seed,
-		Run: func(t experiment.Trial, pt experiment.Point) (experiment.Sample, error) {
-			return classificationSample(sc, int(pt.Value), sc.Overlay, sc.Faults, t.Seed)
-		},
-	}
+	return classificationSweep("p2p-probe-budget", points, sc.Reps, sc.Seed,
+		func(t experiment.Trial, pt experiment.Point) (ExperimentResult, error) {
+			return sc.trial(int(pt.Value), sc.Overlay, sc.Faults, t.Seed)
+		})
 }
 
 // DelaySweep declares E2 series 2: classification quality as the
@@ -97,17 +107,12 @@ func DelaySweep(sc SweepConfig, probes int, floors []time.Duration) experiment.S
 			Value: float64(f) / float64(time.Millisecond),
 		}
 	}
-	return experiment.Sweep{
-		Name:   "p2p-delay-floor",
-		Points: points,
-		Reps:   sc.Reps,
-		Seed:   sc.Seed,
-		Run: func(t experiment.Trial, pt experiment.Point) (experiment.Sample, error) {
+	return classificationSweep("p2p-delay-floor", points, sc.Reps, sc.Seed,
+		func(t experiment.Trial, pt experiment.Point) (ExperimentResult, error) {
 			overlay := sc.Overlay
 			overlay.DelayMin = time.Duration(pt.Value) * time.Millisecond
-			return classificationSample(sc, probes, overlay, sc.Faults, t.Seed)
-		},
-	}
+			return sc.trial(probes, overlay, sc.Faults, t.Seed)
+		})
 }
 
 // LossSweep declares the E2 degradation series: classification quality
@@ -118,17 +123,12 @@ func LossSweep(sc SweepConfig, probes int, losses []float64) experiment.Sweep {
 	for i, l := range losses {
 		points[i] = experiment.Point{Label: fmt.Sprintf("loss=%d%%", int(l*100+0.5)), Value: l}
 	}
-	return experiment.Sweep{
-		Name:   "p2p-loss",
-		Points: points,
-		Reps:   sc.Reps,
-		Seed:   sc.Seed,
-		Run: func(t experiment.Trial, pt experiment.Point) (experiment.Sample, error) {
+	return classificationSweep("p2p-loss", points, sc.Reps, sc.Seed,
+		func(t experiment.Trial, pt experiment.Point) (ExperimentResult, error) {
 			plan := sc.Faults
 			plan.Loss = pt.Value
-			return classificationSample(sc, probes, sc.Overlay, plan, t.Seed)
-		},
-	}
+			return sc.trial(probes, sc.Overlay, plan, t.Seed)
+		})
 }
 
 // ChurnSweep declares the E2 degradation series: classification quality
@@ -139,15 +139,10 @@ func ChurnSweep(sc SweepConfig, probes int, downFracs []float64) experiment.Swee
 	for i, f := range downFracs {
 		points[i] = experiment.Point{Label: fmt.Sprintf("down=%d%%", int(f*100+0.5)), Value: f}
 	}
-	return experiment.Sweep{
-		Name:   "p2p-churn",
-		Points: points,
-		Reps:   sc.Reps,
-		Seed:   sc.Seed,
-		Run: func(t experiment.Trial, pt experiment.Point) (experiment.Sample, error) {
+	return classificationSweep("p2p-churn", points, sc.Reps, sc.Seed,
+		func(t experiment.Trial, pt experiment.Point) (ExperimentResult, error) {
 			plan := sc.Faults
 			plan.Churn = faults.ChurnFraction(pt.Value, 2*time.Second)
-			return classificationSample(sc, probes, sc.Overlay, plan, t.Seed)
-		},
-	}
+			return sc.trial(probes, sc.Overlay, plan, t.Seed)
+		})
 }
