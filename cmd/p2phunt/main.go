@@ -163,13 +163,9 @@ func run(w io.Writer, o options) error {
 		return err
 	}
 	runner := experiment.Runner{Workers: o.workers, TrialTimeout: o.trialTimeout}
-	report := experiment.Report{Name: "E2-p2p-timing-attack"}
-	for _, sw := range sws {
-		series, err := runner.Run(context.Background(), sw)
-		if err != nil {
-			return fmt.Errorf("sweep %s: %w", sw.Name, err)
-		}
-		report.Series = append(report.Series, series)
+	report, err := runner.RunReport(context.Background(), "E2-p2p-timing-attack", sws)
+	if err != nil {
+		return err
 	}
 	switch {
 	case o.json:

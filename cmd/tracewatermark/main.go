@@ -160,13 +160,9 @@ func run(w io.Writer, o options) error {
 		return err
 	}
 	runner := experiment.Runner{Workers: o.workers, TrialTimeout: o.trialTimeout}
-	report := experiment.Report{Name: "E3-dsss-watermark-traceback"}
-	for _, sw := range sws {
-		series, err := runner.Run(context.Background(), sw)
-		if err != nil {
-			return fmt.Errorf("sweep %s: %w", sw.Name, err)
-		}
-		report.Series = append(report.Series, series)
+	report, err := runner.RunReport(context.Background(), "E3-dsss-watermark-traceback", sws)
+	if err != nil {
+		return err
 	}
 	switch {
 	case o.json:

@@ -125,6 +125,21 @@ func (r Runner) Run(ctx context.Context, sw Sweep) (Series, error) {
 	return series, errors.Join(errs...)
 }
 
+// RunReport runs the sweeps in order and collects their series into a
+// report named name. It stops at the first sweep that fails and names
+// that sweep in the error.
+func (r Runner) RunReport(ctx context.Context, name string, sweeps []Sweep) (Report, error) {
+	report := Report{Name: name}
+	for _, sw := range sweeps {
+		series, err := r.Run(ctx, sw)
+		if err != nil {
+			return Report{}, fmt.Errorf("sweep %s: %w", sw.Name, err)
+		}
+		report.Series = append(report.Series, series)
+	}
+	return report, nil
+}
+
 // runTrial runs one trial with panic recovery and, when configured, a
 // wall-clock deadline.
 func (r Runner) runTrial(sw Sweep, tr Trial, p Point) (Sample, error) {

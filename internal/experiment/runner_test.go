@@ -306,6 +306,24 @@ func TestRunnerValidates(t *testing.T) {
 	}
 }
 
+func TestRunReport(t *testing.T) {
+	a, b := syntheticSweep(2, 2), syntheticSweep(1, 3)
+	b.Name = "second"
+	report, err := Runner{Workers: 2}.RunReport(context.Background(), "E0", []Sweep{a, b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Name != "E0" || len(report.Series) != 2 ||
+		report.Series[0].Sweep != "synthetic" || report.Series[1].Sweep != "second" {
+		t.Fatalf("report = %q with %d series, want E0 with synthetic then second", report.Name, len(report.Series))
+	}
+	b.Reps = 0
+	_, err = Runner{Workers: 2}.RunReport(context.Background(), "E0", []Sweep{a, b})
+	if !errors.Is(err, ErrBadSweep) || !strings.Contains(err.Error(), "sweep second:") {
+		t.Fatalf("err = %v, want ErrBadSweep naming sweep second", err)
+	}
+}
+
 func TestRunnerContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

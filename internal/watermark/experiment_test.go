@@ -3,6 +3,7 @@ package watermark
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"lawgate/internal/capture"
 	"lawgate/internal/legal"
@@ -102,6 +103,35 @@ func TestExperimentLongerCodeStrongerDetection(t *testing.T) {
 	if resLong.Watermark.Z <= resShort.Watermark.Z {
 		t.Errorf("Z(255 chips) = %.2f not above Z(31 chips) = %.2f",
 			resLong.Watermark.Z, resShort.Watermark.Z)
+	}
+}
+
+// TestSubBinChipRejected: a chip shorter than 4 ns leaves the analysis a
+// zero-length quarter-chip bin, so every entry point must refuse it
+// instead of dividing by zero.
+func TestSubBinChipRejected(t *testing.T) {
+	for _, chip := range []time.Duration{1, 3} {
+		ec := DefaultExperimentConfig()
+		ec.ChipDuration = chip
+		lc := DefaultLineupConfig()
+		lc.ChipDuration = chip
+		sc := DefaultScaleConfig()
+		for _, tc := range []struct {
+			name string
+			run  func() error
+			want error
+		}{
+			{"RunExperiment", func() error { _, err := RunExperiment(ec); return err }, ErrBadExperiment},
+			{"RunLineup", func() error { _, err := RunLineup(lc); return err }, ErrBadLineup},
+			{"RunScaleExperiment", func() error {
+				_, err := RunScaleExperiment(ec, sc, sc.HostsPerCampus)
+				return err
+			}, ErrBadExperiment},
+		} {
+			if err := tc.run(); !errors.Is(err, tc.want) {
+				t.Errorf("%s with %v chips: err = %v, want %v", tc.name, chip, err, tc.want)
+			}
+		}
 	}
 }
 
