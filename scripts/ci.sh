@@ -3,8 +3,11 @@
 # Usage: scripts/ci.sh
 #
 # Runs, in order: gofmt, vet, build, the full test suite, the race
-# detector over the whole module, and a short-mode smoke run of both
-# experiment commands on the parallel sweep path (-smoke -workers 2).
+# detector over the whole module, vet and tests of the perfbench module
+# (its own Go module, which the root ./... never compiles, so a rename
+# in the packages it imports would otherwise break only the benchmark),
+# and a short-mode smoke run of both experiment commands on the
+# parallel sweep path (-smoke -workers 2).
 # The simulator is one conservative-lookahead engine; the serial E2/E3
 # series run it at one partition, the scale series at several. Its
 # partitioned runs get their own gates: both experiment commands run
@@ -20,8 +23,8 @@
 # The netsim bench smoke pins the engine's scheduler step (shallow and
 # deep heap), Send (two-node and across a 1,000-node composite's capped
 # trunk) and heap churn, all at one partition, to 0 allocs/op, and an
-# onion relay's forward hop to 2 (its CTR state and the packet; the
-# cell is rewritten in place); the legal bench smoke pins
+# onion relay's forward hop to 1 (the packet; the cell is rewritten in
+# place through an allocation-free layer); the legal bench smoke pins
 # the warm ruling-cache hit, with and without fresh case names, the
 # same way, and the committed BENCH_legal.json must show that hit at
 # least 2x faster than its pre-dispatch baseline. The delta pipeline
@@ -76,6 +79,9 @@ go test ./...
 
 echo "== go test -race ./..."
 go test -race ./...
+
+echo "== perfbench module: go vet + go test"
+(cd perfbench && GOWORK=off GOFLAGS= go vet ./... && GOWORK=off GOFLAGS= go test ./...)
 
 echo "== smoke: p2phunt -smoke -workers 2"
 go run ./cmd/p2phunt -smoke -workers 2 >/dev/null
