@@ -46,14 +46,14 @@ func pairedSweep(name string, base ExperimentConfig, reps int, seed int64, point
 			guilty := base
 			guilty.Guilty = true
 			guilty.Seed = t.SubSeed(0)
-			g, err := trial(guilty, t, pt)
+			resG, err := trial(guilty, t, pt)
 			if err != nil {
 				return nil, fmt.Errorf("guilty variant: %w", err)
 			}
 			innocent := base
 			innocent.Guilty = false
 			innocent.Seed = t.SubSeed(1)
-			i, err := trial(innocent, t, pt)
+			resI, err := trial(innocent, t, pt)
 			if err != nil {
 				return nil, fmt.Errorf("innocent variant: %w", err)
 			}
@@ -61,17 +61,17 @@ func pairedSweep(name string, base ExperimentConfig, reps int, seed int64, point
 			for _, k := range keys {
 				switch k {
 				case MetricDSSSTP:
-					sample[k] = experiment.Bool(g.Detected)
+					sample[k] = experiment.Bool(resG.Detected)
 				case MetricDSSSFP:
-					sample[k] = experiment.Bool(i.Detected)
+					sample[k] = experiment.Bool(resI.Detected)
 				case MetricBaselineTP:
-					sample[k] = experiment.Bool(g.BaselineDetected)
+					sample[k] = experiment.Bool(resG.BaselineDetected)
 				case MetricBaselineFP:
-					sample[k] = experiment.Bool(i.BaselineDetected)
+					sample[k] = experiment.Bool(resI.BaselineDetected)
 				case MetricZ:
-					sample[k] = g.Watermark.Z
+					sample[k] = resG.Watermark.Z
 				case MetricCoverage:
-					sample[k] = g.Watermark.Coverage
+					sample[k] = resG.Watermark.Coverage
 				}
 			}
 			return sample, nil
