@@ -113,7 +113,7 @@ func main() {
 // ruling JSON on stdout stays machine-readable.
 func printEngineStats(w io.Writer, s legal.EngineStats) {
 	fmt.Fprintf(w, "engine stats:\n")
-	fmt.Fprintf(w, "  evaluations:     %d (+%d batch slots deduplicated, +%d delta-chained)\n",
+	fmt.Fprintf(w, "  evaluations:     %d (+%d batch slots repeating an earlier slot, +%d answered under another name)\n",
 		s.Evaluations, s.BatchDeduped, s.BatchDeltaChained)
 	if s.DeltaEvaluations > 0 {
 		fmt.Fprintf(w, "  delta evals:     %d\n", s.DeltaEvaluations)

@@ -245,26 +245,12 @@ func packAction(a *Action) (w uint64, exact bool) {
 	return w, true
 }
 
-// hashActionKey hashes the whole action, Name included, without
-// allocating — the sampled name hash, the packed scalar word, and the
-// Exposure sequence, finalized by mix64 — and returns the packed word
-// (see packAction) alongside. Collisions only cost a failed
-// verification — every hash hit is verified before use — so the hash
-// needs to be fast and well-spread, not injective.
-func hashActionKey(seed uint64, a *Action) (h, w uint64, exact bool) {
-	w, exact = packAction(a)
-	h = hashString(seed, a.Name) ^ w
-	for _, e := range a.Exposure {
-		h = h*0x9e3779b97f4a7c15 + uint64(e)
-	}
-	return mix64(h), w, exact
-}
-
 // cacheKey derives the ruling-cache key of a, whose packed word is w
 // (exact as packAction reports it): the name the key carries — empty
 // when a's dispatch bucket never reads Name — and the key's hash. Every
-// lookup and insert goes through it, so the cached paths cannot
-// disagree on what a key is.
+// cache lookup and insert, and the batch pass's search for an earlier
+// slot with the same key, go through it and through keyMatches, so the
+// cache and the batch cannot disagree on what a key is.
 //
 // Dropping the name keeps "a verified hit implies a validated action":
 // only validated actions are stored, verification still compares every
@@ -280,6 +266,20 @@ func (e *Engine) cacheKey(a *Action, w uint64, exact bool) (h uint64, name strin
 		h = h*0x9e3779b97f4a7c15 + uint64(x)
 	}
 	return mix64(h), name
+}
+
+// keyMatches reports whether a — packed to w, exact as packAction
+// reports it, and keyed with name — has the same cache key as b, packed
+// to kw and keyed with kname; the caller has already compared the key
+// hashes. Verification is exact, never probabilistic: when the packed
+// word is injective (the normal case — see packAction) equality reduces
+// to comparing that word plus the key name and Exposure; otherwise it
+// falls back to the full field-by-field compare.
+func keyMatches(a *Action, w uint64, exact bool, name string, b *Action, kw uint64, kname string) bool {
+	if exact {
+		return kw == w && kname == name && exposuresEqual(a.Exposure, b.Exposure)
+	}
+	return actionsEqual(b, a)
 }
 
 // exposuresEqual compares the exposure sequences elementwise.
@@ -390,26 +390,14 @@ func newRulingCache(sizeHint, capacity int) *rulingCache {
 
 // probe returns the entry memoizing the key (h, name) of a, whose
 // packed word is w, or nil. Lock-free: one atomic table load, one
-// atomic slot load, a chain walk over immutable entries. Verification
-// is exact, never probabilistic: when the packed word is injective (the
-// normal case — see packAction) equality reduces to comparing that word
-// plus the key name and Exposure; otherwise it falls back to the full
-// field-by-field compare.
+// atomic slot load, a chain walk over immutable entries, each hash hit
+// verified by keyMatches.
 func (c *rulingCache) probe(h, w uint64, exact bool, name string, a *Action) *cacheEntry {
 	t := c.table.Load()
 	for en := t.slots[h&t.mask].Load(); en != nil; en = en.next {
-		if en.hash != h {
-			continue
+		if en.hash == h && keyMatches(a, w, exact, name, &en.ruling.Action, en.pw, en.ruling.Action.Name) {
+			return en
 		}
-		k := &en.ruling.Action
-		if exact {
-			if en.pw != w || k.Name != name || !exposuresEqual(a.Exposure, k.Exposure) {
-				continue
-			}
-		} else if !actionsEqual(k, a) {
-			continue
-		}
-		return en
 	}
 	return nil
 }

@@ -168,12 +168,16 @@ func TestDeltaRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBatchDeltaChainWorkersIdentity is the satellite byte-identity
-// test for the delta-compressed batch path: a batch of same-shape,
-// differently named actions must produce rulings identical to
-// per-action evaluation on a chain-free reference engine, at one, four,
-// and NumCPU workers, with the chain counter accounting for every
-// coalesced slot.
+// TestBatchDeltaChainWorkersIdentity is the byte-identity test for the
+// batch's keyed pass: rulings and the joined error text must equal
+// per-action evaluation on a reference engine, at one, four, and NumCPU
+// workers, cached and not, and the counters must account for every
+// slot once — an evaluation, a same-name repeat (BatchDeduped), or a
+// slot answered under another name (BatchDeltaChained). The batch holds
+// name-only variants of 16 shapes, exact repeats of bases and of
+// re-labeled variants, and an invalid base with name-only variants of
+// it; a second batch runs on an engine whose unannotated rules read
+// Name, where only exact repeats may be answered.
 func TestBatchDeltaChainWorkersIdentity(t *testing.T) {
 	const n, shapes = 512, 16
 	shaped := make([]Action, shapes)
@@ -198,37 +202,108 @@ func TestBatchDeltaChainWorkersIdentity(t *testing.T) {
 		actions[i] = shaped[i%shapes]
 		actions[i].Name = fmt.Sprintf("chain-%d", i)
 	}
+	// Exact repeats: 4 of bases (same name as their answering slot), 32
+	// of re-labeled variants (answered by the base, another name).
+	actions = append(actions, actions[:4]...)
+	actions = append(actions, actions[shapes:shapes+32]...)
+	// An invalid base (the scope packs exactly but fails Validate), 3
+	// name-only variants and an exact repeat of each of the two kinds:
+	// the base repeat copies the base's error, every variant is
+	// evaluated itself so its error names its own slot.
+	bad := shaped[0]
+	bad.Name = "bad-base"
+	bad.Consent = &Consent{Scope: ConsentScope(15)}
+	badFrom := len(actions)
+	for _, name := range []string{"bad-base", "bad-1", "bad-2", "bad-3", "bad-base", "bad-2"} {
+		b := bad
+		b.Name = name
+		actions = append(actions, b)
+	}
+	checkBatchIdentity(t, "name-blind", nil, actions, badFrom, shapes+1+4,
+		4+1, (n-shapes)+32)
 
-	ref := NewEngine()
-	want := make([]Ruling, n)
+	// The unannotated rules read Name, so the key keeps it: only the
+	// two exact repeats are answered.
+	plain := Action{Name: "plain", Actor: ActorGovernment, Timing: TimingStored, Data: DataContent, Source: SourceSeizedDevice}
+	warrant := plain
+	warrant.Name = "warrant:now"
+	other := plain
+	other.Name = "other"
+	checkBatchIdentity(t, "name-reading", unannotatedNameRules(),
+		[]Action{plain, warrant, plain, other, warrant}, -1, 3, 2, 0)
+}
+
+// checkBatchIdentity runs actions through EvaluateBatch on engines over
+// rules (nil: the defaults) and holds each run to per-action Evaluate
+// and to the given counter split. Slots from badFrom on (when >= 0) are
+// expected to fail validation; every other slot must rule.
+func checkBatchIdentity(t *testing.T, label string, rules []Rule, actions []Action, badFrom int, wantEvals, wantDeduped, wantChained uint64) {
+	t.Helper()
+	ref := NewEngine(WithRules(rules))
+	want := make([]Ruling, len(actions))
+	var wantErr []string
 	for i, a := range actions {
 		r, err := ref.Evaluate(a)
+		if (err != nil) != (badFrom >= 0 && i >= badFrom) {
+			t.Fatalf("%s: slot %d: reference error %v", label, i, err)
+		}
 		if err != nil {
-			t.Fatal(err)
+			wantErr = append(wantErr, fmt.Sprintf("action %d: %v", i, err))
 		}
 		want[i] = r
 	}
+	if wantEvals+wantDeduped+wantChained != uint64(len(actions)) {
+		t.Fatalf("%s: expected split %d+%d+%d does not cover %d slots", label, wantEvals, wantDeduped, wantChained, len(actions))
+	}
 
 	ctx := context.Background()
-	for _, workers := range []int{1, 4, runtime.NumCPU()} {
-		e := NewEngine(WithBatchWorkers(workers), WithEngineStats())
-		got, err := e.EvaluateBatch(ctx, actions)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range got {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Fatalf("workers=%d: slot %d diverged from per-action evaluation:\n got %+v\nwant %+v",
-					workers, i, got[i], want[i])
+	for _, cached := range []bool{false, true} {
+		for _, workers := range []int{1, 4, runtime.NumCPU()} {
+			opts := []EngineOption{WithRules(rules), WithBatchWorkers(workers), WithEngineStats()}
+			if cached {
+				opts = append(opts, WithRulingCache(0))
+			}
+			e := NewEngine(opts...)
+			got, err := e.EvaluateBatch(ctx, actions)
+			run := fmt.Sprintf("%s cached=%v workers=%d", label, cached, workers)
+			for i := range got {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("%s: slot %d diverged from per-action evaluation:\n got %+v\nwant %+v",
+						run, i, got[i], want[i])
+				}
+			}
+			gotErr := ""
+			if err != nil {
+				gotErr = err.Error()
+			}
+			if w := strings.Join(wantErr, "\n"); gotErr != w {
+				t.Fatalf("%s: joined errors\n got %q\nwant %q", run, gotErr, w)
+			}
+			s := e.Stats()
+			if s.Evaluations != wantEvals || s.BatchDeduped != wantDeduped || s.BatchDeltaChained != wantChained {
+				t.Fatalf("%s: evaluations/deduped/chained = %d/%d/%d, want %d/%d/%d", run,
+					s.Evaluations, s.BatchDeduped, s.BatchDeltaChained, wantEvals, wantDeduped, wantChained)
 			}
 		}
-		s := e.Stats()
-		if s.BatchDeltaChained != n-shapes {
-			t.Fatalf("workers=%d: BatchDeltaChained = %d, want %d", workers, s.BatchDeltaChained, n-shapes)
-		}
-		if s.Evaluations != shapes {
-			t.Fatalf("workers=%d: Evaluations = %d, want %d (one per shape)", workers, s.Evaluations, shapes)
-		}
+	}
+}
+
+// unannotatedNameRules is a rule table without Reads annotations whose
+// first rule really does read Name: a "warrant:" prefix demands a
+// search warrant.
+func unannotatedNameRules() []Rule {
+	return []Rule{
+		{
+			Name:     "name-sensitive",
+			When:     func(rc *RuleContext) bool { return strings.HasPrefix(rc.Action.Name, "warrant:") },
+			Apply:    func(rc *RuleContext) { rc.Require(ProcessSearchWarrant, RegimeFourthAmendment, "named warrant") },
+			Terminal: true,
+		},
+		{
+			Name:     "default-none",
+			Apply:    func(rc *RuleContext) { rc.Require(ProcessNone, RegimeNone, "default none") },
+			Terminal: true,
+		},
 	}
 }
 
@@ -269,19 +344,7 @@ func TestBatchChainBaseErrorFallsBack(t *testing.T) {
 // under the new name and the batch pre-pass never chains, even when the
 // rule really does depend on Name.
 func TestDeltaUnannotatedRulesForceReEvaluation(t *testing.T) {
-	rules := []Rule{
-		{
-			Name:     "name-sensitive",
-			When:     func(rc *RuleContext) bool { return strings.HasPrefix(rc.Action.Name, "warrant:") },
-			Apply:    func(rc *RuleContext) { rc.Require(ProcessSearchWarrant, RegimeFourthAmendment, "named warrant") },
-			Terminal: true,
-		},
-		{
-			Name:     "default-none",
-			Apply:    func(rc *RuleContext) { rc.Require(ProcessNone, RegimeNone, "default none") },
-			Terminal: true,
-		},
-	}
+	rules := unannotatedNameRules()
 	e := NewEngine(WithRules(rules), WithEngineStats())
 	base := Action{Name: "plain", Actor: ActorGovernment, Timing: TimingStored, Data: DataContent, Source: SourceSeizedDevice}
 	prev, err := e.Evaluate(base)

@@ -201,8 +201,9 @@ type engineCounters struct {
 // structural and always populated).
 type EngineStats struct {
 	// Evaluations counts evaluation requests: Evaluate calls plus
-	// batch slots that were actually evaluated (deduplicated batch
-	// slots count under BatchDeduped instead).
+	// batch slots that were actually evaluated (batch slots answered by
+	// an earlier slot count under BatchDeduped or BatchDeltaChained
+	// instead, so per batch the three sum to its length).
 	Evaluations uint64
 	// CacheHits and CacheMisses partition cache lookups. Both are zero
 	// when no cache is configured. Misses include evaluations of
@@ -223,13 +224,16 @@ type EngineStats struct {
 	// against RuleTableSize, the linear-walk cost the dispatch index
 	// avoids.
 	RulesScanned uint64
-	// BatchDeduped counts batch slots satisfied by within-batch
-	// deduplication instead of a fresh evaluation.
+	// BatchDeduped counts batch slots answered by an earlier slot with
+	// the same ruling-cache key and the same name: the slot received
+	// that slot's ruling or error instead of a fresh evaluation.
 	BatchDeduped uint64
-	// BatchDeltaChained counts batch slots satisfied by the delta-
-	// compression pre-pass: near-duplicates of an earlier slot (same
-	// scalar shape and exposure, different name) that received the base
-	// slot's ruling with the name patched instead of a fresh evaluation.
+	// BatchDeltaChained counts batch slots answered by an earlier slot
+	// with the same ruling-cache key under another name — a name-only
+	// variant in a bucket whose rules never read Name: the slot
+	// received that slot's ruling re-labeled with its own name. A
+	// variant of a failed slot is evaluated and counts under
+	// Evaluations.
 	BatchDeltaChained uint64
 	// DeltaEvaluations counts EvaluateDelta calls. Each is also an
 	// ordinary evaluation of the mutated action, so it counts under

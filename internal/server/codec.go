@@ -149,18 +149,23 @@ func appendEvaluateResponse(dst []byte, tenant string, revision uint64, r *legal
 // from the engine's rulings: one slot per input action, null for
 // failed slots, errors listed when present — byte-identical to
 // json.Marshal(BatchResponse{...}) without materializing the
-// []*report.RulingView.
-func appendBatchResponse(dst []byte, tenant string, revision uint64, slots int, rulings []legal.Ruling, failed map[int]bool, errs []BatchError) []byte {
+// []*report.RulingView. errs is in slot order, as collectBatchErrors
+// lists it; a slot is failed when an error carries its index.
+func appendBatchResponse(dst []byte, tenant string, revision uint64, slots int, rulings []legal.Ruling, errs []BatchError) []byte {
 	dst = append(dst, `{"tenant":`...)
 	dst = wire.AppendString(dst, tenant)
 	dst = append(dst, `,"revision":`...)
 	dst = wire.AppendUint(dst, revision)
 	dst = append(dst, `,"rulings":[`...)
+	next := 0 // errs cursor: the first error not indexed below slot i
 	for i := 0; i < slots; i++ {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		if i >= len(rulings) || failed[i] {
+		for next < len(errs) && errs[next].Index < i {
+			next++
+		}
+		if i >= len(rulings) || next < len(errs) && errs[next].Index == i {
 			dst = append(dst, "null"...)
 			continue
 		}

@@ -61,7 +61,7 @@ func TestAppendBatchResponseMatchesStdlib(t *testing.T) {
 		name   string
 		slots  int
 		ruls   []legal.Ruling
-		failed map[int]bool
+		failed map[int]bool // the slots the stdlib reply nulls
 		errs   []BatchError
 	}{
 		{name: "empty", slots: 0, ruls: nil},
@@ -98,7 +98,7 @@ func TestAppendBatchResponseMatchesStdlib(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := appendBatchResponse(nil, "t", 3, tc.slots, tc.ruls, tc.failed, tc.errs)
+			got := appendBatchResponse(nil, "t", 3, tc.slots, tc.ruls, tc.errs)
 			if !bytes.Equal(got, want) {
 				t.Errorf("\n got %s\nwant %s", got, want)
 			}

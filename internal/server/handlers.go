@@ -227,13 +227,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) *apiError {
 	if err != nil && (errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)) {
 		return deadlineErr("batch evaluation")
 	}
-	var batchErrs []BatchError
-	failed := collectBatchErrors(err, &batchErrs)
-	for i := range rulings {
-		if !failed[i] {
-			s.stats.rulings.Add(1)
-		}
-	}
+	batchErrs := collectBatchErrors(err)
+	s.stats.rulings.Add(uint64(len(rulings) - len(batchErrs)))
 	t.audit(ledger.Draft{
 		At:      s.now().UnixNano(),
 		Kind:    ledger.KindService,
@@ -245,35 +240,31 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) *apiError {
 	// Encode straight from the engine's rulings: the response never
 	// materializes a []*report.RulingView.
 	buf := wire.GetBuffer()
-	buf.B = appendBatchResponse(buf.B[:0], t.ID, ev.Revision, len(actions), rulings, failed, batchErrs)
+	buf.B = appendBatchResponse(buf.B[:0], t.ID, ev.Revision, len(actions), rulings, batchErrs)
 	writeRaw(w, http.StatusOK, buf.B)
 	wire.PutBuffer(buf)
 	return nil
 }
 
-// collectBatchErrors unpacks EvaluateBatch's joined per-index errors
-// ("action %d: ..." per failed slot) into errs and reports which slots
-// failed.
-func collectBatchErrors(err error, errs *[]BatchError) map[int]bool {
-	failed := map[int]bool{}
+// collectBatchErrors lists EvaluateBatch's joined errors in order, each
+// under the index of the slot it failed (-1 for an error that names no
+// slot).
+func collectBatchErrors(err error) []BatchError {
 	if err == nil {
-		return failed
+		return nil
 	}
 	list := []error{err}
 	if u, ok := err.(interface{ Unwrap() []error }); ok {
 		list = u.Unwrap()
 	}
-	for _, e := range list {
-		msg := e.Error()
-		var idx int
-		if _, serr := fmt.Sscanf(msg, "action %d:", &idx); serr == nil {
-			failed[idx] = true
-		} else {
-			idx = -1
+	errs := make([]BatchError, len(list))
+	for i, e := range list {
+		errs[i] = BatchError{Index: -1, Error: e.Error()}
+		if se, ok := e.(*legal.SlotError); ok {
+			errs[i].Index = se.Index
 		}
-		*errs = append(*errs, BatchError{Index: idx, Error: msg})
 	}
-	return failed
+	return errs
 }
 
 func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) *apiError {

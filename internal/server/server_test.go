@@ -181,7 +181,9 @@ func TestBatchEndpointPartialFailure(t *testing.T) {
 
 	bad := validAction()
 	bad.Actor = legal.Actor(99)
-	batch := []legal.Action{validAction(), bad, validAction()}
+	bad2 := bad
+	bad2.Name += " again"
+	batch := []legal.Action{validAction(), bad, validAction(), bad2}
 	resp, data := postJSON(t, ts.Client(), ts.URL+"/v1/evaluate/batch", batch)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, data)
@@ -190,15 +192,16 @@ func TestBatchEndpointPartialFailure(t *testing.T) {
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Rulings) != 3 {
-		t.Fatalf("rulings = %d, want 3 slots", len(out.Rulings))
+	if len(out.Rulings) != 4 {
+		t.Fatalf("rulings = %d, want 4 slots", len(out.Rulings))
 	}
-	if out.Rulings[0] == nil || out.Rulings[1] != nil || out.Rulings[2] == nil {
-		t.Fatalf("slot validity = [%v %v %v], want [ok nil ok]",
-			out.Rulings[0] != nil, out.Rulings[1] != nil, out.Rulings[2] != nil)
+	if out.Rulings[0] == nil || out.Rulings[1] != nil || out.Rulings[2] == nil || out.Rulings[3] != nil {
+		t.Fatalf("slot validity = [%v %v %v %v], want [ok nil ok nil]",
+			out.Rulings[0] != nil, out.Rulings[1] != nil, out.Rulings[2] != nil, out.Rulings[3] != nil)
 	}
-	if len(out.Errors) != 1 || out.Errors[0].Index != 1 {
-		t.Fatalf("errors = %+v, want one at index 1", out.Errors)
+	if len(out.Errors) != 2 || out.Errors[0].Index != 1 || out.Errors[1].Index != 3 ||
+		!strings.HasPrefix(out.Errors[0].Error, "action 1: ") || !strings.HasPrefix(out.Errors[1].Error, "action 3: ") {
+		t.Fatalf("errors = %+v, want one at index 1 and one at index 3, each naming its slot", out.Errors)
 	}
 	if got := s.Stats().Rulings; got != 2 {
 		t.Fatalf("rulings counter = %d, want 2", got)

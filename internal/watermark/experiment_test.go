@@ -2,6 +2,7 @@ package watermark
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -107,10 +108,11 @@ func TestExperimentLongerCodeStrongerDetection(t *testing.T) {
 }
 
 // TestSubBinChipRejected: a chip shorter than 4 ns leaves the analysis a
-// zero-length quarter-chip bin, so every entry point must refuse it
-// instead of dividing by zero.
+// zero-length quarter-chip bin, and any chip under minChip would size
+// the analysis by 1/chip beyond maxDelayBins, so every entry point must
+// refuse both before the simulation allocates anything.
 func TestSubBinChipRejected(t *testing.T) {
-	for _, chip := range []time.Duration{1, 3} {
+	for _, chip := range []time.Duration{1, 3, 8, 40 * time.Microsecond} {
 		ec := DefaultExperimentConfig()
 		ec.ChipDuration = chip
 		lc := DefaultLineupConfig()
@@ -128,9 +130,33 @@ func TestSubBinChipRejected(t *testing.T) {
 				return err
 			}, ErrBadExperiment},
 		} {
-			if err := tc.run(); !errors.Is(err, tc.want) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := tc.run()
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, tc.want) {
 				t.Errorf("%s with %v chips: err = %v, want %v", tc.name, chip, err, tc.want)
 			}
+			if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+				t.Errorf("%s with %v chips allocated %d bytes before rejecting", tc.name, chip, d)
+			}
+		}
+	}
+}
+
+// TestDelayBudgetBoundary pins where the analysis budget cuts off: a
+// 400 µs chip searches exactly maxDelayBins bins and is accepted, a
+// 399 µs chip is not.
+func TestDelayBudgetBoundary(t *testing.T) {
+	ec := DefaultExperimentConfig()
+	for chip, ok := range map[time.Duration]bool{
+		ec.ChipDuration:        true,
+		400 * time.Microsecond: true,
+		399 * time.Microsecond: false,
+	} {
+		_, err := trialParams(ec.CodeDegree, ec.Bits, chip, ec.Amplitude, ec.BaseGap, ErrBadExperiment)
+		if (err == nil) != ok {
+			t.Errorf("chip %v: err = %v, want accepted = %v", chip, err, ok)
 		}
 	}
 }

@@ -176,7 +176,7 @@ func RunLineup(lc LineupConfig) (LineupResult, error) {
 	}
 	bin := lc.ChipDuration / 4
 	horizon := streamEnd + time.Second
-	maxOffset := int((100 * time.Millisecond) / bin)
+	maxOffset := int(delaySearch / bin)
 
 	res := LineupResult{Identified: -1, Scores: make([]float64, lc.Suspects)}
 	best := 0.0

@@ -15,10 +15,25 @@ import (
 // the lineup (RunLineup) and the load-scale composite
 // (RunScaleExperiment). Only the topology builders differ.
 
+// delaySearch is the path delay the analysis absorbs: the detector and
+// the baseline search start offsets over this span, in quarter-chip
+// bins.
+const delaySearch = 100 * time.Millisecond
+
+// maxDelayBins bounds that search. Its depth, delaySearch/(chip/4) bins,
+// grows as 1/chip, and so does the count series over a trial's fixed
+// 1.5 s of slack (15 times as many bins); the baseline allocates two
+// series per offset searched.
+const maxDelayBins = 1000
+
+// minChip is the shortest chip whose delay search fits maxDelayBins:
+// 400 µs, fifty times shorter than the 20 ms default.
+const minChip = 4 * delaySearch / maxDelayBins
+
 // trialParams builds the watermark a trial embeds: the degree's
 // m-sequence spreading an alternating ±1 payload of nbits bits into
-// 400-byte packets. The analysis bins counts at a quarter chip, so a
-// chip shorter than 4 ns is rejected with errBad.
+// 400-byte packets. A chip shorter than minChip is rejected with errBad
+// before anything is simulated.
 func trialParams(degree, nbits int, chip time.Duration, amplitude float64, baseGap time.Duration, errBad error) (Params, error) {
 	code, err := MSequence(degree)
 	if err != nil {
@@ -43,8 +58,9 @@ func trialParams(degree, nbits int, chip time.Duration, amplitude float64, baseG
 	if err := params.Validate(); err != nil {
 		return Params{}, err
 	}
-	if chip/4 == 0 {
-		return Params{}, fmt.Errorf("%w: chip duration %v leaves no quarter-chip analysis bin", errBad, chip)
+	if chip < minChip {
+		return Params{}, fmt.Errorf("%w: chip duration %v is under %v, the shortest whose %v delay search fits the %d-bin analysis budget",
+			errBad, chip, minChip, delaySearch, maxDelayBins)
 	}
 	return params, nil
 }
@@ -122,7 +138,7 @@ func scoreMeters(params Params, streamEnd time.Duration, suspectMeter, serverMet
 	if err != nil {
 		return ExperimentResult{}, err
 	}
-	maxOffset := int((100 * time.Millisecond) / bin) // absorbs path delay
+	maxOffset := int(delaySearch / bin)
 	wm, err := detector.Score(rx, bin, maxOffset)
 	if err != nil {
 		return ExperimentResult{}, err

@@ -127,10 +127,13 @@ func (s *namedValues) String() string {
 }
 
 func (s *namedValues) Set(v string) error {
-	name, valStr, ok := strings.Cut(v, "=")
-	if !ok || name == "" {
+	// Cut at the last '=': sub-benchmark names carry their own, as in
+	// BenchmarkBatchDeltaChain/workers=1=369.
+	i := strings.LastIndexByte(v, '=')
+	if i <= 0 {
 		return fmt.Errorf("want NAME=%s, got %q", s.valueLabel, v)
 	}
+	name, valStr := v[:i], v[i+1:]
 	val, err := strconv.ParseFloat(valStr, 64)
 	if err != nil || val < 0 || (val == 0 && !s.allowZero) {
 		return fmt.Errorf("invalid %s in %q", s.valueLabel, v)

@@ -26,10 +26,14 @@
 # onion relay's forward hop to 1 (the packet; the cell is rewritten in
 # place through an allocation-free layer); the legal bench smoke pins
 # the warm ruling-cache hit, with and without fresh case names, the
-# same way, and the committed BENCH_legal.json must show that hit at
-# least 2x faster than its pre-dispatch baseline. The delta pipeline
-# reruns its EvaluateDelta-equals-Evaluate sweep under -race and
-# smokes evaluate -deltas on a JSONL stream.
+# same way, holds the uncached near-duplicate batch
+# (BenchmarkBatchDeltaChain/workers=1) to 369 allocs/op, and the
+# committed BENCH_legal.json must show that hit at least 2x faster than
+# its pre-dispatch baseline. The delta pipeline reruns its
+# EvaluateDelta-equals-Evaluate sweep and the batch's keyed-pass
+# identity test (rulings, joined errors and counters against
+# per-action evaluation) under -race, and smokes evaluate -deltas on a
+# JSONL stream.
 # The lawgated ruling service gets a live smoke: serve on an ephemeral
 # port, run the full conformance probe (every endpoint plus the
 # deliberate 4xx paths, including the byte-identity assertion on the
@@ -212,10 +216,13 @@ go run ./scripts/benchcheck \
 scripts/bench.sh -short -o "$tmpdir/bench_legal.json" legal
 # A warm ruling-cache hit must stay allocation-free, including under
 # case names the cache never stored (the name-blind key re-labels the
-# memoized ruling).
+# memoized ruling). An uncached engine must still answer a batch's
+# name-only variants from one evaluation per shape: evaluating every
+# slot of BenchmarkBatchDeltaChain costs ~20.8k allocs/op, not 369.
 go run ./scripts/benchcheck \
 	-max-allocs 'BenchmarkRulingsPerSec/warm=0' \
 	-max-allocs 'BenchmarkRulingsPerSec/warm-names=0' \
+	-max-allocs 'BenchmarkBatchDeltaChain/workers=1=369' \
 	"$tmpdir/bench_legal.json"
 # The smoke proves the tooling; only the alloc budget is asserted on
 # it. The 1000 ns budget is enforced below on the committed
