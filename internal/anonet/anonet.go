@@ -289,7 +289,8 @@ func (c *Client) handle(_ *netsim.Network, pkt *netsim.Packet) {
 // handle processes cells at a relay: forward cells shed one layer and move
 // toward the exit; backward traffic gains one layer and moves toward the
 // client; the exit bridges to plaintext. Relayed cells are rewritten in
-// place (see package doc).
+// place (see package doc), and every hop re-sends the packet it was
+// handed.
 func (r *Relay) handle(_ *netsim.Network, pkt *netsim.Packet) {
 	rtCirc, fromServer := circFromFlow(pkt.Header.Flow)
 	if !fromServer {
@@ -311,7 +312,7 @@ func (r *Relay) handle(_ *netsim.Network, pkt *netsim.Packet) {
 		}
 		wire := newCell(rtCirc, rt.exitSeq, n)
 		applyLayer(rt.layer, &rt.sc, rtCirc, rt.exitSeq, true, wire[cellHeaderLen:cellHeaderLen+n], pkt.Payload)
-		r.forward(rt.prev, rt.flow, wire)
+		r.forward(pkt, rt.prev, rt.flow, wire, true)
 		return
 	}
 
@@ -329,38 +330,34 @@ func (r *Relay) handle(_ *netsim.Network, pkt *netsim.Packet) {
 	case rt.prev: // forward direction
 		applyLayer(rt.layer, &rt.sc, cl.Circ, cl.Seq, false, cl.Data, cl.Data)
 		if !isExit {
-			r.forward(rt.next, flow, pkt.Payload)
+			r.forward(pkt, rt.next, flow, pkt.Payload, true)
 			return
 		}
 		rp, err := unmarshalRelayPayload(cl.Data)
 		if err != nil {
 			return
 		}
-		r.Relayed++
-		_ = r.a.net.Send(&netsim.Packet{
-			Header: netsim.Header{
-				Src: r.ID, Dst: netsim.NodeID(rp.Dst),
-				Flow: flow, Proto: netsim.ProtoTCP,
-			},
-			Payload: rp.Data,
-		})
+		r.forward(pkt, netsim.NodeID(rp.Dst), flow, rp.Data, false)
 	case rt.next: // backward direction: add this relay's layer
 		applyLayer(rt.layer, &rt.sc, cl.Circ, cl.Seq, true, cl.Data, cl.Data)
-		r.forward(rt.prev, flow, pkt.Payload)
+		r.forward(pkt, rt.prev, flow, pkt.Payload, true)
 	}
 }
 
-// forward sends a padded cell to the neighbouring hop on flow.
-func (r *Relay) forward(to netsim.NodeID, flow netsim.FlowID, wire []byte) {
+// forward re-sends pkt, the packet the relay was handed, to the
+// neighbouring hop on flow, carrying payload. The network keeps no
+// reference to a delivered packet once HandlePacket returns (see
+// netsim.Handler), so the relay may rewrite it; every header field is
+// replaced, and Send restamps the rest.
+func (r *Relay) forward(pkt *netsim.Packet, to netsim.NodeID, flow netsim.FlowID, payload []byte, encrypted bool) {
 	r.Relayed++
-	_ = r.a.net.Send(&netsim.Packet{
-		Header: netsim.Header{
-			Src: r.ID, Dst: to,
-			Flow: flow, Proto: netsim.ProtoTCP,
-		},
-		Payload:   wire,
-		Encrypted: true,
-	})
+	pkt.Header = netsim.Header{
+		Src: r.ID, Dst: to,
+		Flow: flow, Proto: netsim.ProtoTCP,
+	}
+	pkt.Payload = payload
+	pkt.Encrypted = encrypted
+	_ = r.a.net.Send(pkt)
 }
 
 // handle delivers plaintext requests to the server's application handler.

@@ -14,9 +14,9 @@
 //
 // Cell buffers are created only by anonet (the client's forward cells,
 // the exit's backward ones), so a relay may rewrite the cell it is
-// handed in place and forward that buffer in a fresh packet: netsim
-// keeps no reference to a delivered packet and deep-clones duplicates
-// (see netsim.Handler).
+// handed in place and re-send it in the very packet that carried it:
+// netsim keeps no reference to a delivered packet and deep-clones
+// duplicates (see netsim.Handler).
 package anonet
 
 import (

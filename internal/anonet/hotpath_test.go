@@ -174,13 +174,15 @@ func TestUnmarshalCellRejectsWithoutAlloc(t *testing.T) {
 }
 
 // relayForwardAllocs is the pinned allocation count of one forward hop
-// at a middle relay: the outgoing packet. The cell is rewritten in
-// place; the layer, its nonce and the flow name cost nothing per cell.
-const relayForwardAllocs = 1
+// at a middle relay: none. The cell is rewritten in place and the relay
+// re-sends the packet it was handed; the layer, its nonce and the flow
+// name cost nothing per cell.
+const relayForwardAllocs = 0
 
 // exitWrapAllocs is the pinned allocation count of the exit wrapping
-// one server reply into the circuit: the new cell and the packet.
-const exitWrapAllocs = 2
+// one server reply into the circuit: the new cell. The reply's packet
+// carries it on.
+const exitWrapAllocs = 1
 
 // clientHandleAllocs is the pinned allocation count of the client
 // peeling one backward cell: none, since every layer is peeled in place
@@ -191,7 +193,9 @@ const clientHandleAllocs = 0
 // forward cell and runs the network dry, and the middle relay. The exit
 // forgets the circuit, so delivering the forwarded cell there costs
 // nothing and the work measured is the middle hop alone. Every call
-// rewrites the same cell in place, so it alternates between two
+// hands over the same packet, which the relay re-sends, so the call
+// first restores the header and payload the entry sent it with. The
+// cell is rewritten in place, so it alternates between two
 // ciphertexts; its length never changes.
 func middleHop(tb testing.TB) (func(), *Relay) {
 	r := buildRig(tb, 21)
@@ -199,13 +203,11 @@ func middleHop(tb testing.TB) (func(), *Relay) {
 	delete(exit.routes, r.circ.ID)
 	wire := newCell(r.circ.ID, 1, cellDataCap)
 	copy(wire[cellHeaderLen:], bytes.Repeat([]byte{0xA5}, cellDataCap))
-	pkt := &netsim.Packet{
-		Header:    netsim.Header{Src: "entry", Dst: "middle", Flow: flowFor(r.circ.ID), Proto: netsim.ProtoTCP},
-		Payload:   wire,
-		Encrypted: true,
-	}
+	hdr := netsim.Header{Src: "entry", Dst: "middle", Flow: flowFor(r.circ.ID), Proto: netsim.ProtoTCP}
+	pkt := &netsim.Packet{}
 	net, sim := r.a.Net(), r.a.Net().Sim()
 	hop := func() {
+		pkt.Header, pkt.Payload, pkt.Encrypted = hdr, wire, true
 		middle.handle(net, pkt)
 		for sim.Step() {
 		}
@@ -249,12 +251,13 @@ func TestExitWrapAllocs(t *testing.T) {
 	// arrival and the work measured is the exit's alone.
 	delete(middle.routes, r.circ.ID)
 	reply := bytes.Repeat([]byte{0x5A}, 400)
-	pkt := &netsim.Packet{
-		Header:  netsim.Header{Src: "webserver", Dst: "exit", Flow: flowFor(r.circ.ID), Proto: netsim.ProtoTCP},
-		Payload: reply,
-	}
+	// The exit re-sends the reply's packet with the new cell, so every
+	// call first restores what the server sent.
+	hdr := netsim.Header{Src: "webserver", Dst: "exit", Flow: flowFor(r.circ.ID), Proto: netsim.ProtoTCP}
+	pkt := &netsim.Packet{}
 	net, sim := r.a.Net(), r.a.Net().Sim()
 	wrap := func() {
+		pkt.Header, pkt.Payload, pkt.Encrypted = hdr, reply, false
 		exit.handle(net, pkt)
 		for sim.Step() {
 		}

@@ -78,6 +78,27 @@ func sendDrain(b *testing.B, n *netsim.Network, pkt *netsim.Packet) {
 	}
 }
 
+// BenchmarkFlowEmit measures one steady-state Flow packet, emitted,
+// delivered to a sink and recycled, with 500 more in flight on the
+// link: a background flow of the scale trials, whose packets are
+// cold by the time they arrive.
+func BenchmarkFlowEmit(b *testing.B) {
+	n := benchNet(b, netsim.Link{Latency: 5 * time.Millisecond})
+	const gap = 10 * time.Microsecond
+	f := &netsim.Flow{Net: n, Src: "src", Dst: "dst", ID: "bench",
+		Pattern: &netsim.CBR{Gap: gap, Size: 500}, Until: time.Duration(1<<62 - 1)}
+	if err := f.Start(); err != nil {
+		b.Fatal(err)
+	}
+	sim := n.Sim()
+	sim.RunUntil(10 * time.Millisecond) // fill the link, warm the slab
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sim.RunUntil(sim.Now() + gap)
+	}
+}
+
 // BenchmarkSend measures the un-faulted common case: one packet, no
 // taps, no faults, delivered and handled.
 func BenchmarkSend(b *testing.B) {

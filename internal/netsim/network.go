@@ -23,7 +23,12 @@ var (
 // fault-injected duplicate is a deep clone (Packet.Clone) delivered on
 // its own. A handler may therefore rewrite the payload of a packet it
 // was handed, provided the sender gave up the buffer (see Send) and no
-// other copy shares it.
+// other copy shares it, and may re-send the packet itself.
+//
+// A packet a Flow emitted is reused for a later packet once
+// HandlePacket returns, unless the handler re-sent it: a handler must
+// copy whatever it keeps of a packet (Packet.Clone, or the fields it
+// needs) rather than the pointer.
 type Handler interface {
 	// HandlePacket is invoked when a packet arrives at the node.
 	HandlePacket(net *Network, pkt *Packet)
@@ -149,6 +154,14 @@ type Network struct {
 	busy []time.Duration
 	// snap is the reused tap-observation snapshot (see Tap).
 	snap Packet
+	// free holds Flow packets the partition has finished with (see
+	// release); Flow.emit draws from it. A packet is released by the
+	// partition whose goroutine drops or delivers it, so the list needs
+	// no lock.
+	free []*Packet
+	// handling is the Flow packet whose HandlePacket call is running, if
+	// any; send clears it when the handler re-sends that packet.
+	handling *Packet
 
 	// Delivered counts packets delivered; Dropped counts loss.
 	Delivered, Dropped int64
@@ -347,26 +360,65 @@ type delivery struct {
 	pkt       *Packet
 	dst       int32 // topology index of the destination
 	duplicate bool
+	// pooled copies pkt.pooled at send time, so a delivery learns
+	// whether to recycle its packet without loading the packet again.
+	pooled bool
 }
 
 // run executes the delivery at the event's firing time.
 func (d delivery) run() {
 	n := d.net
-	dst := &n.topo.nodes[d.dst]
+	dst, pkt := &n.topo.nodes[d.dst], d.pkt
 	// A destination that is down when the packet arrives loses it —
 	// crash-while-in-flight.
 	if f := n.run.faults; f != nil && f.Down(dst.id, n.sim.Now()) {
 		n.FaultDropped++
+		if d.pooled {
+			n.recycle(pkt)
+		}
 		return
 	}
-	pkt := d.pkt
 	pkt.DeliveredAt = n.sim.Now()
 	n.Delivered++
 	if d.duplicate {
 		n.Duplicated++
 	}
 	n.observe(dst.taps, DirInbound, pkt)
+	if !d.pooled {
+		dst.handler.HandlePacket(n, pkt)
+		return
+	}
+	// A Flow packet is done with once the handler returns, unless the
+	// handler re-sent it: send then clears handling and owns the packet
+	// again. Nothing here reads the packet, whose cache line a sink's
+	// handler never touches.
+	n.handling = pkt
 	dst.handler.HandlePacket(n, pkt)
+	if n.handling == pkt {
+		n.handling = nil
+		n.recycle(pkt)
+	}
+}
+
+// release recycles pkt if it is a Flow packet not yet released: send
+// calls it for every packet it drops. Any other packet belongs to its
+// sender and is left alone.
+func (n *Network) release(pkt *Packet) {
+	if pkt.pooled {
+		n.recycle(pkt)
+	}
+}
+
+// takePacket returns a packet for Flow.emit to overwrite: one from the
+// partition's free list, or a new one when the list is empty.
+func (n *Network) takePacket() *Packet {
+	k := len(n.free)
+	if k == 0 {
+		return new(Packet)
+	}
+	pkt := n.free[k-1]
+	n.free = n.free[:k-1]
+	return pkt
 }
 
 // resolve looks up the route from src to dst: both node indices and the
@@ -391,9 +443,9 @@ func (n *Network) resolve(src, dst NodeID) (route, error) {
 // Send transmits a packet from pkt.Header.Src to pkt.Header.Dst over their
 // direct link. The packet is stamped, observed by taps at both ends,
 // subjected to loss, and delivered after latency plus jitter. Send assigns
-// pkt.ID. The network takes ownership of pkt: in the common
-// single-delivery case the packet itself is delivered (no clone); only
-// fault-injected duplicate deliveries clone.
+// pkt.ID and SentAt and zeroes DeliveredAt. The network takes ownership
+// of pkt: in the common single-delivery case the packet itself is
+// delivered (no clone); only fault-injected duplicate deliveries clone.
 func (n *Network) Send(pkt *Packet) error {
 	r, err := n.resolve(pkt.Header.Src, pkt.Header.Dst)
 	if err != nil {
@@ -415,17 +467,22 @@ func (n *Network) send(pkt *Packet, r route) error {
 		return fmt.Errorf("%w: %q owned by partition %d, sent via partition %d",
 			ErrWrongPartition, src, st.part, n.part)
 	}
+	if pkt == n.handling {
+		n.handling = nil // re-sent by its handler; see delivery.run
+	}
 	// A crashed source transmits nothing: the packet never reaches the
 	// wire, so taps at either end see nothing and the link RNG stream is
 	// not consumed.
 	if o.faults != nil && o.faults.Down(src, n.sim.Now()) {
 		n.FaultDropped++
+		n.release(pkt)
 		return nil
 	}
 
 	st.pkt++
 	pkt.ID = int64(r.src+1)<<32 | int64(st.pkt)
 	pkt.SentAt = n.sim.Now()
+	pkt.DeliveredAt = 0
 	if pkt.Header.SizeBytes == 0 {
 		pkt.Header.SizeBytes = len(pkt.Payload) + 40 // headers
 	}
@@ -438,6 +495,7 @@ func (n *Network) send(pkt *Packet, r route) error {
 	rng := o.state[r.src].rng
 	if link.Loss > 0 && rng.Float64() < link.Loss {
 		n.Dropped++
+		n.release(pkt)
 		return nil
 	}
 	var fault Fault
@@ -446,6 +504,7 @@ func (n *Network) send(pkt *Packet, r route) error {
 	}
 	if fault.Drop {
 		n.FaultDropped++
+		n.release(pkt)
 		return nil
 	}
 	// Serialization: a constrained link transmits one packet at a time
@@ -479,7 +538,7 @@ func (n *Network) send(pkt *Packet, r route) error {
 	at := n.sim.Now() + delay
 	// The common un-faulted case: exactly one delivery, so the packet
 	// itself rides the event and no clone is made. Duplicated packets
-	// each get an independent clone.
+	// each get an independent clone, and the original rides none.
 	if len(fault.Duplicates) == 0 {
 		return o.deliver(at, r.src, r.dst, pkt, false)
 	}
@@ -494,6 +553,7 @@ func (n *Network) send(pkt *Packet, r route) error {
 			return err
 		}
 	}
+	n.release(pkt)
 	return nil
 }
 

@@ -53,6 +53,9 @@ type Header struct {
 
 // Packet is one simulated datagram. Header fields are addressing
 // information; Payload is content; Encrypted marks payload ciphertext.
+//
+// A packet a Flow emitted belongs to the network, which reuses it once
+// it is dropped or its HandlePacket call returns (see Handler).
 type Packet struct {
 	// ID is unique per network.
 	ID int64
@@ -62,15 +65,20 @@ type Packet struct {
 	Payload []byte
 	// Encrypted reports whether Payload is ciphertext.
 	Encrypted bool
+	// pooled marks a Flow packet the network recycles; it sits in the
+	// padding after Encrypted, so the struct stays 136 bytes.
+	pooled bool
 	// SentAt and DeliveredAt are stamped by the network.
 	SentAt, DeliveredAt time.Duration
 }
 
 // Clone returns a deep copy of the packet; forwarding nodes clone before
-// mutating headers so taps see consistent snapshots.
+// mutating headers so taps see consistent snapshots. The copy is the
+// caller's: the network never recycles it.
 func (p *Packet) Clone() *Packet {
 	cp := *p
 	cp.Payload = append([]byte(nil), p.Payload...)
+	cp.pooled = false
 	return &cp
 }
 

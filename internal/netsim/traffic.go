@@ -97,6 +97,12 @@ func (p *ParetoOnOff) PacketSize(*rand.Rand) int { return p.Size }
 // Flow drives a TrafficPattern over a network from src to dst until the
 // deadline, tagging packets with the flow ID. Payload, when non-nil,
 // supplies each packet's content by sequence number.
+//
+// A flow's packets are recycled: the network takes each from the source
+// partition's free list and puts it back once it is dropped, or once the
+// destination's HandlePacket returns without re-sending it. A handler
+// that keeps anything of a flow packet must copy it (see Handler). The
+// Payload slices are never written to or reused.
 type Flow struct {
 	// Net is the carrying network.
 	Net *Network
@@ -158,15 +164,6 @@ func (f *Flow) emit() {
 		payload = f.Payload(f.sent)
 	}
 	size := f.Pattern.PacketSize(f.rng)
-	pkt := &Packet{
-		Header: Header{
-			Src: f.Src, Dst: f.Dst, Flow: f.ID,
-			SrcPort: 40000, DstPort: 80,
-			Proto:     f.Proto,
-			SizeBytes: size + 40,
-		},
-		Payload: payload,
-	}
 	// Route and link errors terminate the flow; the simulation surface
 	// for misconfigured flows is the Sent counter staying flat.
 	if !f.routed {
@@ -175,6 +172,17 @@ func (f *Flow) emit() {
 			return
 		}
 		f.route, f.routed = r, true
+	}
+	pkt := f.Net.takePacket()
+	*pkt = Packet{
+		Header: Header{
+			Src: f.Src, Dst: f.Dst, Flow: f.ID,
+			SrcPort: 40000, DstPort: 80,
+			Proto:     f.Proto,
+			SizeBytes: size + 40,
+		},
+		Payload: payload,
+		pooled:  true,
 	}
 	if err := f.Net.send(pkt, f.route); err != nil {
 		return

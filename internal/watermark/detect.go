@@ -155,28 +155,30 @@ func (d *Detector) bitErrors(chips []float64, bits int) int {
 // simultaneous two-point collection and has no processing gain against
 // cross traffic.
 func BaselineCorrelation(tx, rx []int, maxLag int) (float64, int) {
-	if len(tx) == 0 || len(rx) == 0 {
+	// The overlap is longest at lag 0 and shrinks with the lag, so both
+	// series are sized once and resliced per lag; tx's prefix never
+	// changes, so it is converted once too.
+	n0 := min(len(tx), len(rx))
+	if n0 < 2 {
 		return 0, 0
 	}
 	if maxLag < 0 {
 		maxLag = 0
 	}
+	a, b := make([]float64, n0), make([]float64, n0)
+	for i := range a {
+		a[i] = float64(tx[i])
+	}
 	best, bestLag := math.Inf(-1), 0
 	for lag := 0; lag <= maxLag; lag++ {
-		n := len(tx)
-		if len(rx)-lag < n {
-			n = len(rx) - lag
-		}
+		n := min(len(tx), len(rx)-lag)
 		if n < 2 {
 			break
 		}
-		a := make([]float64, n)
-		b := make([]float64, n)
 		for i := 0; i < n; i++ {
-			a[i] = float64(tx[i])
 			b[i] = float64(rx[i+lag])
 		}
-		if rho := pearson(a, b); rho > best {
+		if rho := pearson(a[:n], b[:n]); rho > best {
 			best, bestLag = rho, lag
 		}
 	}

@@ -271,6 +271,79 @@ func TestBaselineCorrelationEdgeCases(t *testing.T) {
 	}
 }
 
+// baselineCorrelationPerLag is BaselineCorrelation as it was before its
+// buffers were sized once: two fresh slices per lag searched.
+func baselineCorrelationPerLag(tx, rx []int, maxLag int) (float64, int) {
+	if len(tx) == 0 || len(rx) == 0 {
+		return 0, 0
+	}
+	if maxLag < 0 {
+		maxLag = 0
+	}
+	best, bestLag := math.Inf(-1), 0
+	for lag := 0; lag <= maxLag; lag++ {
+		n := len(tx)
+		if len(rx)-lag < n {
+			n = len(rx) - lag
+		}
+		if n < 2 {
+			break
+		}
+		a := make([]float64, n)
+		b := make([]float64, n)
+		for i := 0; i < n; i++ {
+			a[i] = float64(tx[i])
+			b[i] = float64(rx[i+lag])
+		}
+		if rho := pearson(a, b); rho > best {
+			best, bestLag = rho, lag
+		}
+	}
+	if math.IsInf(best, -1) {
+		return 0, 0
+	}
+	return best, bestLag
+}
+
+// TestBaselineCorrelationMatchesPerLag checks BaselineCorrelation bit
+// for bit on (rho, lag) against the per-lag-allocating version it
+// replaced, over seeded random series of many lengths, lag bounds past
+// both lengths, overlaps under two points and empty inputs, and pins it
+// to its two buffers.
+func TestBaselineCorrelationMatchesPerLag(t *testing.T) {
+	r := rand.New(rand.NewSource(24))
+	series := func(n int) []int {
+		s := make([]int, n)
+		for i := range s {
+			s[i] = r.Intn(40)
+		}
+		return s
+	}
+	lengths := []int{0, 1, 2, 3, 7, 64, 190, 333}
+	for _, nt := range lengths {
+		for _, nr := range lengths {
+			tx, rx := series(nt), series(nr)
+			// A lagged copy of tx inside rx gives the search a clear peak.
+			if nr > 5 {
+				copy(rx[5:], tx)
+			}
+			for _, maxLag := range []int{-3, 0, 1, 9, nt + nr + 4} {
+				rho, lag := BaselineCorrelation(tx, rx, maxLag)
+				wantRho, wantLag := baselineCorrelationPerLag(tx, rx, maxLag)
+				if math.Float64bits(rho) != math.Float64bits(wantRho) || lag != wantLag {
+					t.Errorf("len(tx)=%d len(rx)=%d maxLag=%d: got (%v, %d), want (%v, %d)",
+						nt, nr, maxLag, rho, lag, wantRho, wantLag)
+				}
+			}
+		}
+	}
+	tx, rx := series(400), series(450)
+	allocs := testing.AllocsPerRun(100, func() { BaselineCorrelation(tx, rx, 60) })
+	if allocs != 2 {
+		t.Errorf("BaselineCorrelation allocs/op = %v, want 2 (its two buffers)", allocs)
+	}
+}
+
 func TestPearson(t *testing.T) {
 	a := []float64{1, 2, 3, 4}
 	if got := pearson(a, a); math.Abs(got-1) > 1e-12 {

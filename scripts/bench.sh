@@ -106,7 +106,7 @@ netsim)
 	baseline=scripts/bench_baseline.json
 	echo "== netsim micro-benchmarks (count=$count, benchtime=$benchtime)" >&2
 	go test -run '^$' \
-		-bench '^(BenchmarkSimulatorStep|BenchmarkSimulatorStepDeep|BenchmarkSend|BenchmarkSendWide|BenchmarkSendTapped|BenchmarkSendFaulty|BenchmarkNeighbors|BenchmarkHeapChurn)$' \
+		-bench '^(BenchmarkSimulatorStep|BenchmarkSimulatorStepDeep|BenchmarkSend|BenchmarkSendWide|BenchmarkSendTapped|BenchmarkSendFaulty|BenchmarkNeighbors|BenchmarkHeapChurn|BenchmarkFlowEmit)$' \
 		-benchmem -benchtime "$benchtime" -count "$count" ./internal/netsim |
 		tee -a "$tmp" >&2
 

@@ -3,7 +3,10 @@
 # Usage: scripts/ci.sh
 #
 # Runs, in order: gofmt, vet, build, the full test suite, the race
-# detector over the whole module, vet and tests of the perfbench module
+# detector over the whole module, the full test suite again in the
+# netsimscribble build (every recycled simulator packet is poisoned
+# instead of reused, so a holder of a released packet breaks a golden
+# or a check), vet and tests of the perfbench module
 # (its own Go module, which the root ./... never compiles, so a rename
 # in the packages it imports would otherwise break only the benchmark),
 # and a short-mode smoke run of both experiment commands on the
@@ -22,12 +25,13 @@
 # budgets pinning ledger append to <= 1000 ns/op and 0 allocs/op.
 # The netsim bench smoke pins the engine's scheduler step (shallow and
 # deep heap), Send (two-node and across a 1,000-node composite's capped
-# trunk) and heap churn, all at one partition, to 0 allocs/op, and an
-# onion relay's forward hop to 1 (the packet; the cell is rewritten in
-# place through an allocation-free layer); the legal bench smoke pins
-# the warm ruling-cache hit, with and without fresh case names, the
-# same way, holds the uncached near-duplicate batch
-# (BenchmarkBatchDeltaChain/workers=1) to 369 allocs/op, and the
+# trunk), heap churn and a steady-state Flow emit (its packet recycled),
+# all at one partition, to 0 allocs/op, and an onion relay's forward
+# hop to 0 too (the relay re-sends the packet it was handed, and the
+# cell is rewritten in place through an allocation-free layer); the
+# legal bench smoke pins the warm ruling-cache hit, with and without
+# fresh case names, the same way, holds the uncached near-duplicate
+# batch (BenchmarkBatchDeltaChain/workers=1) to 369 allocs/op, and the
 # committed BENCH_legal.json must show that hit at least 2x faster than
 # its pre-dispatch baseline. The delta pipeline reruns its
 # EvaluateDelta-equals-Evaluate sweep and the batch's keyed-pass
@@ -83,6 +87,9 @@ go test ./...
 
 echo "== go test -race ./..."
 go test -race ./...
+
+echo "== go test -tags netsimscribble ./... (recycled packets poisoned, never reused)"
+go test -tags netsimscribble ./...
 
 echo "== perfbench module: go vet + go test"
 (cd perfbench && GOWORK=off GOFLAGS= go vet ./... && GOWORK=off GOFLAGS= go test ./...)
@@ -202,16 +209,19 @@ scripts/bench.sh -short -o "$tmpdir/bench.json"
 # The scheduler and send hot paths must stay allocation-free: the event
 # queue moves pointer-free keys over a reused slab, a delivered packet
 # rides its event with no clone, and a send across a wide topology reads
-# the dense topology tables. A relay rewrites the cell it was handed in
-# place through an allocation-free layer, so its forward hop allocates
-# only the packet.
+# the dense topology tables. A Flow packet comes off the partition's
+# free list and goes back on it once delivered. A relay rewrites the
+# cell it was handed in place through an allocation-free layer and
+# re-sends the packet that carried it, so its forward hop allocates
+# nothing.
 go run ./scripts/benchcheck \
 	-max-allocs 'BenchmarkSimulatorStep=0' \
 	-max-allocs 'BenchmarkSimulatorStepDeep=0' \
 	-max-allocs 'BenchmarkSend=0' \
 	-max-allocs 'BenchmarkSendWide=0' \
 	-max-allocs 'BenchmarkHeapChurn=0' \
-	-max-allocs 'BenchmarkRelayForward=1' \
+	-max-allocs 'BenchmarkFlowEmit=0' \
+	-max-allocs 'BenchmarkRelayForward=0' \
 	"$tmpdir/bench.json"
 scripts/bench.sh -short -o "$tmpdir/bench_legal.json" legal
 # A warm ruling-cache hit must stay allocation-free, including under
