@@ -51,7 +51,25 @@ func (e *Engine) EvaluateBatch(ctx context.Context, actions []Action) ([]Ruling,
 	if len(actions) == 0 {
 		return nil, nil
 	}
+	rulings := make([]Ruling, len(actions))
+	err := e.EvaluateBatchInto(ctx, actions, rulings, make([]error, len(actions)))
+	if err != nil && err == ctx.Err() {
+		return nil, err
+	}
+	return rulings, err
+}
 
+// EvaluateBatchInto is EvaluateBatch writing into caller-owned slices,
+// which a caller serving many batches can reuse: slot i's ruling goes
+// to rulings[i] and its error, unwrapped, to errs[i]. Both must be at
+// least len(actions) long; their first len(actions) elements are all
+// overwritten and the rest are left alone. It returns the joined
+// *SlotError list, or ctx.Err() itself on cancellation, when the slots
+// hold no usable result.
+func (e *Engine) EvaluateBatchInto(ctx context.Context, actions []Action, rulings []Ruling, errs []error) error {
+	if len(actions) == 0 {
+		return nil
+	}
 	work, src := e.dedupBatch(actions)
 	workers := e.workers
 	if workers <= 0 {
@@ -61,8 +79,7 @@ func (e *Engine) EvaluateBatch(ctx context.Context, actions []Action) ([]Ruling,
 		workers = len(work)
 	}
 
-	rulings := make([]Ruling, len(actions))
-	errs := make([]error, len(actions))
+	rulings, errs = rulings[:len(actions)], errs[:len(actions)]
 	var (
 		next     atomic.Int64
 		canceled atomic.Bool
@@ -98,10 +115,10 @@ func (e *Engine) EvaluateBatch(ctx context.Context, actions []Action) ([]Ruling,
 		wg.Wait()
 	}
 	if canceled.Load() {
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
 	e.fillAnswered(actions, rulings, errs, src)
-	return rulings, joinIndexed(errs)
+	return joinIndexed(errs)
 }
 
 // batchSource is the first slot of a batch that carried a key: its

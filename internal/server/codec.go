@@ -24,13 +24,17 @@ import (
 // stdlib keeps them trivially correct.
 
 // reqScratch is the pooled per-request state: the body buffer every
-// read reuses and the action slice batch decoding appends into. The
-// actions backing is safe to reuse because the engine copies actions
-// by value; the sub-objects inside each decoded action are always
-// fresh (see wire.DecodeAction).
+// read reuses, the action slice batch decoding appends into, and the
+// per-slot rulings and errors a batch evaluates into. The actions
+// backing is safe to reuse because the engine copies actions by value;
+// the sub-objects inside each decoded action are always fresh (see
+// wire.DecodeAction). Rulings and errors are cleared on put, so the
+// pool pins no ruling.
 type reqScratch struct {
 	body    []byte
 	actions []legal.Action
+	rulings []legal.Ruling
+	errs    []error
 }
 
 // maxRetainedScratch caps what a pathological request can pin in the
@@ -48,7 +52,19 @@ func putScratch(sc *reqScratch) {
 	if cap(sc.body) > maxRetainedScratch || cap(sc.actions) > DefaultMaxBatch {
 		return
 	}
+	clear(sc.rulings)
+	clear(sc.errs)
 	scratchPool.Put(sc)
+}
+
+// batchSlots returns the scratch's rulings and errors resliced to n
+// slots, growing them when they are too short.
+func (sc *reqScratch) batchSlots(n int) ([]legal.Ruling, []error) {
+	if cap(sc.rulings) < n {
+		sc.rulings, sc.errs = make([]legal.Ruling, n), make([]error, n)
+	}
+	sc.rulings, sc.errs = sc.rulings[:n], sc.errs[:n]
+	return sc.rulings, sc.errs
 }
 
 // readBody reads the whole request body into buf under the same
@@ -59,7 +75,7 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, buf []byte) ([
 	rc := http.NewResponseController(w)
 	// Best effort: test recorders don't support deadlines; real
 	// connections do, and that is where slow-loris defense matters.
-	_ = rc.SetReadDeadline(s.now().Add(s.bodyReadTimeout))
+	_ = rc.SetReadDeadline(time.Now().Add(s.bodyReadTimeout))
 	body := http.MaxBytesReader(w, r.Body, s.maxBody)
 	buf = buf[:0]
 	for {
@@ -150,8 +166,11 @@ func appendEvaluateResponse(dst []byte, tenant string, revision uint64, r *legal
 // failed slots, errors listed when present — byte-identical to
 // json.Marshal(BatchResponse{...}) without materializing the
 // []*report.RulingView. errs is in slot order, as collectBatchErrors
-// lists it; a slot is failed when an error carries its index.
+// lists it; a slot is failed when an error carries its index. Each
+// distinct ruling tail is rendered once and copied for every later
+// slot that shares it (see tailTable).
 func appendBatchResponse(dst []byte, tenant string, revision uint64, slots int, rulings []legal.Ruling, errs []BatchError) []byte {
+	var tails tailTable
 	dst = append(dst, `{"tenant":`...)
 	dst = wire.AppendString(dst, tenant)
 	dst = append(dst, `,"revision":`...)
@@ -169,7 +188,9 @@ func appendBatchResponse(dst []byte, tenant string, revision uint64, slots int, 
 			dst = append(dst, "null"...)
 			continue
 		}
-		dst = wire.AppendRulingViewFromRuling(dst, &rulings[i])
+		dst = append(dst, `{"action":`...)
+		dst = wire.AppendString(dst, rulings[i].Action.Name)
+		dst = tails.append(dst, &rulings[i])
 	}
 	dst = append(dst, ']')
 	if len(errs) > 0 {
@@ -187,4 +208,87 @@ func appendBatchResponse(dst []byte, tenant string, revision uint64, slots int, 
 		dst = append(dst, ']')
 	}
 	return append(dst, '}')
+}
+
+// tailSlots sizes a batch response's tail table, about twice the
+// distinct rulings a batch of Table 1 scenes carries (~30); tailProbes
+// bounds the linear probe from a ruling's home slot.
+const (
+	tailBits   = 6
+	tailSlots  = 1 << tailBits
+	tailProbes = 4
+)
+
+// tailID is what a ruling's view after its action name is a function
+// of: Required, Regime, and the Exceptions, Rationale and Citations
+// slices by data pointer and length. Two rulings with one tailID read
+// the same memory, so they render the same tail. Rulings are immutable
+// and share their slices across repeated and same-shape evaluations
+// (see legal.Ruling), so the slots a batch re-labels and those the
+// ruling cache answers carry the tailID of the ruling that answered
+// them.
+type tailID struct {
+	required                            legal.Process
+	regime                              legal.Regime
+	exceptions                          *legal.ExceptionKind
+	rationale                           *string
+	citations                           *legal.Citation
+	nExceptions, nRationale, nCitations int
+}
+
+func tailIDOf(r *legal.Ruling) tailID {
+	id := tailID{required: r.Required, regime: r.Regime,
+		nExceptions: len(r.Exceptions), nRationale: len(r.Rationale), nCitations: len(r.Citations)}
+	if len(r.Exceptions) > 0 {
+		id.exceptions = &r.Exceptions[0]
+	}
+	if len(r.Rationale) > 0 {
+		id.rationale = &r.Rationale[0]
+	}
+	if len(r.Citations) > 0 {
+		id.citations = &r.Citations[0]
+	}
+	return id
+}
+
+// tailHome is r's first slot in a tail table. An address cannot be
+// hashed without unsafe, so it mixes what else the tailID carries with
+// the lengths of the first and last rationale lines; distinct rulings
+// that share a home cost only a probe.
+func tailHome(r *legal.Ruling) int {
+	h := uint64(r.Required)<<56 ^ uint64(r.Regime)<<48 ^ uint64(len(r.Exceptions))<<40 ^
+		uint64(len(r.Rationale))<<32 ^ uint64(len(r.Citations))<<24
+	if n := len(r.Rationale); n > 0 {
+		h ^= uint64(len(r.Rationale[0]))<<12 ^ uint64(len(r.Rationale[n-1]))
+	}
+	return int((h * 0x9e3779b97f4a7c15) >> (64 - tailBits))
+}
+
+// tailTable remembers where in one batch response each distinct ruling
+// tail was first rendered, as offsets into the response, so later
+// slots with the same tailID copy those bytes instead of rendering
+// them again. It lives on the stack for one response and never evicts:
+// a ruling whose probe window is taken by other rulings is rendered in
+// full.
+type tailTable [tailSlots]struct {
+	id         tailID
+	start, end int // end == 0: the slot is free (a tail is never empty)
+}
+
+// append appends r's view tail to dst.
+func (t *tailTable) append(dst []byte, r *legal.Ruling) []byte {
+	id := tailIDOf(r)
+	for i, h := 0, tailHome(r); i < tailProbes; i++ {
+		s := &t[(h+i)%tailSlots]
+		switch {
+		case s.end == 0:
+			start := len(dst)
+			dst = wire.AppendRulingViewTail(dst, r)
+			s.id, s.start, s.end = id, start, len(dst)
+			return dst
+		case s.id == id:
+			return append(dst, dst[s.start:s.end]...)
+		}
+	}
+	return wire.AppendRulingViewTail(dst, r)
 }

@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -55,8 +57,85 @@ func TestAppendEvaluateResponseMatchesStdlib(t *testing.T) {
 	}
 }
 
+// relabel returns r under another action name, sharing r's slices as
+// the engine's batch pass and ruling cache do.
+func relabel(r legal.Ruling, name string) legal.Ruling {
+	r.Action.Name = name
+	return r
+}
+
+// manyTails returns n rulings with distinct Rationale slices, each
+// followed by a re-labeled copy. Rulings of one line length share a
+// home slot in the tail table, so the probe windows fill up.
+func manyTails(n int) []legal.Ruling {
+	var out []legal.Ruling
+	for i := 0; i < n; i++ {
+		r := legal.Ruling{
+			Action:    legal.Action{Name: fmt.Sprintf("distinct %d", i)},
+			Required:  legal.ProcessSubpoena,
+			Regime:    legal.RegimeSCA,
+			Rationale: []string{fmt.Sprintf("line %0*d", 3+i%3, i)},
+		}
+		out = append(out, r, relabel(r, fmt.Sprintf("again %d", i)))
+	}
+	return out
+}
+
+// sameHome returns two of the rulings vary(0), vary(1), ... that share
+// a home slot in the tail table, each twice, so that rendering them
+// rests on the table's identity check and not on its hash.
+func sameHome(t *testing.T, vary func(i int) legal.Ruling) []legal.Ruling {
+	t.Helper()
+	seen := map[int]legal.Ruling{}
+	for i := 0; i <= tailSlots; i++ {
+		r := vary(i)
+		if prev, ok := seen[tailHome(&r)]; ok {
+			return []legal.Ruling{prev, r, prev, r}
+		}
+		seen[tailHome(&r)] = r
+	}
+	t.Fatal("no two rulings share a home slot")
+	return nil
+}
+
 func TestAppendBatchResponseMatchesStdlib(t *testing.T) {
 	rulings := codecRulings()
+	shared, other := rulings[1], rulings[2]
+	lines := make([]string, tailSlots+2)
+	for i := range lines {
+		lines[i] = "the same line"
+	}
+	shorter := sameHome(t, func(i int) legal.Ruling {
+		return legal.Ruling{Action: legal.Action{Name: "lines"}, Rationale: lines[:i+1]}
+	})
+	otherRequired := sameHome(t, func(i int) legal.Ruling {
+		r := relabel(shared, "required")
+		r.Required = legal.Process(i)
+		return r
+	})
+	otherRegime := sameHome(t, func(i int) legal.Ruling {
+		r := relabel(shared, "regime")
+		r.Regime = legal.Regime(i)
+		return r
+	})
+	otherSlices := sameHome(t, func(i int) legal.Ruling {
+		r := relabel(shared, "slices")
+		r.Exceptions = []legal.ExceptionKind{legal.ExceptionKind(1 + i%3)}
+		return r
+	})
+	otherSlices = append(otherSlices, sameHome(t, func(i int) legal.Ruling {
+		r := relabel(shared, "rationale")
+		r.Rationale = []string{fmt.Sprintf("line %c", 'a'+i%26)}
+		return r
+	})...)
+	otherSlices = append(otherSlices, sameHome(t, func(i int) legal.Ruling {
+		r := relabel(shared, "citations")
+		r.Citations = []legal.Citation{{Title: fmt.Sprintf("title %d", i)}}
+		return r
+	})...)
+	interleaved := []legal.Ruling{shared, relabel(shared, "b"), relabel(other, "c"),
+		relabel(shared, "d"), other, relabel(shared, "f"), relabel(other, "g")}
+	many := manyTails(3 * tailSlots)
 	cases := []struct {
 		name   string
 		slots  int
@@ -80,6 +159,21 @@ func TestAppendBatchResponseMatchesStdlib(t *testing.T) {
 				{Index: -1, Error: "context canceled"},
 			},
 		},
+		{name: "shared slices under other names", slots: len(interleaved), ruls: interleaved},
+		{name: "rationale sharing a pointer at a shorter length", slots: len(shorter), ruls: shorter},
+		{name: "same slices under another required", slots: len(otherRequired), ruls: otherRequired},
+		{name: "same slices under another regime", slots: len(otherRegime), ruls: otherRegime},
+		{name: "equal lengths, other slices", slots: len(otherSlices), ruls: otherSlices},
+		{
+			name: "failed slots between shared ones", slots: len(interleaved), ruls: interleaved,
+			failed: map[int]bool{1: true, 2: true, 5: true},
+			errs: []BatchError{
+				{Index: 1, Error: "action 1: bad"},
+				{Index: 2, Error: "action 2: bad"},
+				{Index: 5, Error: "action 5: bad"},
+			},
+		},
+		{name: "more distinct rulings than the table holds", slots: len(many), ruls: many},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -103,6 +197,35 @@ func TestAppendBatchResponseMatchesStdlib(t *testing.T) {
 				t.Errorf("\n got %s\nwant %s", got, want)
 			}
 		})
+	}
+}
+
+// TestAppendBatchResponseAllocsZero pins the batch envelope, tail
+// table included, to no allocation into a warmed buffer.
+func TestAppendBatchResponseAllocsZero(t *testing.T) {
+	rulings := codecRulings()
+	ruls := []legal.Ruling{rulings[1], relabel(rulings[1], "b"), rulings[2], {}, relabel(rulings[2], "e")}
+	errs := []BatchError{{Index: 3, Error: "action 3: bad"}}
+	buf := appendBatchResponse(nil, "t", 3, len(ruls), ruls, errs)
+	if n := testing.AllocsPerRun(200, func() {
+		buf = appendBatchResponse(buf[:0], "t", 3, len(ruls), ruls, errs)
+	}); n != 0 {
+		t.Errorf("appendBatchResponse allocs/op = %v, want 0", n)
+	}
+}
+
+// TestPutScratchClearsBatchSlots checks that a scratch returned to the
+// pool pins none of the rulings or errors a batch evaluated into it.
+func TestPutScratchClearsBatchSlots(t *testing.T) {
+	sc := &reqScratch{}
+	rulings, errs := sc.batchSlots(3)
+	rulings[1] = codecRulings()[1]
+	errs[2] = errors.New("action 2: bad")
+	putScratch(sc)
+	for i := range rulings {
+		if rulings[i].Rationale != nil || rulings[i].Action.Name != "" || errs[i] != nil {
+			t.Fatalf("slot %d still holds %+v, %v after put", i, rulings[i], errs[i])
+		}
 	}
 }
 

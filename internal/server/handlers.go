@@ -223,7 +223,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) *apiError {
 		s.hook(ctx, t.ID, &probe)
 	}
 	ev := t.Engine()
-	rulings, err := ev.Engine.EvaluateBatch(ctx, actions)
+	rulings, slotErrs := sc.batchSlots(len(actions))
+	err := ev.Engine.EvaluateBatchInto(ctx, actions, rulings, slotErrs)
 	if err != nil && (errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)) {
 		return deadlineErr("batch evaluation")
 	}

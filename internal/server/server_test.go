@@ -471,6 +471,36 @@ func TestSlowBodyTimeout(t *testing.T) {
 	}
 }
 
+// TestBodyDeadlineIgnoresInjectedClock posts a batch larger than what
+// net/http reads ahead of the handler to a server whose injected clock
+// is frozen in the past. The socket read deadline must come from the
+// wall clock: a deadline taken from the injected clock has already
+// passed, and the body read fails with 408.
+func TestBodyDeadlineIgnoresInjectedClock(t *testing.T) {
+	past := time.Date(2001, 1, 1, 0, 0, 0, 0, time.UTC)
+	s := mustServer(t, WithClock(func() time.Time { return past }))
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(testCtx(t, 5*time.Second))
+
+	batch := make([]legal.Action, 401)
+	for i := range batch {
+		batch[i] = validAction()
+		batch[i].Name = fmt.Sprintf("case-%06d", i)
+	}
+	if body, _ := json.Marshal(batch); len(body) <= 8<<10 {
+		t.Fatalf("batch body is %d bytes, want over 8 KB", len(body))
+	}
+	client := &http.Client{}
+	defer client.CloseIdleConnections()
+	resp, data := postJSON(t, client, "http://"+addr.String()+"/v1/evaluate/batch", batch)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, body %s", resp.StatusCode, data)
+	}
+}
+
 // TestNoGoroutineLeaks drives a burst of deadline-expiring and shed
 // requests and checks the goroutine count settles back to baseline.
 func TestNoGoroutineLeaks(t *testing.T) {

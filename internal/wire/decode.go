@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"unicode"
 	"unicode/utf16"
@@ -432,47 +433,6 @@ func (d *decoder) skipNumber() error {
 	return nil
 }
 
-// keyFold maps each byte that may appear unescaped in a plain ASCII
-// key to its lowercase form and every other byte — the quote, the
-// backslash, control characters and non-ASCII — to 0, the stop mark
-// for memberFast.
-var keyFold = func() (t [256]byte) {
-	for c := 0x20; c < utf8.RuneSelf; c++ {
-		t[c] = byte(c)
-		if c >= 'A' && c <= 'Z' {
-			t[c] |= 0x20
-		}
-	}
-	t['"'], t['\\'] = 0, 0
-	return
-}()
-
-// memberFast scans a `"key":` prefix and folds the key into keybuf in
-// one pass. It succeeds only for a plain ASCII key of at most
-// len(keybuf) bytes whose closing quote is followed directly by ':';
-// on any other shape it leaves d.pos alone and the caller parses the
-// member from the key's start the general way.
-func (d *decoder) memberFast() ([]byte, bool) {
-	data := d.data
-	if d.pos >= len(data) || data[d.pos] != '"' {
-		return nil, false
-	}
-	i, n := d.pos+1, 0
-	for ; i < len(data) && n < len(d.keybuf); i++ {
-		c := keyFold[data[i]]
-		if c == 0 {
-			break
-		}
-		d.keybuf[n] = c
-		n++
-	}
-	if i+1 >= len(data) || data[i] != '"' || data[i+1] != ':' {
-		return nil, false
-	}
-	d.pos = i + 2
-	return d.keybuf[:n], true
-}
-
 // lowerKey folds an object key into the decoder's fixed buffer. The
 // field structs here have no case-colliding names, so one folded
 // comparison reproduces encoding/json's exact-then-case-insensitive
@@ -634,7 +594,7 @@ func decodeIntSlice[T ~int](d *decoder, p *[]T) error {
 
 // beginObject consumes '{', and '}' too when the object is empty, and
 // reports whether any members follow.
-func (d *decoder) beginObject() (members bool, err error) {
+func (d *decoder) beginObject() (more bool, err error) {
 	if err := d.expect('{'); err != nil {
 		return false, err
 	}
@@ -646,34 +606,98 @@ func (d *decoder) beginObject() (members bool, err error) {
 	return true, nil
 }
 
-// member parses one `"key":` prefix and returns the folded key.
-func (d *decoder) member() ([]byte, error) {
+// members lists one struct's member names in declaration order: the
+// order, and the exact spelling, in which encoding/json writes them.
+// exact[i] is member i's key as json.Marshal writes it, quotes and
+// colon included; folded[i] is its name as lowerKey folds a key.
+type members struct {
+	exact  []string
+	folded []string
+}
+
+func newMembers(names ...string) *members {
+	m := &members{}
+	for _, n := range names {
+		m.exact = append(m.exact, `"`+n+`":`)
+		m.folded = append(m.folded, strings.ToLower(n))
+	}
+	return m
+}
+
+var (
+	actionMembers = newMembers("Name", "Actor", "Timing", "Data", "Source",
+		"Encrypted", "Exposure", "Consent", "Exigency", "PlainView",
+		"LawfulVantage", "ProbationSearch", "Tech", "Workplace",
+		"ProviderRole", "ProviderPublic", "InterceptsThirdParty",
+		"SearchBeyondAuthority")
+	consentMembers   = newMembers("Scope", "Revoked", "ExceedsScope", "AllPartiesRequired")
+	exigencyMembers  = newMembers("Kind", "Approved")
+	techMembers      = newMembers("GeneralPublicUse", "RevealsHomeInterior")
+	workplaceMembers = newMembers("GovernmentEmployer", "WorkRelated",
+		"JustifiedAtInception", "PermissibleScope")
+)
+
+// field parses one `"key":` prefix and returns the index in m of the
+// member it names, or -1 for a key naming none. next is the index of
+// the member after the one last decoded: when the input spells that
+// member exactly as json.Marshal does, it matches with one comparison.
+// Any other key (another order, another case, escapes, whitespace
+// before ':') is parsed, folded by lowerKey and looked up among the
+// folded names.
+func (d *decoder) field(m *members, next int) (int, error) {
 	d.skipSpace()
-	if k, ok := d.memberFast(); ok {
-		d.skipSpace()
-		return k, nil
+	if next < len(m.exact) {
+		k := m.exact[next]
+		if len(d.data)-d.pos >= len(k) && string(d.data[d.pos:d.pos+len(k)]) == k {
+			d.pos += len(k)
+			d.skipSpace()
+			return next, nil
+		}
 	}
 	key, err := d.parseString()
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	if err := d.expect(':'); err != nil {
-		return nil, err
+		return 0, err
 	}
-	// Fold into keybuf now: the value parse below may clobber scratch,
-	// which the key bytes can alias.
-	k := d.lowerKey(key)
 	d.skipSpace()
-	return k, nil
+	folded := d.lowerKey(key)
+	for i, name := range m.folded {
+		if name == string(folded) {
+			return i, nil
+		}
+	}
+	return -1, nil
+}
+
+// object decodes the members of one JSON object, whose '{' is next,
+// dispatching each to member by its index in m (-1 for an unknown key,
+// which member must skip).
+func object[T any](d *decoder, v *T, m *members, member func(d *decoder, v *T, field int) error) error {
+	more, err := d.beginObject()
+	for next := 0; more && err == nil; {
+		var f int
+		if f, err = d.field(m, next); err != nil {
+			break
+		}
+		if err = member(d, v, f); err != nil {
+			break
+		}
+		if f >= 0 {
+			next = f + 1
+		}
+		more, err = d.endElem('}')
+	}
+	return err
 }
 
 // subObject decodes a pointer-to-struct member with encoding/json's
 // semantics: null sets *p to nil, and an object merges into *p — set
 // already only by a repeated key earlier in the same action — or into
-// a fresh T. member gets each folded key and must consume its value.
-// Every T is a new allocation, never pooled: the engine's ruling cache
-// retains the action that points at it.
-func subObject[T any](d *decoder, p **T, member func(d *decoder, v *T, key []byte) error) error {
+// a fresh T. Every T is a new allocation, never pooled: the engine's
+// ruling cache retains the action that points at it.
+func subObject[T any](d *decoder, p **T, m *members, member func(d *decoder, v *T, field int) error) error {
 	if d.tryNull() {
 		*p = nil
 		return nil
@@ -682,68 +706,102 @@ func subObject[T any](d *decoder, p **T, member func(d *decoder, v *T, key []byt
 	if v == nil {
 		v = new(T)
 	}
-	members, err := d.beginObject()
-	for members && err == nil {
-		var key []byte
-		if key, err = d.member(); err != nil {
-			break
-		}
-		if err = member(d, v, key); err != nil {
-			break
-		}
-		members, err = d.endElem('}')
-	}
-	if err != nil {
+	if err := object(d, v, m, member); err != nil {
 		return err
 	}
 	*p = v
 	return nil
 }
 
-func consentMember(d *decoder, c *legal.Consent, key []byte) error {
-	switch string(key) {
-	case "scope":
+// The member functions below take the field index into their struct's
+// members table, whose order is the struct's declaration order.
+
+func consentMember(d *decoder, c *legal.Consent, field int) error {
+	switch field {
+	case 0:
 		return setInt(d, &c.Scope)
-	case "revoked":
+	case 1:
 		return d.setBool(&c.Revoked)
-	case "exceedsscope":
+	case 2:
 		return d.setBool(&c.ExceedsScope)
-	case "allpartiesrequired":
+	case 3:
 		return d.setBool(&c.AllPartiesRequired)
 	}
 	return d.skipValue(0)
 }
 
-func exigencyMember(d *decoder, x *legal.Exigency, key []byte) error {
-	switch string(key) {
-	case "kind":
+func exigencyMember(d *decoder, x *legal.Exigency, field int) error {
+	switch field {
+	case 0:
 		return setInt(d, &x.Kind)
-	case "approved":
+	case 1:
 		return d.setBool(&x.Approved)
 	}
 	return d.skipValue(0)
 }
 
-func techMember(d *decoder, t *legal.SpecializedTech, key []byte) error {
-	switch string(key) {
-	case "generalpublicuse":
+func techMember(d *decoder, t *legal.SpecializedTech, field int) error {
+	switch field {
+	case 0:
 		return d.setBool(&t.GeneralPublicUse)
-	case "revealshomeinterior":
+	case 1:
 		return d.setBool(&t.RevealsHomeInterior)
 	}
 	return d.skipValue(0)
 }
 
-func workplaceMember(d *decoder, w *legal.WorkplaceSearch, key []byte) error {
-	switch string(key) {
-	case "governmentemployer":
+func workplaceMember(d *decoder, w *legal.WorkplaceSearch, field int) error {
+	switch field {
+	case 0:
 		return d.setBool(&w.GovernmentEmployer)
-	case "workrelated":
+	case 1:
 		return d.setBool(&w.WorkRelated)
-	case "justifiedatinception":
+	case 2:
 		return d.setBool(&w.JustifiedAtInception)
-	case "permissiblescope":
+	case 3:
 		return d.setBool(&w.PermissibleScope)
+	}
+	return d.skipValue(0)
+}
+
+func actionMember(d *decoder, a *legal.Action, field int) error {
+	switch field {
+	case 0:
+		return d.internedString(&a.Name)
+	case 1:
+		return setInt(d, &a.Actor)
+	case 2:
+		return setInt(d, &a.Timing)
+	case 3:
+		return setInt(d, &a.Data)
+	case 4:
+		return setInt(d, &a.Source)
+	case 5:
+		return d.setBool(&a.Encrypted)
+	case 6:
+		return decodeIntSlice(d, &a.Exposure)
+	case 7:
+		return subObject(d, &a.Consent, consentMembers, consentMember)
+	case 8:
+		return subObject(d, &a.Exigency, exigencyMembers, exigencyMember)
+	case 9:
+		return d.setBool(&a.PlainView)
+	case 10:
+		return d.setBool(&a.LawfulVantage)
+	case 11:
+		return d.setBool(&a.ProbationSearch)
+	case 12:
+		return subObject(d, &a.Tech, techMembers, techMember)
+	case 13:
+		return subObject(d, &a.Workplace, workplaceMembers, workplaceMember)
+	case 14:
+		return setInt(d, &a.ProviderRole)
+	case 15:
+		return d.setBool(&a.ProviderPublic)
+	case 16:
+		return d.setBool(&a.InterceptsThirdParty)
+	case 17:
+		return d.setBool(&a.SearchBeyondAuthority)
 	}
 	return d.skipValue(0)
 }
@@ -758,66 +816,7 @@ func (d *decoder) decodeAction(a *legal.Action) error {
 	if d.tryNull() {
 		return nil
 	}
-	members, err := d.beginObject()
-	if err != nil || !members {
-		return err
-	}
-	for {
-		key, err := d.member()
-		if err != nil {
-			return err
-		}
-		switch string(key) {
-		case "name":
-			err = d.internedString(&a.Name)
-		case "actor":
-			err = setInt(d, &a.Actor)
-		case "timing":
-			err = setInt(d, &a.Timing)
-		case "data":
-			err = setInt(d, &a.Data)
-		case "source":
-			err = setInt(d, &a.Source)
-		case "encrypted":
-			err = d.setBool(&a.Encrypted)
-		case "exposure":
-			err = decodeIntSlice(d, &a.Exposure)
-		case "consent":
-			err = subObject(d, &a.Consent, consentMember)
-		case "exigency":
-			err = subObject(d, &a.Exigency, exigencyMember)
-		case "plainview":
-			err = d.setBool(&a.PlainView)
-		case "lawfulvantage":
-			err = d.setBool(&a.LawfulVantage)
-		case "probationsearch":
-			err = d.setBool(&a.ProbationSearch)
-		case "tech":
-			err = subObject(d, &a.Tech, techMember)
-		case "workplace":
-			err = subObject(d, &a.Workplace, workplaceMember)
-		case "providerrole":
-			err = setInt(d, &a.ProviderRole)
-		case "providerpublic":
-			err = d.setBool(&a.ProviderPublic)
-		case "interceptsthirdparty":
-			err = d.setBool(&a.InterceptsThirdParty)
-		case "searchbeyondauthority":
-			err = d.setBool(&a.SearchBeyondAuthority)
-		default:
-			err = d.skipValue(0)
-		}
-		if err != nil {
-			return err
-		}
-		more, err := d.endElem('}')
-		if err != nil {
-			return err
-		}
-		if !more {
-			return nil
-		}
-	}
+	return object(d, a, actionMembers, actionMember)
 }
 
 // DecodeAction parses data's first JSON value into a, resetting a

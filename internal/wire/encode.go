@@ -108,6 +108,14 @@ func AppendRulingViewFromRuling(dst []byte, r *legal.Ruling) []byte {
 	// and never enters the memo.
 	dst = append(dst, `{"action":`...)
 	dst = AppendString(dst, r.Action.Name)
+	return AppendRulingViewTail(dst, r)
+}
+
+// AppendRulingViewTail appends what AppendRulingViewFromRuling renders
+// after the action name, from `,"required":` to the closing brace. It
+// reads only r's Required, Regime, Exceptions, Rationale and Citations,
+// so rulings that share those render the same tail.
+func AppendRulingViewTail(dst []byte, r *legal.Ruling) []byte {
 	dst = append(dst, `,"required":`...)
 	dst = appendName(dst, processJSON, r.Required)
 	dst = append(dst, `,"regime":`...)

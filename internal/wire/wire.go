@@ -27,14 +27,20 @@
 // empty slice.
 //
 // Two byte-by-byte passes stay off the hot path. Object keys are
-// scanned and ASCII-folded in one pass through a 256-entry table;
-// escaped or non-ASCII keys, keys over 32 bytes and whitespace before
-// the ':' fall back to the general parse-then-fold path. On encode the
-// doctrine vocabulary is escaped once: Process, Regime and
+// matched in declaration order: each struct has one table of its
+// member names in the order, and with the exact spelling, that
+// json.Marshal writes them, and a key that spells the member after the
+// last one decoded is matched with one comparison and dispatched on
+// its field index. Any other key (another order or case, escapes,
+// whitespace before the ':', unknown names) is parsed, folded and
+// looked up in the same table, so it maps to the same field. On encode
+// the doctrine vocabulary is escaped once: Process, Regime and
 // ExceptionKind names come from tables built at init, and rationale
 // lines and citation titles pass through a fixed-size escape memo keyed
 // on their content. Action names are client-supplied and never enter
-// the memo; they are escaped on every call.
+// the memo; they are escaped on every call. AppendRulingViewTail
+// renders a ruling's view after its action name, which lets a batch
+// envelope render each distinct tail once (internal/server/codec.go).
 package wire
 
 import "sync"

@@ -243,22 +243,11 @@ func TestDecodeActionsReusesBacking(t *testing.T) {
 	}
 }
 
-// keyCases are object bodies exercising member-key matching: the
-// one-pass ASCII fold and every shape that falls back to the general
-// parse-then-fold path.
+// keyCases are object bodies exercising member-key matching: recased,
+// reordered, duplicated, unknown, escaped, spaced and over-long keys,
+// and Unicode case folding.
 func keyCases() []string {
-	full := legal.Action{
-		Name: "keys", Actor: 1, Timing: 2, Data: 1, Source: 3, Encrypted: true,
-		Exposure: []legal.ExposureFact{1}, Consent: &legal.Consent{Scope: 2, Revoked: true},
-		Exigency: &legal.Exigency{Kind: 1}, Tech: &legal.SpecializedTech{GeneralPublicUse: true},
-		Workplace: &legal.WorkplaceSearch{WorkRelated: true}, ProviderRole: 2,
-		PlainView: true, LawfulVantage: true, ProbationSearch: true, ProviderPublic: true,
-		InterceptsThirdParty: true, SearchBeyondAuthority: true,
-	}
-	canon, err := json.Marshal(full)
-	if err != nil {
-		panic(err)
-	}
+	canon := fullAction()
 	// Only keys are re-cased: each is a quoted word followed by ':'.
 	keyRE := regexp.MustCompile(`"\w+":`)
 	recase := func(f func(string) string) string {
@@ -298,11 +287,122 @@ func keyCases() []string {
 	}
 }
 
-// TestKeyMatchingMatchesStdlib checks member-key matching against
-// encoding/json case by case, singly and as one batch element by
-// element.
-func TestKeyMatchingMatchesStdlib(t *testing.T) {
-	cases := keyCases()
+// fullAction is json.Marshal of an action with every member set, each
+// to a value other than its zero value.
+func fullAction() []byte {
+	canon, err := json.Marshal(legal.Action{
+		Name: "keys", Actor: 1, Timing: 2, Data: 1, Source: 3, Encrypted: true,
+		Exposure: []legal.ExposureFact{1}, Consent: &legal.Consent{Scope: 2, Revoked: true, ExceedsScope: true, AllPartiesRequired: true},
+		Exigency: &legal.Exigency{Kind: 1, Approved: true}, Tech: &legal.SpecializedTech{GeneralPublicUse: true, RevealsHomeInterior: true},
+		Workplace:    &legal.WorkplaceSearch{GovernmentEmployer: true, WorkRelated: true, JustifiedAtInception: true, PermissibleScope: true},
+		ProviderRole: 2, PlainView: true, LawfulVantage: true, ProbationSearch: true, ProviderPublic: true,
+		InterceptsThirdParty: true, SearchBeyondAuthority: true,
+	})
+	if err != nil {
+		panic(err)
+	}
+	return canon
+}
+
+// reorder re-emits the JSON object obj with its members, and those of
+// the objects nested in it, in the order perm leaves a list of their
+// indexes in. Any other value is returned as it is.
+func reorder(obj []byte, perm func(idx []int)) string {
+	if len(obj) == 0 || obj[0] != '{' {
+		return string(obj)
+	}
+	type member struct {
+		key string
+		val json.RawMessage
+	}
+	var ms []member
+	dec := json.NewDecoder(bytes.NewReader(obj))
+	if _, err := dec.Token(); err != nil {
+		panic(err)
+	}
+	for dec.More() {
+		k, err := dec.Token()
+		if err != nil {
+			panic(err)
+		}
+		var v json.RawMessage
+		if err := dec.Decode(&v); err != nil {
+			panic(err)
+		}
+		ms = append(ms, member{k.(string), v})
+	}
+	idx := make([]int, len(ms))
+	for i := range idx {
+		idx[i] = i
+	}
+	perm(idx)
+	var b strings.Builder
+	b.WriteByte('{')
+	for j, i := range idx {
+		if j > 0 {
+			b.WriteByte(',')
+		}
+		k, _ := json.Marshal(ms[i].key)
+		b.Write(k)
+		b.WriteByte(':')
+		b.WriteString(reorder(ms[i].val, perm))
+	}
+	b.WriteByte('}')
+	return b.String()
+}
+
+func reverse(idx []int) {
+	for i, j := 0, len(idx)-1; i < j; i, j = i+1, j-1 {
+		idx[i], idx[j] = idx[j], idx[i]
+	}
+}
+
+// orderCases are object bodies exercising the declared-order key match
+// (a member spelled exactly as json.Marshal writes it, right after the
+// member decoded before it) and each shape that leaves it for the
+// folded lookup.
+func orderCases() []string {
+	canon := fullAction()
+	r := rand.New(rand.NewSource(7))
+	shuffle := func(idx []int) { r.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] }) }
+	return []string{
+		string(canon),
+		reorder(canon, reverse),
+		reorder(canon, shuffle),
+		reorder(canon, shuffle),
+		// Scalar duplicates are last-wins; pointer duplicates merge.
+		`{"Name":"a","Actor":1,"Actor":2,"Timing":2,"Name":"b","Timing":1}`,
+		`{"Name":"a","Consent":{"Scope":1},"Consent":{"Revoked":true},"Exigency":{"Kind":1},"Exigency":null,"Exigency":{"Approved":true}}`,
+		`{"Name":"a","Exposure":[1],"Consent":{"Scope":1,"Revoked":true,"Scope":2,"Revoked":false}}`,
+		// Recased keys, and the Kelvin sign, where the exact key is next.
+		`{"name":"lower","actor":1,"timing":2,"data":1,"source":3,"consent":{"scope":1,"revoked":true}}`,
+		`{"NAME":"upper","ACTOR":1,"TIMING":2,"Data":1,"SOURCE":3,"CONSENT":{"SCOPE":1}}`,
+		`{"Name":"kelvin","Exigency":{"\u212aind":2,"Approved":true},"Tech":null,"Wor` + "\u212a" + `place":{"GovernmentEmployer":true,"Wor` + "\u212a" + `Related":true}}`,
+		// An escaped key, and whitespace before ':'.
+		`{"N\u0061me":"escaped","Actor":1,"Tim\u0069ng":2,"Data":1}`,
+		`{"Name" :"spaced","Actor":1,"Timing"` + "\t" + `:2,"Data":1,"Consent":{"Scope" :1,"Revoked":true}}`,
+		// Unknown keys between known ones.
+		`{"Name":"unknown","Bogus":1,"Actor":1,"Other":{"Timing":9},"Timing":2,"Consent":{"Scope":1,"X":[],"Revoked":true}}`,
+		// Keys that extend or cut short a member name.
+		`{"Name":"prefix","Data":1,"Database":2,"Tech":{"GeneralPublicUse":true},"TechX":{"GeneralPublicUse":false}}`,
+		`{"Names":"x","Name":"prefix","Nam":"y","Dat":3,"Data":2,"Datab":1,"TechX":null,"Tech":null,"Tec":{}}`,
+	}
+}
+
+// truncatedAfterKey are bodies cut right after a key the declared-order
+// match accepts; encoding/json rejects each.
+var truncatedAfterKey = []string{
+	`{"Name":`,
+	`{"Name":"a","Actor":`,
+	`{"Name":"a","Actor":1,"Consent":{"Scope":`,
+	`{"Name":"a","Tech":{"GeneralPublicUse": `,
+	`[{"Name":"a"},{"Name":`,
+}
+
+// decodeCasesBoth checks each case against encoding/json singly, then
+// all cases as one batch, element by element.
+func decodeCasesBoth(t *testing.T, cases []string) {
+	t.Helper()
 	for _, in := range cases {
 		decodeActionBoth(t, []byte(in))
 	}
@@ -321,6 +421,34 @@ func TestKeyMatchingMatchesStdlib(t *testing.T) {
 	for i := range want {
 		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Errorf("element %d (%s):\n got %+v\nwant %+v", i, cases[i], got[i], want[i])
+		}
+	}
+}
+
+// TestKeyMatchingMatchesStdlib checks member-key matching against
+// encoding/json case by case, singly and as one batch element by
+// element.
+func TestKeyMatchingMatchesStdlib(t *testing.T) {
+	decodeCasesBoth(t, keyCases())
+}
+
+// TestKeyOrderMatchesStdlib checks the declared-order key match and
+// its fallbacks against encoding/json: members in any order, recased,
+// escaped, duplicated, unknown or prefix-confusable, and input cut
+// right after an exactly matched key.
+func TestKeyOrderMatchesStdlib(t *testing.T) {
+	decodeCasesBoth(t, orderCases())
+	for _, in := range truncatedAfterKey {
+		var a legal.Action
+		var as []legal.Action
+		if json.Unmarshal([]byte(in), &a) == nil || json.Unmarshal([]byte(in), &as) == nil {
+			t.Fatalf("stdlib accepted %q", in)
+		}
+		if err := wire.DecodeAction([]byte(in), &a); err == nil {
+			t.Errorf("DecodeAction accepted %q", in)
+		}
+		if _, err := wire.DecodeActions([]byte(in), nil); err == nil {
+			t.Errorf("DecodeActions accepted %q", in)
 		}
 	}
 }
@@ -355,9 +483,12 @@ func FuzzWireRoundTrip(f *testing.F) {
 	// values and array edges the long marshaled seeds bury.
 	f.Add([]byte(`[ ]`))
 	f.Add([]byte(`{"Required":2,"Regime":1,"Exceptions":[3],"Rationale":[""],"Citations":[{}]}`))
-	for _, in := range keyCases() {
+	for _, in := range append(keyCases(), orderCases()...) {
 		f.Add([]byte(in))
 		f.Add([]byte("[" + in + "]"))
+	}
+	for _, in := range truncatedAfterKey {
+		f.Add([]byte(in))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The escaper must match stdlib on arbitrary string content.
@@ -579,6 +710,33 @@ func BenchmarkWireDecodeBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	actions, err := wire.DecodeActions(data, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if actions, err = wire.DecodeActions(data, actions); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWireDecodeBatchReordered decodes BenchmarkWireDecodeBatch's
+// batch with every object's keys in reverse order, so no key takes the
+// declared-order match: the fallback path's cost, under the same
+// allocation budget.
+func BenchmarkWireDecodeBatchReordered(b *testing.B) {
+	var objs []string
+	for _, a := range batchActions() {
+		j, err := json.Marshal(a)
+		if err != nil {
+			b.Fatal(err)
+		}
+		objs = append(objs, reorder(j, reverse))
+	}
+	data := []byte("[" + strings.Join(objs, ",") + "]")
 	actions, err := wire.DecodeActions(data, nil)
 	if err != nil {
 		b.Fatal(err)

@@ -20,11 +20,12 @@
 # checkpointed batches, proof generation, proof verification, full
 # chain verification) and writes to BENCH_ledger.json. The `wire`
 # target runs the zero-alloc wire-codec encode/decode benchmarks next
-# to their encoding/json equivalents, plus the batch-shaped pair (a
-# 256-action batch decode and the 20 Table 1 rulings' encode), and
-# writes to BENCH_wire.json — CI pins the hot-path encodes and the
-# single-action decode to 0 allocs/op and the batch decode to the
-# fresh slices and sub-objects its actions carry. The `server`
+# to their encoding/json equivalents, plus the batch-shaped ones (a
+# 256-action batch decode, the same batch with every object's keys in
+# reverse order, and the 20 Table 1 rulings' encode), and writes to
+# BENCH_wire.json — CI pins the hot-path encodes and the single-action
+# decode to 0 allocs/op and both batch decodes to the fresh slices and
+# sub-objects their actions carry. The `server`
 # target runs the lawgated chaos bench (internal/server/loadgen driving
 # a live in-process server over TCP through bursts, malformed JSON,
 # oversized bodies, slow-loris connections, poisoned evaluations, and
@@ -148,7 +149,7 @@ wire)
 	baseline=
 	echo "== wire-codec benchmarks (count=$count, benchtime=$benchtime)" >&2
 	go test -run '^$' \
-		-bench '^(BenchmarkWireEncode|BenchmarkWireEncodeStdlib|BenchmarkWireEncodeTable1|BenchmarkWireDecode|BenchmarkWireDecodeStdlib|BenchmarkWireDecodeBatch)$' \
+		-bench '^(BenchmarkWireEncode|BenchmarkWireEncodeStdlib|BenchmarkWireEncodeTable1|BenchmarkWireDecode|BenchmarkWireDecodeStdlib|BenchmarkWireDecodeBatch|BenchmarkWireDecodeBatchReordered)$' \
 		-benchmem -benchtime "$benchtime" -count "$count" ./internal/wire |
 		tee -a "$tmp" >&2
 	;;
