@@ -345,10 +345,9 @@ func (r *Relay) handle(_ *netsim.Network, pkt *netsim.Packet) {
 }
 
 // forward re-sends pkt, the packet the relay was handed, to the
-// neighbouring hop on flow, carrying payload. The network keeps no
-// reference to a delivered packet once HandlePacket returns (see
-// netsim.Handler), so the relay may rewrite it; every header field is
-// replaced, and Send restamps the rest.
+// neighbouring hop on flow, carrying payload. The packet is the relay's
+// to rewrite until its handler returns (see netsim.Handler); every
+// header field is replaced, and Send transmits a stamped copy.
 func (r *Relay) forward(pkt *netsim.Packet, to netsim.NodeID, flow netsim.FlowID, payload []byte, encrypted bool) {
 	r.Relayed++
 	pkt.Header = netsim.Header{

@@ -15,8 +15,9 @@
 // Cell buffers are created only by anonet (the client's forward cells,
 // the exit's backward ones), so a relay may rewrite the cell it is
 // handed in place and re-send it in the very packet that carried it:
-// netsim keeps no reference to a delivered packet and deep-clones
-// duplicates (see netsim.Handler).
+// the packet is the relay's until its handler returns, Send transmits a
+// copy, and each fault-injected duplicate carries a payload of its own
+// (see netsim.Handler).
 package anonet
 
 import (

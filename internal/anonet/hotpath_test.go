@@ -174,15 +174,16 @@ func TestUnmarshalCellRejectsWithoutAlloc(t *testing.T) {
 }
 
 // relayForwardAllocs is the pinned allocation count of one forward hop
-// at a middle relay: none. The cell is rewritten in place and the relay
-// re-sends the packet it was handed; the layer, its nonce and the flow
-// name cost nothing per cell.
-const relayForwardAllocs = 0
+// at a middle relay: none but the packet the network takes (takeAllocs).
+// The cell is rewritten in place and the relay re-sends the packet it
+// was handed; the layer, its nonce and the flow name cost nothing per
+// cell.
+const relayForwardAllocs = 0 + takeAllocs
 
 // exitWrapAllocs is the pinned allocation count of the exit wrapping
-// one server reply into the circuit: the new cell. The reply's packet
-// carries it on.
-const exitWrapAllocs = 1
+// one server reply into the circuit: the new cell, plus the packet the
+// network takes (takeAllocs). The reply's packet carries it on.
+const exitWrapAllocs = 1 + takeAllocs
 
 // clientHandleAllocs is the pinned allocation count of the client
 // peeling one backward cell: none, since every layer is peeled in place

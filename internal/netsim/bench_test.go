@@ -130,8 +130,12 @@ func BenchmarkSendWide(b *testing.B) {
 	if len(g.Nodes) < 1000 {
 		b.Fatalf("composite has %d nodes, want >= 1000", len(g.Nodes))
 	}
-	n := netsim.NewNetwork(netsim.NewSimulator(1))
-	if err := g.ApplyTo(n, nil); err != nil {
+	o := netsim.NewShardedNetwork(1, 1)
+	if err := g.ApplyTo(o, nil); err != nil {
+		b.Fatal(err)
+	}
+	n, err := o.PartitionNet("isp-core")
+	if err != nil {
 		b.Fatal(err)
 	}
 	var dsts [edges]netsim.NodeID

@@ -17,18 +17,15 @@ var (
 	ErrDuplicateNode = errors.New("netsim: duplicate node")
 )
 
-// Handler receives packets delivered to a node. The network keeps no
-// reference to a delivered packet once HandlePacket returns: the taps at
-// the node observed their own snapshot before the call, and each
-// fault-injected duplicate is a deep clone (Packet.Clone) delivered on
-// its own. A handler may therefore rewrite the payload of a packet it
-// was handed, provided the sender gave up the buffer (see Send) and no
-// other copy shares it, and may re-send the packet itself.
-//
-// A packet a Flow emitted is reused for a later packet once
-// HandlePacket returns, unless the handler re-sent it: a handler must
-// copy whatever it keeps of a packet (Packet.Clone, or the fields it
-// needs) rather than the pointer.
+// Handler receives packets delivered to a node. The packet a handler is
+// handed is the network's, and is valid only until HandlePacket returns:
+// the network then reuses it for a later packet. A handler must copy
+// whatever it keeps of a packet (Packet.Clone, or the fields it needs)
+// rather than the pointer. Until it returns, the handler may rewrite the
+// packet and send it on, to one neighbour or several: Send transmits a
+// copy. Each fault-injected duplicate carries its own copy of the
+// payload, so a handler may rewrite a payload in place provided its
+// sender gave up the buffer (see Send).
 type Handler interface {
 	// HandlePacket is invoked when a packet arrives at the node.
 	HandlePacket(net *Network, pkt *Packet)
@@ -154,14 +151,11 @@ type Network struct {
 	busy []time.Duration
 	// snap is the reused tap-observation snapshot (see Tap).
 	snap Packet
-	// free holds Flow packets the partition has finished with (see
-	// release); Flow.emit draws from it. A packet is released by the
-	// partition whose goroutine drops or delivers it, so the list needs
-	// no lock.
+	// free holds packets the partition has finished with (see recycle);
+	// Send and Flow.emit take the packets they transmit from it. A packet
+	// is recycled by the partition whose goroutine drops or delivers it,
+	// so the list needs no lock.
 	free []*Packet
-	// handling is the Flow packet whose HandlePacket call is running, if
-	// any; send clears it when the handler re-sends that packet.
-	handling *Packet
 
 	// Delivered counts packets delivered; Dropped counts loss.
 	Delivered, Dropped int64
@@ -360,9 +354,6 @@ type delivery struct {
 	pkt       *Packet
 	dst       int32 // topology index of the destination
 	duplicate bool
-	// pooled copies pkt.pooled at send time, so a delivery learns
-	// whether to recycle its packet without loading the packet again.
-	pooled bool
 }
 
 // run executes the delivery at the event's firing time.
@@ -373,9 +364,7 @@ func (d delivery) run() {
 	// crash-while-in-flight.
 	if f := n.run.faults; f != nil && f.Down(dst.id, n.sim.Now()) {
 		n.FaultDropped++
-		if d.pooled {
-			n.recycle(pkt)
-		}
+		n.recycle(pkt)
 		return
 	}
 	pkt.DeliveredAt = n.sim.Now()
@@ -384,33 +373,13 @@ func (d delivery) run() {
 		n.Duplicated++
 	}
 	n.observe(dst.taps, DirInbound, pkt)
-	if !d.pooled {
-		dst.handler.HandlePacket(n, pkt)
-		return
-	}
-	// A Flow packet is done with once the handler returns, unless the
-	// handler re-sent it: send then clears handling and owns the packet
-	// again. Nothing here reads the packet, whose cache line a sink's
-	// handler never touches.
-	n.handling = pkt
 	dst.handler.HandlePacket(n, pkt)
-	if n.handling == pkt {
-		n.handling = nil
-		n.recycle(pkt)
-	}
+	n.recycle(pkt)
 }
 
-// release recycles pkt if it is a Flow packet not yet released: send
-// calls it for every packet it drops. Any other packet belongs to its
-// sender and is left alone.
-func (n *Network) release(pkt *Packet) {
-	if pkt.pooled {
-		n.recycle(pkt)
-	}
-}
-
-// takePacket returns a packet for Flow.emit to overwrite: one from the
-// partition's free list, or a new one when the list is empty.
+// takePacket returns a packet for Send, Flow.emit or a fault duplicate
+// to overwrite: one from the partition's free list, or a new one when
+// the list is empty.
 func (n *Network) takePacket() *Packet {
 	k := len(n.free)
 	if k == 0 {
@@ -441,21 +410,27 @@ func (n *Network) resolve(src, dst NodeID) (route, error) {
 }
 
 // Send transmits a packet from pkt.Header.Src to pkt.Header.Dst over their
-// direct link. The packet is stamped, observed by taps at both ends,
-// subjected to loss, and delivered after latency plus jitter. Send assigns
-// pkt.ID and SentAt and zeroes DeliveredAt. The network takes ownership
-// of pkt: in the common single-delivery case the packet itself is
-// delivered (no clone); only fault-injected duplicate deliveries clone.
+// direct link. The network transmits a copy of *pkt taken from its free
+// list, which is stamped (ID, SentAt, DeliveredAt), observed by taps at
+// both ends, subjected to loss, and delivered after latency plus jitter.
+// Send never writes to pkt, and the caller keeps it: it may reuse or
+// rewrite it as soon as Send returns. The payload bytes are shared with
+// the copy, not copied, so a caller that rewrites them after Send must
+// pass a buffer of its own.
 func (n *Network) Send(pkt *Packet) error {
 	r, err := n.resolve(pkt.Header.Src, pkt.Header.Dst)
 	if err != nil {
 		return err
 	}
-	return n.send(pkt, r)
+	cp := n.takePacket()
+	*cp = *pkt
+	return n.send(cp, r)
 }
 
 // send is Send over an already resolved route, whose indices must name
-// pkt.Header.Src, pkt.Header.Dst and their link.
+// pkt.Header.Src, pkt.Header.Dst and their link. pkt is a packet the
+// network owns (see takePacket): send recycles it on every path that does
+// not hand it to a delivery.
 func (n *Network) send(pkt *Packet, r route) error {
 	src := pkt.Header.Src
 	// Everything observable — loss and jitter draws, packet IDs, sequence
@@ -464,18 +439,16 @@ func (n *Network) send(pkt *Packet, r route) error {
 	o := n.run
 	st := &o.state[r.src]
 	if st.part != n.part {
+		n.recycle(pkt)
 		return fmt.Errorf("%w: %q owned by partition %d, sent via partition %d",
 			ErrWrongPartition, src, st.part, n.part)
-	}
-	if pkt == n.handling {
-		n.handling = nil // re-sent by its handler; see delivery.run
 	}
 	// A crashed source transmits nothing: the packet never reaches the
 	// wire, so taps at either end see nothing and the link RNG stream is
 	// not consumed.
 	if o.faults != nil && o.faults.Down(src, n.sim.Now()) {
 		n.FaultDropped++
-		n.release(pkt)
+		n.recycle(pkt)
 		return nil
 	}
 
@@ -495,7 +468,7 @@ func (n *Network) send(pkt *Packet, r route) error {
 	rng := o.state[r.src].rng
 	if link.Loss > 0 && rng.Float64() < link.Loss {
 		n.Dropped++
-		n.release(pkt)
+		n.recycle(pkt)
 		return nil
 	}
 	var fault Fault
@@ -504,7 +477,7 @@ func (n *Network) send(pkt *Packet, r route) error {
 	}
 	if fault.Drop {
 		n.FaultDropped++
-		n.release(pkt)
+		n.recycle(pkt)
 		return nil
 	}
 	// Serialization: a constrained link transmits one packet at a time
@@ -536,24 +509,25 @@ func (n *Network) send(pkt *Packet, r route) error {
 	}
 	delay += fault.ExtraDelay
 	at := n.sim.Now() + delay
-	// The common un-faulted case: exactly one delivery, so the packet
-	// itself rides the event and no clone is made. Duplicated packets
-	// each get an independent clone, and the original rides none.
-	if len(fault.Duplicates) == 0 {
-		return o.deliver(at, r.src, r.dst, pkt, false)
-	}
-	if err := o.deliver(at, r.src, r.dst, pkt.Clone(), false); err != nil {
+	// The packet rides the first delivery. Each fault-injected duplicate
+	// is a packet of its own with its own copy of the payload, so a
+	// handler rewriting one delivery's payload in place leaves the
+	// others intact.
+	if err := o.deliver(at, r.src, r.dst, pkt, false); err != nil {
+		n.recycle(pkt)
 		return err
 	}
 	for _, extra := range fault.Duplicates {
 		if extra < 0 {
 			extra = 0
 		}
-		if err := o.deliver(at+extra, r.src, r.dst, pkt.Clone(), true); err != nil {
+		dup := n.takePacket()
+		pkt.cloneInto(dup)
+		if err := o.deliver(at+extra, r.src, r.dst, dup, true); err != nil {
+			n.recycle(dup)
 			return err
 		}
 	}
-	n.release(pkt)
 	return nil
 }
 

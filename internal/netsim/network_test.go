@@ -32,7 +32,7 @@ func twoNodeNet(t *testing.T, link Link) (*Network, *[]*Packet) {
 	if err := n.AddNode("alice", nil); err != nil {
 		t.Fatal(err)
 	}
-	// Flow packets are recycled once the handler returns, so the
+	// Delivered packets are recycled once the handler returns, so the
 	// recorder keeps copies.
 	if err := n.AddNode("bob", HandlerFunc(func(_ *Network, p *Packet) {
 		delivered = append(delivered, p.Clone())

@@ -54,8 +54,9 @@ type Header struct {
 // Packet is one simulated datagram. Header fields are addressing
 // information; Payload is content; Encrypted marks payload ciphertext.
 //
-// A packet a Flow emitted belongs to the network, which reuses it once
-// it is dropped or its HandlePacket call returns (see Handler).
+// The network transmits its own copy of every packet (see Send) and
+// reuses that copy once it is dropped or its HandlePacket call returns
+// (see Handler).
 type Packet struct {
 	// ID is unique per network.
 	ID int64
@@ -65,27 +66,23 @@ type Packet struct {
 	Payload []byte
 	// Encrypted reports whether Payload is ciphertext.
 	Encrypted bool
-	// pooled marks a Flow packet the network recycles; it sits in the
-	// padding after Encrypted, so the struct stays 136 bytes.
-	pooled bool
 	// SentAt and DeliveredAt are stamped by the network.
 	SentAt, DeliveredAt time.Duration
 }
 
-// Clone returns a deep copy of the packet; forwarding nodes clone before
-// mutating headers so taps see consistent snapshots. The copy is the
-// caller's: the network never recycles it.
+// Clone returns a deep copy of the packet, for a handler that keeps a
+// delivered packet past its HandlePacket call.
 func (p *Packet) Clone() *Packet {
 	cp := *p
 	cp.Payload = append([]byte(nil), p.Payload...)
-	cp.pooled = false
 	return &cp
 }
 
 // cloneInto copies p into dst, reusing dst's Payload capacity.
 // Tap observation snapshots go through here so steady-state observation
 // allocates nothing once the buffers have grown to the packet sizes in
-// play.
+// play; so do fault duplicates, whose free-list packets hold no payload
+// and so get a copy of their own.
 func (p *Packet) cloneInto(dst *Packet) {
 	payload := append(dst.Payload[:0], p.Payload...)
 	*dst = *p

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -115,10 +116,10 @@ func TestFlowPacketsRecycledOnDrop(t *testing.T) {
 
 // TestResentFlowPacketNotReleased has a relay re-send every flow packet
 // it is handed over a slow link, while the flow keeps emitting faster
-// than that link delivers. A re-sent packet released at the relay would
-// be overwritten by a later emit (or poisoned, in a netsimscribble
-// build) while still in flight; every packet must instead reach the
-// next hop exactly as the flow made it.
+// than that link delivers. The relay's packet is recycled as soon as its
+// handler returns, and a later emit overwrites it (or, in a
+// netsimscribble build, it is poisoned); the copy Send made of it must
+// still reach the next hop exactly as the flow made it.
 func TestResentFlowPacketNotReleased(t *testing.T) {
 	sim := netsim.NewSimulator(12)
 	n := netsim.NewNetwork(sim)
@@ -173,10 +174,135 @@ func TestResentFlowPacketNotReleased(t *testing.T) {
 	}
 }
 
+// TestSendLeavesCallerPacket checks that Send never writes to the packet
+// it is given: the ID, the stamps and the default size land on the
+// network's copy, and the caller may rewrite and send the same packet
+// again at once, before the first one is delivered.
+func TestSendLeavesCallerPacket(t *testing.T) {
+	sim := netsim.NewSimulator(13)
+	n := netsim.NewNetwork(sim)
+	var got []string
+	sink := netsim.HandlerFunc(func(_ *netsim.Network, pkt *netsim.Packet) {
+		got = append(got, fmt.Sprintf("%s->%s %q size=%d sent=%v delivered=%v",
+			pkt.Header.Src, pkt.Header.Dst, pkt.Payload, pkt.Header.SizeBytes, pkt.SentAt, pkt.DeliveredAt))
+		if pkt.ID == 0 {
+			t.Error("delivered packet carries no ID")
+		}
+	})
+	if err := n.AddNode("src", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.AddNode("dst", sink); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Connect("src", "dst", netsim.Link{Latency: 5 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	pkt := &netsim.Packet{
+		Header:  netsim.Header{Src: "src", Dst: "dst", Flow: "f", Proto: netsim.ProtoUDP},
+		Payload: []byte("first"),
+	}
+	before := *pkt
+	if err := n.Send(pkt); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(*pkt, before) {
+		t.Fatalf("Send wrote to the caller's packet: %+v, was %+v", *pkt, before)
+	}
+	pkt.Payload = []byte("second-packet")
+	if err := sim.Schedule(time.Millisecond, func() {
+		if err := n.Send(pkt); err != nil {
+			t.Error(err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sim.Run()
+	want := []string{
+		`src->dst "first" size=45 sent=0s delivered=5ms`,
+		`src->dst "second-packet" size=53 sent=1ms delivered=6ms`,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("deliveries:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if pkt.ID != 0 || pkt.SentAt != 0 || pkt.DeliveredAt != 0 || pkt.Header.SizeBytes != 0 {
+		t.Errorf("caller's packet stamped: ID %d, SentAt %v, DeliveredAt %v, SizeBytes %d",
+			pkt.ID, pkt.SentAt, pkt.DeliveredAt, pkt.Header.SizeBytes)
+	}
+}
+
+// TestHandlerSendsToTwoNeighbours has a hub send every flow packet it is
+// handed on to two leaves, rewriting only the destination between the
+// two sends. Each leaf must receive every packet intact, addressed to
+// itself, with a stamp of its own.
+func TestHandlerSendsToTwoNeighbours(t *testing.T) {
+	sim := netsim.NewSimulator(14)
+	n := netsim.NewNetwork(sim)
+	hub := netsim.HandlerFunc(func(net *netsim.Network, pkt *netsim.Packet) {
+		pkt.Header.Src = "hub"
+		for _, leaf := range []netsim.NodeID{"left", "right"} {
+			pkt.Header.Dst = leaf
+			if err := net.Send(pkt); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	got := make(map[netsim.NodeID][]string)
+	ids := make(map[int64]bool)
+	leaf := func(id netsim.NodeID) netsim.Handler {
+		return netsim.HandlerFunc(func(_ *netsim.Network, pkt *netsim.Packet) {
+			got[id] = append(got[id], fmt.Sprintf("%s->%s %s", pkt.Header.Src, pkt.Header.Dst, pkt.Payload))
+			if ids[pkt.ID] {
+				t.Errorf("packet ID %d delivered twice", pkt.ID)
+			}
+			ids[pkt.ID] = true
+		})
+	}
+	nodes := []struct {
+		id netsim.NodeID
+		h  netsim.Handler
+	}{{"src", nil}, {"hub", hub}, {"left", leaf("left")}, {"right", leaf("right")}}
+	for _, nd := range nodes {
+		if err := n.AddNode(nd.id, nd.h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	links := []struct {
+		a, b    netsim.NodeID
+		latency time.Duration
+	}{{"src", "hub", time.Millisecond}, {"hub", "left", 3 * time.Millisecond}, {"hub", "right", 7 * time.Millisecond}}
+	for _, l := range links {
+		if err := n.Connect(l.a, l.b, netsim.Link{Latency: l.latency}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const emits = 300
+	f := &netsim.Flow{Net: n, Src: "src", Dst: "hub", ID: "fan",
+		Pattern: &netsim.CBR{Gap: time.Millisecond, Size: 64}, Until: emits * time.Millisecond,
+		Payload: func(i int) []byte { return []byte(fmt.Sprintf("packet-%04d", i)) }}
+	if err := f.Start(); err != nil {
+		t.Fatal(err)
+	}
+	sim.Run()
+	for _, id := range []netsim.NodeID{"left", "right"} {
+		if len(got[id]) != emits {
+			t.Fatalf("%s received %d packets, want %d", id, len(got[id]), emits)
+		}
+		for i, line := range got[id] {
+			if want := fmt.Sprintf("hub->%s packet-%04d", id, i); line != want {
+				t.Fatalf("%s packet %d arrived as %q, want %q", id, i, line, want)
+			}
+		}
+	}
+}
+
 // runPooledPartitions runs flows inside each of two node groups, a flow
 // between them, and a relay in each group that re-sends what it is
 // handed, at the given partition count (group g goes to partition
-// g mod partitions). It returns every delivery each node saw, as text.
+// g mod partitions). Beside the flows, a plain Send source h0 feeds a
+// chain h1, h2, h3 whose handlers re-send every packet to the next
+// hop, so at two partitions each hop crosses a partition boundary. It
+// returns every delivery each node saw, as text.
 func runPooledPartitions(t *testing.T, partitions, workers int, hostile bool) map[netsim.NodeID][]string {
 	t.Helper()
 	o := netsim.NewShardedNetwork(0xfee1, partitions)
@@ -223,6 +349,29 @@ func runPooledPartitions(t *testing.T, partitions, workers int, hostile bool) ma
 	if err := o.Connect("b0", "b1", netsim.Link{Latency: 2 * time.Millisecond, Loss: 0.1}); err != nil {
 		t.Fatal(err)
 	}
+	chain := []netsim.NodeID{"h0", "h1", "h2", "h3"}
+	for i, id := range chain {
+		log := new([]string)
+		logs[id] = log
+		var h netsim.Handler = netsim.HandlerFunc(func(_ *netsim.Network, pkt *netsim.Packet) { record(log, pkt) })
+		if i > 0 && i+1 < len(chain) {
+			next := chain[i+1]
+			h = netsim.HandlerFunc(func(n *netsim.Network, pkt *netsim.Packet) {
+				record(log, pkt)
+				pkt.Header.Src, pkt.Header.Dst = id, next
+				_ = n.Send(pkt)
+			})
+		}
+		if err := o.AddNode(id, h); err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 {
+			link := netsim.Link{Latency: time.Millisecond, Jitter: 2 * time.Millisecond, Loss: 0.05}
+			if err := o.Connect(chain[i-1], id, link); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	if hostile {
 		plan, err := faults.Profile("hostile")
 		if err != nil {
@@ -254,6 +403,27 @@ func runPooledPartitions(t *testing.T, partitions, workers int, hostile bool) ma
 			t.Fatal(err)
 		}
 	}
+	src, err := o.PartitionNet("h0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := 0
+	var emit func()
+	emit = func() {
+		if err := src.Send(&netsim.Packet{
+			Header:  netsim.Header{Src: "h0", Dst: "h1", Flow: "chain", Proto: netsim.ProtoUDP},
+			Payload: []byte(fmt.Sprintf("chain/%d", sent)),
+		}); err != nil {
+			t.Error(err)
+		}
+		sent++
+		if sent < 2000 {
+			_ = src.Sim().Schedule(time.Millisecond, emit)
+		}
+	}
+	if err := o.ScheduleNode("h0", time.Millisecond, emit); err != nil {
+		t.Fatal(err)
+	}
 	if err := o.RunUntil(3*time.Second, workers); err != nil {
 		t.Fatal(err)
 	}
@@ -281,15 +451,16 @@ func runPooledPartitions(t *testing.T, partitions, workers int, hostile bool) ma
 	return seen
 }
 
-// TestPooledPacketsPartitionInvariance checks that recycling flow
-// packets keeps every delivery byte-identical, field for field, at one
+// TestPooledPacketsPartitionInvariance checks that recycling packets
+// keeps every delivery byte-identical, field for field, at one
 // partition and at two, with one worker or two, with and without the
-// hostile fault profile. At two partitions the cross flow's packets
-// are released into the receiving partition's free list.
+// hostile fault profile. At two partitions the cross flow's packets,
+// and every hop of the re-send chain, are recycled into the receiving
+// partition's free list.
 func TestPooledPacketsPartitionInvariance(t *testing.T) {
 	for _, hostile := range []bool{false, true} {
 		base := runPooledPartitions(t, 1, 1, hostile)
-		for _, id := range []netsim.NodeID{"b0", "b1", "c0", "c1"} {
+		for _, id := range []netsim.NodeID{"b0", "b1", "c0", "c1", "h1", "h2", "h3"} {
 			if len(base[id]) < 200 {
 				t.Fatalf("hostile=%v: %s saw %d deliveries, want a busy run", hostile, id, len(base[id]))
 			}

@@ -8,9 +8,9 @@ import "bytes"
 // netsimscribble build: 0xAA bytes, shared by all of them.
 var scribblePayload = bytes.Repeat([]byte{0xAA}, 1500)
 
-// recycle, in a netsimscribble test build, overwrites a Flow packet the
+// recycle, in a netsimscribble test build, overwrites a packet the
 // network is done with and never puts it back on the free list, so every
-// emit draws a new packet. A handler, tap or fault hook that kept a
+// send draws a new packet. A handler, tap or fault hook that kept a
 // released packet then reads poison, and a golden output or a check
 // fails, instead of silently reading a later packet's fields.
 func (n *Network) recycle(pkt *Packet) {

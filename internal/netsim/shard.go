@@ -397,7 +397,6 @@ func (o *ShardedNetwork) deliver(at time.Duration, srcIdx, dstIdx int32, pkt *Pa
 				pkt:       pkt,
 				dst:       dstIdx,
 				duplicate: dup,
-				pooled:    pkt.pooled,
 			},
 		},
 	}

@@ -1,8 +1,7 @@
 // Package topo generates large seeded network topologies for the
 // sharded simulator: AS-level preferential-attachment graphs and
 // campus+ISP+Tor composites. Generators emit a Graph — a deterministic
-// node and link list — that applies onto a netsim.ShardedNetwork, or
-// any of its netsim.Network views, through the Builder interface.
+// node and link list — that applies onto a netsim.ShardedNetwork.
 package topo
 
 import (
@@ -12,15 +11,6 @@ import (
 
 	"lawgate/internal/netsim"
 )
-
-// Builder is the surface Graph.ApplyTo drives; both *netsim.Network and
-// *netsim.ShardedNetwork satisfy it.
-type Builder interface {
-	// AddNode registers a node (nil handler = sink).
-	AddNode(id netsim.NodeID, h netsim.Handler) error
-	// Connect joins two registered nodes.
-	Connect(a, b netsim.NodeID, link netsim.Link) error
-}
 
 // Node is one generated node with its locality component — the label
 // partition functions use to keep tightly-coupled nodes together.
@@ -53,20 +43,20 @@ type Graph struct {
 	component map[netsim.NodeID]int
 }
 
-// ApplyTo adds the graph's nodes and links to a builder. handler, when
+// ApplyTo adds the graph's nodes and links to a run. handler, when
 // non-nil, chooses each node's packet handler (return nil for a sink).
-func (g *Graph) ApplyTo(b Builder, handler func(id netsim.NodeID) netsim.Handler) error {
+func (g *Graph) ApplyTo(o *netsim.ShardedNetwork, handler func(id netsim.NodeID) netsim.Handler) error {
 	for _, n := range g.Nodes {
 		var h netsim.Handler
 		if handler != nil {
 			h = handler(n.ID)
 		}
-		if err := b.AddNode(n.ID, h); err != nil {
+		if err := o.AddNode(n.ID, h); err != nil {
 			return err
 		}
 	}
 	for _, l := range g.Links {
-		if err := b.Connect(l.A, l.B, l.Link); err != nil {
+		if err := o.Connect(l.A, l.B, l.Link); err != nil {
 			return err
 		}
 	}

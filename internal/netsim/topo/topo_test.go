@@ -108,11 +108,15 @@ func TestApplyToBuildsRunnableNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := netsim.NewSimulator(1)
-	n := netsim.NewNetwork(sim)
-	if err := g.ApplyTo(n, nil); err != nil {
+	o := netsim.NewShardedNetwork(1, 1)
+	if err := g.ApplyTo(o, nil); err != nil {
 		t.Fatal(err)
 	}
+	n, err := o.PartitionNet("campus0/h0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := n.Sim()
 	if !n.Linked("campus0/h0", "campus0-gw") || !n.Linked("campus0-gw", "isp-edge0") {
 		t.Fatal("expected links missing after ApplyTo")
 	}

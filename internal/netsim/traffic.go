@@ -98,11 +98,11 @@ func (p *ParetoOnOff) PacketSize(*rand.Rand) int { return p.Size }
 // deadline, tagging packets with the flow ID. Payload, when non-nil,
 // supplies each packet's content by sequence number.
 //
-// A flow's packets are recycled: the network takes each from the source
-// partition's free list and puts it back once it is dropped, or once the
-// destination's HandlePacket returns without re-sending it. A handler
-// that keeps anything of a flow packet must copy it (see Handler). The
-// Payload slices are never written to or reused.
+// Each packet is built straight into one the network takes from the
+// source partition's free list, and, like every packet Send transmits,
+// goes back to a free list once it is dropped or its HandlePacket call
+// returns (see Handler). The network never writes to or reuses the
+// Payload slices.
 type Flow struct {
 	// Net is the carrying network.
 	Net *Network
@@ -182,7 +182,6 @@ func (f *Flow) emit() {
 			SizeBytes: size + 40,
 		},
 		Payload: payload,
-		pooled:  true,
 	}
 	if err := f.Net.send(pkt, f.route); err != nil {
 		return

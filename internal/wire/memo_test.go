@@ -36,11 +36,22 @@ func memoHolds(s string) bool {
 	return false
 }
 
+// clearMemo empties the escape memo. A test that fills every set
+// empties it when done: the memo is process-wide, and two strings of
+// one ruling that share a full set's slot evict each other on every
+// render, which makes a later test's warm-memo pin miss.
+func clearMemo() {
+	for i := range memo {
+		memo[i].Store(nil)
+	}
+}
+
 // TestMemoEvictionByteIdentical renders rulings whose rationale lines
 // and citation titles outnumber the memo's slots three times over,
 // interleaved so that sets keep evicting each other, and requires
 // every rendering to stay byte-identical to encoding/json.
 func TestMemoEvictionByteIdentical(t *testing.T) {
+	t.Cleanup(clearMemo)
 	const distinct = 3 * memoSlots
 	line := func(i int) string {
 		return fmt.Sprintf("rationale %d <&> \u2028 line", i)
@@ -96,6 +107,7 @@ func TestMemoSkipsLongStrings(t *testing.T) {
 // filler from many goroutines at once; under -race it checks the
 // memo's publication, and each rendering is checked for identity.
 func TestMemoConcurrentEncodes(t *testing.T) {
+	t.Cleanup(clearMemo)
 	rulings := table1Rulings(t)
 	want := make([][]byte, len(rulings))
 	for i := range rulings {
