@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"strings"
 	"sync"
@@ -29,15 +31,28 @@ const (
 
 var errUnexpectedEnd = errors.New("wire: unexpected end of JSON input")
 
+// remSlots is the size of the batch decoder's remainder table; a
+// power of two.
+const remSlots = 256
+
 // decoder is the pooled per-call parse state: the input, a cursor, a
-// scratch buffer for escaped strings, a fixed key-folding buffer, and
-// the string intern cache that makes repeated action names free.
+// scratch buffer for escaped strings, a fixed key-folding buffer, the
+// string intern cache that makes repeated action names free, and the
+// table of action remainders DecodeActions has decoded in this call.
 type decoder struct {
 	data    []byte
 	pos     int
 	scratch []byte
 	keybuf  [32]byte
 	names   map[string]string
+	rems    [remSlots]remSpan
+}
+
+// remSpan records that data[start:end], the remainder of the action in
+// batch slot slot, decoded without error and without setting Name. end
+// is 0 only in an empty entry.
+type remSpan struct {
+	start, end, slot int
 }
 
 var decPool = sync.Pool{
@@ -840,6 +855,7 @@ func DecodeAction(data []byte, a *legal.Action) error {
 func DecodeActions(data []byte, dst []legal.Action) ([]legal.Action, error) {
 	d := getDecoder(data)
 	defer putDecoder(d)
+	d.rems = [remSlots]remSpan{}
 	dst = dst[:0]
 	d.skipSpace()
 	if d.tryNull() {
@@ -855,7 +871,7 @@ func DecodeActions(data []byte, dst []legal.Action) ([]legal.Action, error) {
 	}
 	for {
 		dst = append(dst, legal.Action{})
-		if err := d.decodeAction(&dst[len(dst)-1]); err != nil {
+		if err := d.decodeSlot(dst, len(dst)-1); err != nil {
 			return dst, err
 		}
 		more, err := d.endElem(']')
@@ -866,4 +882,99 @@ func DecodeActions(data []byte, dst []legal.Action) ([]legal.Action, error) {
 			return dst, nil
 		}
 	}
+}
+
+// leadingName is how json.Marshal opens an action.
+var leadingName = []byte(`{"Name":`)
+
+// remSeed keys the remainder table's hash.
+var remSeed = maphash.MakeSeed()
+
+// decodeSlot decodes batch element i into the zero dst[i], at the cost
+// of its distinct content. An element that opens with leadingName has
+// a remainder: the bytes after its Name value up to and including the
+// object's '}'. Decoding a remainder is a function of its bytes alone:
+// it starts from an action in which only Name is set, every pointer
+// still nil, and member matching resumes at index 1. So a remainder
+// that decoded without error and never set Name again gives every
+// later slot with the same bytes the same action under its own Name.
+// The remainder table, keyed on a hash of the bytes through the first
+// '}' and hit only on byte equality of the whole span, finds such an
+// earlier slot; the hit copies it, with fresh copies of its slice and
+// sub-objects, as nothing aliases another decode. Any other element
+// shape decodes as DecodeAction decodes it.
+func (d *decoder) decodeSlot(dst []legal.Action, i int) error {
+	a := &dst[i]
+	d.skipSpace()
+	if !bytes.HasPrefix(d.data[d.pos:], leadingName) {
+		return d.decodeAction(a)
+	}
+	d.pos += len(leadingName)
+	d.skipSpace()
+	if err := d.internedString(&a.Name); err != nil {
+		return err
+	}
+	// With no '}' left, key is 0: no recorded span, which ends in '}',
+	// can match, and the remainder's decode fails.
+	start := d.pos
+	key := bytes.IndexByte(d.data[start:], '}') + 1
+	e := &d.rems[maphash.Bytes(remSeed, d.data[start:start+key])&(remSlots-1)]
+	if n := e.end - e.start; e.end != 0 && bytes.HasPrefix(d.data[start:], d.data[e.start:e.end]) {
+		name := a.Name
+		*a = dst[e.slot]
+		a.Name = name
+		freshCopies(a)
+		d.pos = start + n
+		return nil
+	}
+	setsName, err := d.remainder(a)
+	if err == nil && !setsName {
+		*e = remSpan{start: start, end: d.pos, slot: i}
+	}
+	return err
+}
+
+// remainder decodes an action's members after its leading Name, up to
+// and including the object's '}', and reports whether one of them set
+// Name again.
+func (d *decoder) remainder(a *legal.Action) (setsName bool, err error) {
+	for next := 1; ; {
+		more, err := d.endElem('}')
+		if err != nil || !more {
+			return setsName, err
+		}
+		f, err := d.field(actionMembers, next)
+		if err != nil {
+			return setsName, err
+		}
+		if err := actionMember(d, a, f); err != nil {
+			return setsName, err
+		}
+		if f == 0 {
+			setsName = true
+		}
+		if f >= 0 {
+			next = f + 1
+		}
+	}
+}
+
+// freshCopies replaces a's slice and sub-objects with copies of their
+// own.
+func freshCopies(a *legal.Action) {
+	if a.Exposure != nil {
+		a.Exposure = append(make([]legal.ExposureFact, 0, len(a.Exposure)), a.Exposure...)
+	}
+	a.Consent = fresh(a.Consent)
+	a.Exigency = fresh(a.Exigency)
+	a.Tech = fresh(a.Tech)
+	a.Workplace = fresh(a.Workplace)
+}
+
+func fresh[T any](p *T) *T {
+	if p == nil {
+		return nil
+	}
+	c := *p
+	return &c
 }

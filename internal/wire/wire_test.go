@@ -459,7 +459,10 @@ func TestKeyOrderMatchesStdlib(t *testing.T) {
 // must decode to deeply equal values; any input it accepts as a
 // Ruling, AppendRulingViewFromRuling must render to the exact bytes
 // json.Marshal(report.FromRuling(r)) produces. Arbitrary bytes also
-// feed the string escaper directly.
+// feed the string escaper directly. In repeat mode, an input object is
+// also decoded as a batch of 2 or 3 slots under other leading names
+// (withLeadingName), so later slots may be served from an earlier
+// slot's remainder.
 func FuzzWireRoundTrip(f *testing.F) {
 	for _, a := range sampleActions() {
 		j, _ := json.Marshal(a)
@@ -490,6 +493,11 @@ func FuzzWireRoundTrip(f *testing.F) {
 	for _, in := range truncatedAfterKey {
 		f.Add([]byte(in))
 	}
+	for _, in := range remainderCases {
+		f.Add([]byte(in))
+	}
+	f.Add(repeated(remainderCases))
+	f.Add([]byte(`[{"Name":"a","Actor":1,"Consent":{"Scope":1}},{"Name":"b","Actor":1,"Consent":{"Sco`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The escaper must match stdlib on arbitrary string content.
 		s := string(data)
@@ -513,8 +521,11 @@ func FuzzWireRoundTrip(f *testing.F) {
 		// DecodeActions may return nil where stdlib returns an empty
 		// slice (it truncates its destination), so lengths and elements
 		// are compared, not the slice headers.
-		var wantAs []legal.Action
-		if err := json.Unmarshal(data, &wantAs); err == nil {
+		checkBatch := func(data []byte) {
+			var wantAs []legal.Action
+			if err := json.Unmarshal(data, &wantAs); err != nil {
+				return
+			}
 			gotAs, err := wire.DecodeActions(data, nil)
 			if err != nil {
 				t.Fatalf("wire.DecodeActions rejected stdlib-accepted %q: %v", data, err)
@@ -527,6 +538,14 @@ func FuzzWireRoundTrip(f *testing.F) {
 					t.Fatalf("batch decode mismatch at %d on %q:\n got %+v\nwant %+v", i, data, gotAs[i], wantAs[i])
 				}
 			}
+		}
+		checkBatch(data)
+		if withLeadingName(data, "") != nil {
+			slots := make([][]byte, 2+len(data)%2)
+			for i := range slots {
+				slots[i] = withLeadingName(data, repeatNames[i])
+			}
+			checkBatch(append(append([]byte("["), bytes.Join(slots, []byte(","))...), ']'))
 		}
 
 		var r legal.Ruling
@@ -718,6 +737,22 @@ func BenchmarkWireDecodeBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if actions, err = wire.DecodeActions(data, actions); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWireDecodeBatchStdlib is the encoding/json baseline for
+// BenchmarkWireDecodeBatch: json.Unmarshal of the same batch.
+func BenchmarkWireDecodeBatchStdlib(b *testing.B) {
+	data, err := json.Marshal(batchActions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var actions []legal.Action
+		if err := json.Unmarshal(data, &actions); err != nil {
 			b.Fatal(err)
 		}
 	}

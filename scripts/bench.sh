@@ -21,8 +21,9 @@
 # chain verification) and writes to BENCH_ledger.json. The `wire`
 # target runs the zero-alloc wire-codec encode/decode benchmarks next
 # to their encoding/json equivalents, plus the batch-shaped ones (a
-# 256-action batch decode, the same batch with every object's keys in
-# reverse order, and the 20 Table 1 rulings' encode), and writes to
+# 256-action batch decode and its encoding/json baseline, the same
+# batch with every object's keys in reverse order, and the 20 Table 1
+# rulings' encode), and writes to
 # BENCH_wire.json — CI pins the hot-path encodes and the single-action
 # decode to 0 allocs/op and both batch decodes to the fresh slices and
 # sub-objects their actions carry. The `server`
@@ -149,7 +150,7 @@ wire)
 	baseline=
 	echo "== wire-codec benchmarks (count=$count, benchtime=$benchtime)" >&2
 	go test -run '^$' \
-		-bench '^(BenchmarkWireEncode|BenchmarkWireEncodeStdlib|BenchmarkWireEncodeTable1|BenchmarkWireDecode|BenchmarkWireDecodeStdlib|BenchmarkWireDecodeBatch|BenchmarkWireDecodeBatchReordered)$' \
+		-bench '^(BenchmarkWireEncode|BenchmarkWireEncodeStdlib|BenchmarkWireEncodeTable1|BenchmarkWireDecode|BenchmarkWireDecodeStdlib|BenchmarkWireDecodeBatch|BenchmarkWireDecodeBatchStdlib|BenchmarkWireDecodeBatchReordered)$' \
 		-benchmem -benchtime "$benchtime" -count "$count" ./internal/wire |
 		tee -a "$tmp" >&2
 	;;
