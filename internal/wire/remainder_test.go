@@ -80,9 +80,8 @@ var remainderCases = []string{
 }
 
 // decodeBatchBoth decodes batch with DecodeActions and encoding/json
-// and compares them element by element. It returns DecodeActions'
-// result.
-func decodeBatchBoth(t *testing.T, batch []byte) []legal.Action {
+// and compares them element by element.
+func decodeBatchBoth(t *testing.T, batch []byte) {
 	t.Helper()
 	var want []legal.Action
 	if err := json.Unmarshal(batch, &want); err != nil {
@@ -100,7 +99,6 @@ func decodeBatchBoth(t *testing.T, batch []byte) []legal.Action {
 			t.Errorf("element %d:\n got %+v\nwant %+v", i, got[i], want[i])
 		}
 	}
-	return got
 }
 
 // TestRemainderMatchesStdlib checks batches in which objects repeat

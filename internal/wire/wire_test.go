@@ -406,23 +406,7 @@ func decodeCasesBoth(t *testing.T, cases []string) {
 	for _, in := range cases {
 		decodeActionBoth(t, []byte(in))
 	}
-	batch := []byte("[" + strings.Join(cases, ",") + "]")
-	var want []legal.Action
-	if err := json.Unmarshal(batch, &want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := wire.DecodeActions(batch, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d actions, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Errorf("element %d (%s):\n got %+v\nwant %+v", i, cases[i], got[i], want[i])
-		}
-	}
+	decodeBatchBoth(t, []byte("["+strings.Join(cases, ",")+"]"))
 }
 
 // TestKeyMatchingMatchesStdlib checks member-key matching against
