@@ -11,7 +11,7 @@
 //	evaluate -batch actions.json   (or "-batch -" to read stdin)
 //
 // Batch mode reads a JSON array of legal.Action values, evaluates them
-// concurrently through Engine.EvaluateBatch with a ruling cache, and
+// through Engine.EvaluateBatch with a ruling cache, and
 // emits one JSON ruling view per action, in input order. With
 // -engine-stats, the engine's cache and dispatch counters (hits,
 // misses, evictions, rules scanned per walk) are printed to stderr

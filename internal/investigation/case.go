@@ -158,8 +158,8 @@ func (c *Case) Evaluate(a legal.Action) (legal.Ruling, error) {
 	return c.engine.Evaluate(a)
 }
 
-// EvaluateBatch pre-flights many candidate actions concurrently through
-// the case engine — the "which of these collection designs need process"
+// EvaluateBatch pre-flights many candidate actions through the case
+// engine — the "which of these collection designs need process"
 // triage the paper's Section V recommends — without acquiring anything.
 // Rulings are returned in input order.
 func (c *Case) EvaluateBatch(ctx context.Context, actions []legal.Action) ([]legal.Ruling, error) {

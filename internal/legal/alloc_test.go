@@ -7,9 +7,23 @@ package legal_test
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"lawgate/internal/legal"
+	"lawgate/internal/scenario"
+)
+
+// The exact allocation counts of the warm batch paths below. Every
+// batch pays four: three for its key map (directory, table and groups
+// at either size) and one for its evaluation scratch, which escapes
+// through the rules' predicates. The 16-slot EvaluateBatch adds its
+// rulings and errs slices; the 256-slot EvaluateBatchInto, writing
+// into the caller's slices, adds nothing.
+const (
+	warmBatchAllocs   = 6
+	servedBatchAllocs = 4
 )
 
 // warmedEngine returns a cached engine with every given action already
@@ -138,10 +152,10 @@ func TestEvaluateDeltaZeroAlloc(t *testing.T) {
 }
 
 // TestEvaluateBatchWarmAllocs pins the warm batch path: with every
-// action memoized and a single worker (no goroutine spawning), the only
-// allocations EvaluateBatch may make are the result slices and the
-// dedup bookkeeping — the per-action evaluations themselves ride the
-// cache and the per-worker scratch.
+// action memoized, the only allocations EvaluateBatch may make are its
+// two result slices and the per-batch key map and scratch — the
+// per-action evaluations themselves ride the cache.
+// A per-action regression would add ~len(actions) allocations.
 func TestEvaluateBatchWarmAllocs(t *testing.T) {
 	actions := make([]legal.Action, 16)
 	for i := range actions {
@@ -153,7 +167,7 @@ func TestEvaluateBatchWarmAllocs(t *testing.T) {
 			Source: legal.SourceSeizedDevice,
 		}
 	}
-	e := legal.NewEngine(legal.WithRulingCache(len(actions)), legal.WithBatchWorkers(1))
+	e := legal.NewEngine(legal.WithRulingCache(len(actions)))
 	ctx := context.Background()
 	if _, err := e.EvaluateBatch(ctx, actions); err != nil {
 		t.Fatal(err)
@@ -163,12 +177,47 @@ func TestEvaluateBatchWarmAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// rulings + errs + work + the dedup/chain maps and their internals
-	// (these actions share six shapes, so the chain pre-pass also
-	// builds its shape table); the bound is loose on purpose — the
-	// guard is against per-action regressions, which would add
-	// ~len(actions) allocations per extra word.
-	if allocs > 20 {
-		t.Errorf("warm single-worker EvaluateBatch allocs/op = %v, want <= 20", allocs)
+	if allocs != warmBatchAllocs {
+		t.Errorf("warm EvaluateBatch allocs/op = %v, want %d", allocs, warmBatchAllocs)
+	}
+}
+
+// TestEvaluateBatchIntoAllocs pins the served batch shape: a warm
+// cached engine evaluating a 256-slot batch of Table 1 scenes under
+// many case names, with repeats and Encrypted variants, into reused
+// caller-owned slices. It allocates only the per-batch key map and
+// scratch.
+func TestEvaluateBatchIntoAllocs(t *testing.T) {
+	scenes := scenario.Table1()
+	r := rand.New(rand.NewSource(1))
+	var actions []legal.Action
+	for i := 0; i < 192; i++ {
+		a := scenes[r.Intn(len(scenes))].Action
+		a.Name = fmt.Sprintf("case-%06d", r.Intn(200_000))
+		actions = append(actions, a)
+	}
+	for i := 0; i < 32; i++ {
+		actions = append(actions, actions[r.Intn(192)])
+	}
+	for i := 0; i < 32; i++ {
+		a := actions[r.Intn(192)]
+		a.Encrypted = !a.Encrypted
+		actions = append(actions, a)
+	}
+	r.Shuffle(len(actions), func(i, j int) { actions[i], actions[j] = actions[j], actions[i] })
+
+	e := legal.NewEngine(legal.WithRulingCache(0))
+	ctx := context.Background()
+	rulings, errs := make([]legal.Ruling, len(actions)), make([]error, len(actions))
+	if err := e.EvaluateBatchInto(ctx, actions, rulings, errs); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := e.EvaluateBatchInto(ctx, actions, rulings, errs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != servedBatchAllocs {
+		t.Errorf("warm 256-slot EvaluateBatchInto allocs/op = %v, want %d", allocs, servedBatchAllocs)
 	}
 }

@@ -5,10 +5,11 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// TestEvaluateBatchMatchesSequential: the batch API is a parallel
+// TestEvaluateBatchMatchesSequential: the batch API is a keyed
 // refactoring of the sequential loop, so across a broad sweep the rulings
 // must be identical, in input order.
 func TestEvaluateBatchMatchesSequential(t *testing.T) {
@@ -22,45 +23,63 @@ func TestEvaluateBatchMatchesSequential(t *testing.T) {
 		}
 		want[i] = r
 	}
-	for _, workers := range []int{0, 1, 2, 7} {
-		e := NewEngine(WithBatchWorkers(workers))
-		got, err := e.EvaluateBatch(context.Background(), actions)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d rulings, want %d", workers, len(got), len(want))
-		}
-		for i := range want {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Fatalf("workers=%d: ruling %d diverged from sequential:\n got %+v\nwant %+v",
-					workers, i, got[i], want[i])
-			}
+	got, err := NewEngine().EvaluateBatch(context.Background(), actions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d rulings, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("ruling %d diverged from sequential:\n got %+v\nwant %+v", i, got[i], want[i])
 		}
 	}
 }
 
-// TestEvaluateBatchWithCacheMatchesSequential: batch + cache together — a
-// cache-enabled engine under concurrent batch load must still reproduce
-// the sequential rulings (this is also the race-detector workout for the
-// sharded cache).
+// TestEvaluateBatchWithCacheMatchesSequential: batch + cache together —
+// several batches running at once on one cache-enabled engine must each
+// reproduce the sequential rulings (this is also the race-detector
+// workout for the lock-free cache's concurrent readers and writers).
 func TestEvaluateBatchWithCacheMatchesSequential(t *testing.T) {
 	actions := sweepActions()
 	// Duplicate the set so cache hits occur mid-batch.
 	actions = append(actions, actions...)
 	plain := NewEngine()
-	cached := NewEngine(WithRulingCache(0))
-	got, err := cached.EvaluateBatch(context.Background(), actions)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := make([]Ruling, len(actions))
 	for i, a := range actions {
-		want, err := plain.Evaluate(a)
+		r, err := plain.Evaluate(a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got[i], want) {
-			t.Fatalf("cached batch ruling %d diverged:\n got %+v\nwant %+v", i, got[i], want)
+		want[i] = r
+	}
+	cached := NewEngine(WithRulingCache(0))
+	const batches = 4
+	got := make([][]Ruling, batches)
+	errs := make([]error, batches)
+	var wg sync.WaitGroup
+	for b := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Each batch starts at another offset, so the batches
+			// insert and probe the same keys in different orders.
+			rotated := append(append([]Action(nil), actions[b*len(actions)/batches:]...),
+				actions[:b*len(actions)/batches]...)
+			got[b], errs[b] = cached.EvaluateBatch(context.Background(), rotated)
+		}()
+	}
+	wg.Wait()
+	for b := range got {
+		if errs[b] != nil {
+			t.Fatalf("batch %d: %v", b, errs[b])
+		}
+		off := b * len(actions) / batches
+		for i := range got[b] {
+			if w := want[(i+off)%len(actions)]; !reflect.DeepEqual(got[b][i], w) {
+				t.Fatalf("batch %d: cached ruling %d diverged:\n got %+v\nwant %+v", b, i, got[b][i], w)
+			}
 		}
 	}
 	if n := cached.CacheSize(); n == 0 || n > len(actions)/2 {
@@ -102,11 +121,39 @@ func TestEvaluateBatchCanceled(t *testing.T) {
 			Data: DataDeviceContents, Source: SourceTargetDevice,
 		}
 	}
-	for _, workers := range []int{1, 4} {
-		e := NewEngine(WithBatchWorkers(workers))
-		if _, err := e.EvaluateBatch(ctx, actions); !errors.Is(err, context.Canceled) {
-			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
+	if _, err := NewEngine().EvaluateBatch(ctx, actions); !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+	rulings, errs := make([]Ruling, len(actions)), make([]error, len(actions))
+	if err := NewEngine().EvaluateBatchInto(ctx, actions, rulings, errs); !errors.Is(err, context.Canceled) {
+		t.Errorf("EvaluateBatchInto err = %v, want context.Canceled", err)
+	}
+}
+
+// TestEvaluateBatchPanicReachesCaller: a rule that panics mid-batch
+// panics on the caller's goroutine, where the caller's recover sees it
+// (a panic on any other goroutine would kill the process instead).
+func TestEvaluateBatchPanicReachesCaller(t *testing.T) {
+	rules := []Rule{{
+		Name:     "panics",
+		Apply:    func(*RuleContext) { panic("rule panicked") },
+		Terminal: true,
+	}}
+	e := NewEngine(WithRules(rules))
+	actions := make([]Action, 2*batchCheck)
+	for i := range actions {
+		actions[i] = Action{
+			Name: "panic", Actor: ActorGovernment, Timing: TimingStored,
+			Data: DataClass(i%6 + 1), Source: SourceTargetDevice, Encrypted: i%2 == 0,
 		}
+	}
+	recovered := func() (r any) {
+		defer func() { r = recover() }()
+		e.EvaluateBatch(context.Background(), actions)
+		return nil
+	}()
+	if recovered != "rule panicked" {
+		t.Fatalf("recover() = %v, want the rule's panic", recovered)
 	}
 }
 

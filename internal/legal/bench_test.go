@@ -118,30 +118,27 @@ func BenchmarkRulingsPerSec(b *testing.B) {
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "rulings/s")
 	})
 
-	// batch: 4096 distinct actions per op through the concurrent batch
-	// API, at fixed worker counts so numbers compare across machines.
+	// batch: 4096 distinct actions per op through the batch API.
 	const batchSize = 4096
 	distinct := distinctActions(batchSize)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("batch/workers=%d", workers), func(b *testing.B) {
-			engine := legal.NewEngine(legal.WithBatchWorkers(workers))
-			ctx := context.Background()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := engine.EvaluateBatch(ctx, distinct); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("batch", func(b *testing.B) {
+		engine := legal.NewEngine()
+		ctx := context.Background()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := engine.EvaluateBatch(ctx, distinct); err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(b.N*batchSize)/b.Elapsed().Seconds(), "rulings/s")
-		})
-	}
+		}
+		b.ReportMetric(float64(b.N*batchSize)/b.Elapsed().Seconds(), "rulings/s")
+	})
 
 	// batch-dup: the same batch size but only 64 distinct actions —
 	// the within-batch deduplication workload.
 	dup := duplicatedActions(batchSize, 64)
 	b.Run("batch-dup", func(b *testing.B) {
-		engine := legal.NewEngine(legal.WithBatchWorkers(4))
+		engine := legal.NewEngine()
 		ctx := context.Background()
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -244,18 +241,14 @@ func chainActions(n, shapes int) []legal.Action {
 func BenchmarkBatchDeltaChain(b *testing.B) {
 	const batchSize = 4096
 	actions := chainActions(batchSize, 64)
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			engine := legal.NewEngine(legal.WithBatchWorkers(workers))
-			ctx := context.Background()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := engine.EvaluateBatch(ctx, actions); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.N*batchSize)/b.Elapsed().Seconds(), "rulings/s")
-		})
+	engine := legal.NewEngine()
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := engine.EvaluateBatch(ctx, actions); err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.ReportMetric(float64(b.N*batchSize)/b.Elapsed().Seconds(), "rulings/s")
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -170,8 +169,8 @@ func TestDeltaRoundTrip(t *testing.T) {
 
 // TestBatchDeltaChainWorkersIdentity is the byte-identity test for the
 // batch's keyed pass: rulings and the joined error text must equal
-// per-action evaluation on a reference engine, at one, four, and NumCPU
-// workers, cached and not, and the counters must account for every
+// per-action evaluation on a reference engine, cached and not, and the
+// counters must account for every
 // slot once — an evaluation, a same-name repeat (BatchDeduped), or a
 // slot answered under another name (BatchDeltaChained). The batch holds
 // name-only variants of 16 shapes, exact repeats of bases and of
@@ -258,32 +257,30 @@ func checkBatchIdentity(t *testing.T, label string, rules []Rule, actions []Acti
 
 	ctx := context.Background()
 	for _, cached := range []bool{false, true} {
-		for _, workers := range []int{1, 4, runtime.NumCPU()} {
-			opts := []EngineOption{WithRules(rules), WithBatchWorkers(workers), WithEngineStats()}
-			if cached {
-				opts = append(opts, WithRulingCache(0))
+		opts := []EngineOption{WithRules(rules), WithEngineStats()}
+		if cached {
+			opts = append(opts, WithRulingCache(0))
+		}
+		e := NewEngine(opts...)
+		got, err := e.EvaluateBatch(ctx, actions)
+		run := fmt.Sprintf("%s cached=%v", label, cached)
+		for i := range got {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("%s: slot %d diverged from per-action evaluation:\n got %+v\nwant %+v",
+					run, i, got[i], want[i])
 			}
-			e := NewEngine(opts...)
-			got, err := e.EvaluateBatch(ctx, actions)
-			run := fmt.Sprintf("%s cached=%v workers=%d", label, cached, workers)
-			for i := range got {
-				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Fatalf("%s: slot %d diverged from per-action evaluation:\n got %+v\nwant %+v",
-						run, i, got[i], want[i])
-				}
-			}
-			gotErr := ""
-			if err != nil {
-				gotErr = err.Error()
-			}
-			if w := strings.Join(wantErr, "\n"); gotErr != w {
-				t.Fatalf("%s: joined errors\n got %q\nwant %q", run, gotErr, w)
-			}
-			s := e.Stats()
-			if s.Evaluations != wantEvals || s.BatchDeduped != wantDeduped || s.BatchDeltaChained != wantChained {
-				t.Fatalf("%s: evaluations/deduped/chained = %d/%d/%d, want %d/%d/%d", run,
-					s.Evaluations, s.BatchDeduped, s.BatchDeltaChained, wantEvals, wantDeduped, wantChained)
-			}
+		}
+		gotErr := ""
+		if err != nil {
+			gotErr = err.Error()
+		}
+		if w := strings.Join(wantErr, "\n"); gotErr != w {
+			t.Fatalf("%s: joined errors\n got %q\nwant %q", run, gotErr, w)
+		}
+		s := e.Stats()
+		if s.Evaluations != wantEvals || s.BatchDeduped != wantDeduped || s.BatchDeltaChained != wantChained {
+			t.Fatalf("%s: evaluations/deduped/chained = %d/%d/%d, want %d/%d/%d", run,
+				s.Evaluations, s.BatchDeduped, s.BatchDeltaChained, wantEvals, wantDeduped, wantChained)
 		}
 	}
 }

@@ -227,12 +227,12 @@ func forEachCombo(f func(Actor, Timing, DataClass, Source)) {
 	}
 }
 
-// evalScratch is per-worker reusable evaluation state: the RuleContext
-// and a scratch Ruling whose slice capacity survives across
-// evaluations, so batch workers stop paying append-growth allocations
-// on every action. Evaluation results are copied out of the scratch
-// (compactRuling) before being returned or cached, so the reuse is
-// invisible to callers.
+// evalScratch is reusable evaluation state: the RuleContext and a
+// scratch Ruling whose slice capacity survives across evaluations, so
+// a batch stops paying append-growth allocations on every action.
+// Evaluation results are copied out of the scratch (compactRuling)
+// before being returned or cached, so the reuse is invisible to
+// callers.
 type evalScratch struct {
 	rc RuleContext
 	r  Ruling
@@ -303,7 +303,7 @@ func (e *Engine) walkRules(rc *RuleContext, r *Ruling, idx []uint16) int {
 }
 
 // evaluateDispatch walks only the compiled candidate bucket for the
-// action. With a scratch it reuses the worker's RuleContext and ruling
+// action. With a scratch it reuses the batch's RuleContext and ruling
 // slice capacity and copies the result out; without one it builds the
 // ruling directly.
 func (e *Engine) evaluateDispatch(a Action, sc *evalScratch) Ruling {

@@ -248,7 +248,7 @@ func TestPackActionExactness(t *testing.T) {
 // ruling at their original indices, errors included, and the dedup
 // counter must account for every coalesced slot.
 func TestBatchDedupOrder(t *testing.T) {
-	e := NewEngine(WithBatchWorkers(3), WithEngineStats())
+	e := NewEngine(WithEngineStats())
 	mk := func(name string, d DataClass) Action {
 		return Action{Name: name, Actor: ActorGovernment, Timing: TimingStored, Data: d, Source: SourceSeizedDevice}
 	}

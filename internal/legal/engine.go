@@ -171,7 +171,6 @@ type Engine struct {
 	dispatch  *dispatchIndex
 	cache     *rulingCache
 	seed      uint64
-	workers   int
 	statsOn   bool
 
 	cacheWanted   bool
@@ -323,12 +322,6 @@ func WithEngineStats() EngineOption {
 	return func(e *Engine) { e.statsOn = true }
 }
 
-// WithBatchWorkers bounds the EvaluateBatch worker pool; n <= 0 selects
-// one worker per available CPU.
-func WithBatchWorkers(n int) EngineOption {
-	return func(e *Engine) { e.workers = n }
-}
-
 // NewEngine returns a ready-to-use compliance engine, with the rule
 // table compiled into its dispatch index.
 func NewEngine(opts ...EngineOption) *Engine {
@@ -387,37 +380,48 @@ func (e *Engine) EvaluateDelta(prev *Ruling, d ActionDelta) (Ruling, error) {
 	return e.evaluate(&a, nil)
 }
 
-// evaluate is Evaluate with an optional per-worker scratch (batch
-// workers pass one; see dispatch.go). It looks the action up before
-// validating: only validated actions are ever cached, and a hash hit is
-// verified against the cached (validated) key, so a hit implies
-// validity. The hit path — pack, key hash, lock-free probe, verify,
-// re-label with the caller's name — allocates nothing and writes
-// nothing.
-func (e *Engine) evaluate(a *Action, sc *evalScratch) (r Ruling, err error) {
-	c := e.cache
-	if c == nil {
-		return e.evaluateUncached(*a, sc)
+// evaluate is Evaluate with an optional scratch (the batch loop passes
+// one; see dispatch.go). An uncached engine goes straight to the miss
+// path; a cached one keys the action and looks it up.
+func (e *Engine) evaluate(a *Action, sc *evalScratch) (Ruling, error) {
+	if e.cache == nil {
+		return e.evaluateMiss(a, 0, 0, "", sc)
 	}
 	w, exact := packAction(a)
 	h, name := e.cacheKey(a, w, exact)
-	if en := c.probe(h, w, exact, name, a); en != nil {
-		if e.statsOn {
-			e.counters.evaluations.Add(1)
-		}
-		r = en.ruling
-		r.Action.Name = a.Name
-		return r, nil
-	}
-	return e.evaluateMiss(*a, h, w, name, sc)
+	return e.evaluateKeyed(a, h, w, exact, name, sc)
 }
 
-// evaluateMiss is the cache-miss slow path: validate, walk the
-// dispatch bucket, memoize under the key (h, name) with packed word w.
-func (e *Engine) evaluateMiss(a Action, h, w uint64, name string, sc *evalScratch) (Ruling, error) {
+// evaluateKeyed evaluates a, already keyed as (h, name) with packed
+// word w (see Engine.cacheKey), so a caller that has the key does not
+// compute it twice. It looks the action up before validating: only
+// validated actions are ever cached, and a hash hit is verified
+// against the cached (validated) key, so a hit implies validity. The
+// hit path — lock-free probe, verify, re-label with the caller's name
+// — allocates nothing and writes nothing.
+func (e *Engine) evaluateKeyed(a *Action, h, w uint64, exact bool, name string, sc *evalScratch) (Ruling, error) {
+	if e.cache != nil {
+		if en := e.cache.probe(h, w, exact, name, a); en != nil {
+			if e.statsOn {
+				e.counters.evaluations.Add(1)
+			}
+			r := en.ruling
+			r.Action.Name = a.Name
+			return r, nil
+		}
+	}
+	return e.evaluateMiss(a, h, w, name, sc)
+}
+
+// evaluateMiss is the slow path of every evaluation: validate, walk the
+// dispatch bucket, and, when a cache exists, memoize under the key
+// (h, name) with packed word w.
+func (e *Engine) evaluateMiss(a *Action, h, w uint64, name string, sc *evalScratch) (Ruling, error) {
 	if e.statsOn {
 		e.counters.evaluations.Add(1)
-		e.counters.cacheMisses.Add(1)
+		if e.cache != nil {
+			e.counters.cacheMisses.Add(1)
+		}
 	}
 	if err := a.Validate(); err != nil {
 		if e.statsOn {
@@ -425,23 +429,11 @@ func (e *Engine) evaluateMiss(a Action, h, w uint64, name string, sc *evalScratc
 		}
 		return Ruling{}, err
 	}
-	r := e.evaluateDispatch(a, sc)
-	key := r
-	key.Action.Name = name
-	e.cache.put(h, w, &key)
+	r := e.evaluateDispatch(*a, sc)
+	if e.cache != nil {
+		key := r
+		key.Action.Name = name
+		e.cache.put(h, w, &key)
+	}
 	return r, nil
-}
-
-// evaluateUncached evaluates without cache involvement.
-func (e *Engine) evaluateUncached(a Action, sc *evalScratch) (Ruling, error) {
-	if e.statsOn {
-		e.counters.evaluations.Add(1)
-	}
-	if err := a.Validate(); err != nil {
-		if e.statsOn {
-			e.counters.invalid.Add(1)
-		}
-		return Ruling{}, err
-	}
-	return e.evaluateDispatch(a, sc), nil
 }

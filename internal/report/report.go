@@ -56,8 +56,8 @@ type SceneView struct {
 	Match       bool   `json:"match"`
 }
 
-// Table1Report evaluates every scene through the engine's concurrent
-// batch API and pairs each with the paper's answer.
+// Table1Report evaluates every scene through the engine's batch API and
+// pairs each with the paper's answer.
 func Table1Report(engine *legal.Engine) ([]SceneView, error) {
 	rulings, err := scenario.EvaluateTable1(context.Background(), engine)
 	if err != nil {
@@ -88,7 +88,7 @@ type CaseStudyView struct {
 }
 
 // CaseStudiesReport evaluates the Section IV situations through the
-// engine's concurrent batch API.
+// engine's batch API.
 func CaseStudiesReport(engine *legal.Engine) ([]CaseStudyView, error) {
 	rulings, err := scenario.EvaluateCaseStudies(context.Background(), engine)
 	if err != nil {

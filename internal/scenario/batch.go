@@ -30,7 +30,7 @@ func (cr CaseStudyRuling) Matches() bool {
 }
 
 // EvaluateTable1 evaluates all twenty Table 1 scenes through the engine's
-// concurrent batch API and returns the rulings in table order.
+// batch API and returns the rulings in table order.
 func EvaluateTable1(ctx context.Context, engine *legal.Engine) ([]SceneRuling, error) {
 	scenes := Table1()
 	actions := make([]legal.Action, len(scenes))
@@ -49,7 +49,7 @@ func EvaluateTable1(ctx context.Context, engine *legal.Engine) ([]SceneRuling, e
 }
 
 // EvaluateCaseStudies evaluates the Section IV situations through the
-// engine's concurrent batch API, in catalog order.
+// engine's batch API, in catalog order.
 func EvaluateCaseStudies(ctx context.Context, engine *legal.Engine) ([]CaseStudyRuling, error) {
 	studies := CaseStudies()
 	actions := make([]legal.Action, len(studies))

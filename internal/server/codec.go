@@ -165,26 +165,22 @@ func appendEvaluateResponse(dst []byte, tenant string, revision uint64, r *legal
 // from the engine's rulings: one slot per input action, null for
 // failed slots, errors listed when present — byte-identical to
 // json.Marshal(BatchResponse{...}) without materializing the
-// []*report.RulingView. errs is in slot order, as collectBatchErrors
-// lists it; a slot is failed when an error carries its index. Each
-// distinct ruling tail is rendered once and copied for every later
-// slot that shares it (see tailTable).
-func appendBatchResponse(dst []byte, tenant string, revision uint64, slots int, rulings []legal.Ruling, errs []BatchError) []byte {
+// []*report.RulingView. errs holds each slot's error, as
+// Engine.EvaluateBatchInto fills it: slot i failed exactly when
+// errs[i] != nil. Each distinct ruling tail is rendered once and
+// copied for every later slot that shares it (see tailTable).
+func appendBatchResponse(dst []byte, tenant string, revision uint64, rulings []legal.Ruling, errs []error) []byte {
 	var tails tailTable
 	dst = append(dst, `{"tenant":`...)
 	dst = wire.AppendString(dst, tenant)
 	dst = append(dst, `,"revision":`...)
 	dst = wire.AppendUint(dst, revision)
 	dst = append(dst, `,"rulings":[`...)
-	next := 0 // errs cursor: the first error not indexed below slot i
-	for i := 0; i < slots; i++ {
+	for i := range rulings {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		for next < len(errs) && errs[next].Index < i {
-			next++
-		}
-		if i >= len(rulings) || next < len(errs) && errs[next].Index == i {
+		if errs[i] != nil {
 			dst = append(dst, "null"...)
 			continue
 		}
@@ -193,21 +189,39 @@ func appendBatchResponse(dst []byte, tenant string, revision uint64, slots int, 
 		dst = tails.append(dst, &rulings[i])
 	}
 	dst = append(dst, ']')
-	if len(errs) > 0 {
-		dst = append(dst, `,"errors":[`...)
-		for i := range errs {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = append(dst, `{"index":`...)
-			dst = wire.AppendInt(dst, int64(errs[i].Index))
-			dst = append(dst, `,"error":`...)
-			dst = wire.AppendString(dst, errs[i].Error)
-			dst = append(dst, '}')
+	listed := len(dst) // the errors list is open once dst has grown
+	for i, err := range errs[:len(rulings)] {
+		if err == nil {
+			continue
 		}
+		if len(dst) == listed {
+			dst = append(dst, `,"errors":[`...)
+		} else {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"index":`...)
+		dst = wire.AppendInt(dst, int64(i))
+		dst = append(dst, `,"error":`...)
+		dst = appendSlotError(dst, i, err)
+		dst = append(dst, '}')
+	}
+	if len(dst) > listed {
 		dst = append(dst, ']')
 	}
 	return append(dst, '}')
+}
+
+// appendSlotError appends (&legal.SlotError{Index: i, Err: err}).Error()
+// as a JSON string without building it: the "action i: " prefix needs
+// no escaping, so it goes in ahead of the escaped message, whose
+// opening quote is then dropped.
+func appendSlotError(dst []byte, i int, err error) []byte {
+	dst = append(dst, `"action `...)
+	dst = wire.AppendInt(dst, int64(i))
+	dst = append(dst, ": "...)
+	start := len(dst)
+	dst = wire.AppendString(dst, err.Error())
+	return append(dst[:start], dst[start+1:]...)
 }
 
 // tailSlots sizes a batch response's tail table, about twice the

@@ -138,51 +138,35 @@ func TestAppendBatchResponseMatchesStdlib(t *testing.T) {
 	many := manyTails(3 * tailSlots)
 	cases := []struct {
 		name   string
-		slots  int
 		ruls   []legal.Ruling
-		failed map[int]bool // the slots the stdlib reply nulls
-		errs   []BatchError
+		failed map[int]string // the failed slots and their error text
 	}{
-		{name: "empty", slots: 0, ruls: nil},
-		{name: "all ok", slots: 3, ruls: rulings},
+		{name: "empty", ruls: nil},
+		{name: "all ok", ruls: rulings},
+		{name: "one failed", ruls: rulings, failed: map[int]string{1: "invalid <action>"}},
+		{name: "shared slices under other names", ruls: interleaved},
+		{name: "rationale sharing a pointer at a shorter length", ruls: shorter},
+		{name: "same slices under another required", ruls: otherRequired},
+		{name: "same slices under another regime", ruls: otherRegime},
+		{name: "equal lengths, other slices", ruls: otherSlices},
 		{
-			name: "one failed", slots: 3, ruls: rulings,
-			failed: map[int]bool{1: true},
-			errs:   []BatchError{{Index: 1, Error: "action 1: invalid <action>"}},
+			name: "failed slots between shared ones", ruls: interleaved,
+			failed: map[int]string{1: "bad", 2: "bad", 5: "bad"},
 		},
-		{
-			name: "unindexed error", slots: 2, ruls: rulings[:2],
-			failed: map[int]bool{0: true, 1: true},
-			errs: []BatchError{
-				{Index: 0, Error: "action 0: bad"},
-				{Index: 1, Error: "action 1: bad"},
-				{Index: -1, Error: "context canceled"},
-			},
-		},
-		{name: "shared slices under other names", slots: len(interleaved), ruls: interleaved},
-		{name: "rationale sharing a pointer at a shorter length", slots: len(shorter), ruls: shorter},
-		{name: "same slices under another required", slots: len(otherRequired), ruls: otherRequired},
-		{name: "same slices under another regime", slots: len(otherRegime), ruls: otherRegime},
-		{name: "equal lengths, other slices", slots: len(otherSlices), ruls: otherSlices},
-		{
-			name: "failed slots between shared ones", slots: len(interleaved), ruls: interleaved,
-			failed: map[int]bool{1: true, 2: true, 5: true},
-			errs: []BatchError{
-				{Index: 1, Error: "action 1: bad"},
-				{Index: 2, Error: "action 2: bad"},
-				{Index: 5, Error: "action 5: bad"},
-			},
-		},
-		{name: "more distinct rulings than the table holds", slots: len(many), ruls: many},
+		{name: "more distinct rulings than the table holds", ruls: many},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			// Build the reply the pre-codec handler built, then require
 			// the direct encoder to reproduce its exact bytes.
 			resp := BatchResponse{Tenant: "t", Revision: 3,
-				Rulings: make([]*report.RulingView, tc.slots), Errors: tc.errs}
-			for i := 0; i < tc.slots && i < len(tc.ruls); i++ {
-				if tc.failed[i] {
+				Rulings: make([]*report.RulingView, len(tc.ruls))}
+			errs := make([]error, len(tc.ruls))
+			for i := range tc.ruls {
+				if msg, ok := tc.failed[i]; ok {
+					errs[i] = errors.New(msg)
+					resp.Errors = append(resp.Errors, BatchError{Index: i,
+						Error: (&legal.SlotError{Index: i, Err: errs[i]}).Error()})
 					continue
 				}
 				v := report.FromRuling(tc.ruls[i])
@@ -192,7 +176,7 @@ func TestAppendBatchResponseMatchesStdlib(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := appendBatchResponse(nil, "t", 3, tc.slots, tc.ruls, tc.errs)
+			got := appendBatchResponse(nil, "t", 3, tc.ruls, errs)
 			if !bytes.Equal(got, want) {
 				t.Errorf("\n got %s\nwant %s", got, want)
 			}
@@ -201,14 +185,16 @@ func TestAppendBatchResponseMatchesStdlib(t *testing.T) {
 }
 
 // TestAppendBatchResponseAllocsZero pins the batch envelope, tail
-// table included, to no allocation into a warmed buffer.
+// table and error text included, to no allocation into a warmed
+// buffer.
 func TestAppendBatchResponseAllocsZero(t *testing.T) {
 	rulings := codecRulings()
 	ruls := []legal.Ruling{rulings[1], relabel(rulings[1], "b"), rulings[2], {}, relabel(rulings[2], "e")}
-	errs := []BatchError{{Index: 3, Error: "action 3: bad"}}
-	buf := appendBatchResponse(nil, "t", 3, len(ruls), ruls, errs)
+	errs := make([]error, len(ruls))
+	errs[3] = errors.New("bad")
+	buf := appendBatchResponse(nil, "t", 3, ruls, errs)
 	if n := testing.AllocsPerRun(200, func() {
-		buf = appendBatchResponse(buf[:0], "t", 3, len(ruls), ruls, errs)
+		buf = appendBatchResponse(buf[:0], "t", 3, ruls, errs)
 	}); n != 0 {
 		t.Errorf("appendBatchResponse allocs/op = %v, want 0", n)
 	}

@@ -224,48 +224,31 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) *apiError {
 	}
 	ev := t.Engine()
 	rulings, slotErrs := sc.batchSlots(len(actions))
-	err := ev.Engine.EvaluateBatchInto(ctx, actions, rulings, slotErrs)
-	if err != nil && (errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)) {
+	if err := ev.Engine.EvaluateBatchInto(ctx, actions, rulings, slotErrs); err != nil {
 		return deadlineErr("batch evaluation")
 	}
-	batchErrs := collectBatchErrors(err)
-	s.stats.rulings.Add(uint64(len(rulings) - len(batchErrs)))
+	failed := 0
+	for _, err := range slotErrs {
+		if err != nil {
+			failed++
+		}
+	}
+	s.stats.rulings.Add(uint64(len(rulings) - failed))
 	t.audit(ledger.Draft{
 		At:      s.now().UnixNano(),
 		Kind:    ledger.KindService,
 		Code:    ServiceRulingServed,
 		Actor:   "lawgated",
 		Subject: t.ID,
-		Note:    fmt.Sprintf("batch: %d actions, %d invalid", len(actions), len(batchErrs)),
+		Note:    fmt.Sprintf("batch: %d actions, %d invalid", len(actions), failed),
 	})
 	// Encode straight from the engine's rulings: the response never
 	// materializes a []*report.RulingView.
 	buf := wire.GetBuffer()
-	buf.B = appendBatchResponse(buf.B[:0], t.ID, ev.Revision, len(actions), rulings, batchErrs)
+	buf.B = appendBatchResponse(buf.B[:0], t.ID, ev.Revision, rulings, slotErrs)
 	writeRaw(w, http.StatusOK, buf.B)
 	wire.PutBuffer(buf)
 	return nil
-}
-
-// collectBatchErrors lists EvaluateBatch's joined errors in order, each
-// under the index of the slot it failed (-1 for an error that names no
-// slot).
-func collectBatchErrors(err error) []BatchError {
-	if err == nil {
-		return nil
-	}
-	list := []error{err}
-	if u, ok := err.(interface{ Unwrap() []error }); ok {
-		list = u.Unwrap()
-	}
-	errs := make([]BatchError, len(list))
-	for i, e := range list {
-		errs[i] = BatchError{Index: -1, Error: e.Error()}
-		if se, ok := e.(*legal.SlotError); ok {
-			errs[i].Index = se.Index
-		}
-	}
-	return errs
 }
 
 func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) *apiError {

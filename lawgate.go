@@ -24,10 +24,10 @@
 //
 // For corpus-scale work the engine compiles its rule table into a
 // dispatch index (evaluation consults only the candidate rules for an
-// action's enum coordinates), offers EvaluateBatch, a bounded worker
-// pool that evaluates a slice of Actions concurrently and returns
-// rulings in input order with within-batch deduplication, and
-// WithRulingCache, a lock-free hash-keyed memoization cache whose hit
+// action's enum coordinates), offers EvaluateBatch, which evaluates a
+// slice of Actions in one pass on the caller's goroutine and answers
+// repeats and name-only variants from the earlier slot with the same
+// cache key, and WithRulingCache, a lock-free hash-keyed memoization cache whose hit
 // path allocates nothing. Rulings are immutable, so cached results are
 // shared, not copied. WithEngineStats adds cache/dispatch counters
 // (EngineStats) for observability.
@@ -91,7 +91,7 @@ type (
 	// RuleContext is the evaluation state a Rule predicates on and
 	// mutates.
 	RuleContext = legal.RuleContext
-	// EngineOption configures NewEngine (rule table, cache, workers).
+	// EngineOption configures NewEngine (rule table, cache, stats).
 	EngineOption = legal.EngineOption
 	// EngineStats is a snapshot of the engine's evaluation counters.
 	EngineStats = legal.EngineStats
@@ -146,9 +146,6 @@ func WithRulingCacheCapacity(maxEntries int) EngineOption {
 // WithEngineStats enables the engine's evaluation counters; read them
 // with Engine.Stats.
 func WithEngineStats() EngineOption { return legal.WithEngineStats() }
-
-// WithBatchWorkers bounds EvaluateBatch's worker pool.
-func WithBatchWorkers(n int) EngineOption { return legal.WithBatchWorkers(n) }
 
 // Advice is one advisor suggestion for lowering an action's process
 // requirement — the paper's recommendation to researchers operationalized.

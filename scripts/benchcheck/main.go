@@ -128,7 +128,7 @@ func (s *namedValues) String() string {
 
 func (s *namedValues) Set(v string) error {
 	// Cut at the last '=': sub-benchmark names carry their own, as in
-	// BenchmarkBatchDeltaChain/workers=1=369.
+	// BenchmarkSweepRunner/p2p-probes/workers=1=47548.
 	i := strings.LastIndexByte(v, '=')
 	if i <= 0 {
 		return fmt.Errorf("want NAME=%s, got %q", s.valueLabel, v)

@@ -31,7 +31,7 @@
 # cell is rewritten in place through an allocation-free layer); the
 # legal bench smoke pins the warm ruling-cache hit, with and without
 # fresh case names, the same way, holds the uncached near-duplicate
-# batch (BenchmarkBatchDeltaChain/workers=1) to 306 allocs/op, and the
+# batch (BenchmarkBatchDeltaChain) to 301 allocs/op, and the
 # committed BENCH_legal.json must show that hit at least 2x faster than
 # its pre-dispatch baseline. The delta pipeline reruns its
 # EvaluateDelta-equals-Evaluate sweep and the batch's keyed-pass
@@ -230,11 +230,11 @@ scripts/bench.sh -short -o "$tmpdir/bench_legal.json" legal
 # case names the cache never stored (the name-blind key re-labels the
 # memoized ruling). An uncached engine must still answer a batch's
 # name-only variants from one evaluation per shape: evaluating every
-# slot of BenchmarkBatchDeltaChain costs ~20.8k allocs/op, not 306.
+# slot of BenchmarkBatchDeltaChain costs ~20.8k allocs/op, not 301.
 go run ./scripts/benchcheck \
 	-max-allocs 'BenchmarkRulingsPerSec/warm=0' \
 	-max-allocs 'BenchmarkRulingsPerSec/warm-names=0' \
-	-max-allocs 'BenchmarkBatchDeltaChain/workers=1=306' \
+	-max-allocs 'BenchmarkBatchDeltaChain=301' \
 	"$tmpdir/bench_legal.json"
 # The smoke proves the tooling; only the alloc budget is asserted on
 # it. The 1000 ns budget is enforced below on the committed
