@@ -16,15 +16,22 @@ import (
 )
 
 // The exact allocation counts of the warm batch paths below. Every
-// batch pays four: three for its key map (directory, table and groups
-// at either size) and one for its evaluation scratch, which escapes
-// through the rules' predicates. The 16-slot EvaluateBatch adds its
-// rulings and errs slices; the 256-slot EvaluateBatchInto, writing
-// into the caller's slices, adds nothing.
+// batch pays three for its key map (directory, table and groups at
+// either size). The 16-slot EvaluateBatch adds its rulings and errs
+// slices; the 256-slot EvaluateBatchInto, writing into the caller's
+// slices, adds nothing.
 const (
-	warmBatchAllocs   = 6
-	servedBatchAllocs = 4
+	warmBatchAllocs   = 5
+	servedBatchAllocs = 3
 )
+
+// coldTable1Allocs is the exact allocation count of one uncached
+// Evaluate of each of the twenty Table 1 scenes: one exact-size copy
+// per non-empty ruling slice, plus what the privacy analysis (the REP
+// finding and its growing reason and citation slices) allocates in the
+// three scenes that reach it. BenchmarkRulingsPerSec/cold
+// reports it per evaluation, rounded down: 4.
+const coldTable1Allocs = 82
 
 // warmedEngine returns a cached engine with every given action already
 // memoized.
@@ -151,10 +158,53 @@ func TestEvaluateDeltaZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestEvaluateColdAllocs pins the miss path: an uncached engine walks
+// each action's bucket on a pooled scratch and allocates only the
+// ruling it returns. A ruling without a REP finding costs exactly one
+// allocation per non-empty slice.
+func TestEvaluateColdAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector; AllocsPerRun is meaningless here")
+	}
+	e := legal.NewEngine()
+	actions := table1Actions()
+	for _, a := range actions {
+		r, err := e.Evaluate(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Privacy != nil {
+			continue
+		}
+		want := 0
+		for _, n := range []int{len(r.Exceptions), len(r.Rationale), len(r.Citations), len(r.Applied)} {
+			if n > 0 {
+				want++
+			}
+		}
+		if got := testing.AllocsPerRun(100, func() {
+			if _, err := e.Evaluate(a); err != nil {
+				t.Fatal(err)
+			}
+		}); got != float64(want) {
+			t.Errorf("cold Evaluate(%s) allocs/op = %v, want %d", a.Name, got, want)
+		}
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		for _, a := range actions {
+			if _, err := e.Evaluate(a); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); got != coldTable1Allocs {
+		t.Errorf("cold Table 1 Evaluate allocs/op = %v, want %d", got, coldTable1Allocs)
+	}
+}
+
 // TestEvaluateBatchWarmAllocs pins the warm batch path: with every
 // action memoized, the only allocations EvaluateBatch may make are its
-// two result slices and the per-batch key map and scratch — the
-// per-action evaluations themselves ride the cache.
+// two result slices and the per-batch key map — the per-action
+// evaluations themselves ride the cache.
 // A per-action regression would add ~len(actions) allocations.
 func TestEvaluateBatchWarmAllocs(t *testing.T) {
 	actions := make([]legal.Action, 16)
@@ -185,8 +235,7 @@ func TestEvaluateBatchWarmAllocs(t *testing.T) {
 // TestEvaluateBatchIntoAllocs pins the served batch shape: a warm
 // cached engine evaluating a 256-slot batch of Table 1 scenes under
 // many case names, with repeats and Encrypted variants, into reused
-// caller-owned slices. It allocates only the per-batch key map and
-// scratch.
+// caller-owned slices. It allocates only the per-batch key map.
 func TestEvaluateBatchIntoAllocs(t *testing.T) {
 	scenes := scenario.Table1()
 	r := rand.New(rand.NewSource(1))

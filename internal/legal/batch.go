@@ -33,8 +33,7 @@ func (e *SlotError) Unwrap() error { return e.Err }
 // dispatch bucket reads it, so an answered slot is either an exact
 // repeat, which receives the earlier ruling (sharing its slices —
 // rulings are immutable), or a name-only variant, which receives the
-// earlier ruling re-labeled with its own name. The whole batch reuses
-// one evaluation scratch.
+// earlier ruling re-labeled with its own name.
 //
 // Invalid actions do not abort the batch: their ruling slot is left zero
 // and the returned error joins one *SlotError per failed index, in
@@ -70,7 +69,6 @@ func (e *Engine) EvaluateBatch(ctx context.Context, actions []Action) ([]Ruling,
 func (e *Engine) EvaluateBatchInto(ctx context.Context, actions []Action, rulings []Ruling, errs []error) error {
 	rulings, errs = rulings[:len(actions)], errs[:len(actions)]
 	var (
-		sc               evalScratch
 		deduped, chained uint64
 		err              error
 	)
@@ -104,7 +102,7 @@ func (e *Engine) EvaluateBatchInto(ctx context.Context, actions []Action, ruling
 				continue
 			}
 		}
-		rulings[i], errs[i] = e.evaluateKeyed(a, h, w, exact, name, &sc)
+		rulings[i], errs[i] = e.evaluateKeyed(a, h, w, exact, name)
 	}
 	if e.statsOn {
 		e.counters.batchDeduped.Add(deduped)

@@ -1,5 +1,7 @@
 package legal
 
+import "sync"
+
 // The compiled dispatch index. NewEngine compiles the declarative rule
 // table into buckets keyed by the four dense enum dimensions of an
 // Action — (Actor, Timing, DataClass, Source) — so Evaluate consults
@@ -229,14 +231,17 @@ func forEachCombo(f func(Actor, Timing, DataClass, Source)) {
 
 // evalScratch is reusable evaluation state: the RuleContext and a
 // scratch Ruling whose slice capacity survives across evaluations, so
-// a batch stops paying append-growth allocations on every action.
-// Evaluation results are copied out of the scratch (compactRuling)
-// before being returned or cached, so the reuse is invisible to
-// callers.
+// a miss stops paying append-growth allocations. Evaluation results
+// are copied out of the scratch (compactRuling) before being returned
+// or cached, so the reuse is invisible to callers.
 type evalScratch struct {
 	rc RuleContext
 	r  Ruling
 }
+
+// scratchPool holds the evaluation scratches of every engine; reset
+// rebinds one to its engine and action.
+var scratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
 
 // reset prepares the scratch for evaluating a, truncating the reusable
 // slices without freeing their backing arrays.
@@ -254,8 +259,7 @@ func (sc *evalScratch) reset(e *Engine, a Action) {
 
 // compactRuling copies the scratch ruling into exact-size slices that
 // the caller owns. Empty slices become nil, matching what the
-// non-scratch walk produces, so scratch and non-scratch evaluations are
-// DeepEqual.
+// reference walk (evaluateLinear) produces, so the two are DeepEqual.
 func compactRuling(src *Ruling) Ruling {
 	out := Ruling{
 		Action:   src.Action,
@@ -303,24 +307,18 @@ func (e *Engine) walkRules(rc *RuleContext, r *Ruling, idx []uint16) int {
 }
 
 // evaluateDispatch walks only the compiled candidate bucket for the
-// action. With a scratch it reuses the batch's RuleContext and ruling
-// slice capacity and copies the result out; without one it builds the
-// ruling directly.
-func (e *Engine) evaluateDispatch(a Action, sc *evalScratch) Ruling {
-	bucket := e.dispatch.bucketFor(&a)
-	if sc == nil {
-		r := Ruling{Action: a}
-		rc := &RuleContext{engine: e, Action: &a, ruling: &r}
-		scanned := e.walkRules(rc, &r, bucket)
-		if e.statsOn {
-			e.counters.rulesScanned.Add(uint64(scanned))
-		}
-		return r
-	}
+// action on a pooled scratch and returns a compacted copy of the
+// ruling it built.
+func (e *Engine) evaluateDispatch(a Action) Ruling {
+	sc := scratchPool.Get().(*evalScratch)
 	sc.reset(e, a)
-	scanned := e.walkRules(&sc.rc, &sc.r, bucket)
+	scanned := e.walkRules(&sc.rc, &sc.r, e.dispatch.bucketFor(&a))
 	if e.statsOn {
 		e.counters.rulesScanned.Add(uint64(scanned))
 	}
-	return compactRuling(&sc.r)
+	r := compactRuling(&sc.r)
+	// The pool keeps capacity, not the client's action or the engine.
+	sc.r.Action, sc.rc = Action{}, RuleContext{}
+	scratchPool.Put(sc)
+	return r
 }

@@ -57,26 +57,20 @@ func variantsOf(base Action) []Action {
 // TestDispatchMatchesLinearExhaustive proves the compiled dispatch walk
 // byte-identical to the naive full-table scan over the exhaustive enum
 // sweep times a spread of flag/sub-struct variants, under both
-// container doctrines, both with and without the reusable evaluation
-// scratch.
+// container doctrines. Consecutive evaluations reuse pooled scratches,
+// so a scratch that leaked state from one action into the next would
+// diverge here.
 func TestDispatchMatchesLinearExhaustive(t *testing.T) {
 	for _, doctrine := range []ContainerDoctrine{ContainerPerFile, ContainerSingle} {
 		e := NewEngine(WithContainerDoctrine(doctrine))
-		var sc evalScratch
 		checked := 0
 		forEachCombo(func(a Actor, tm Timing, d DataClass, s Source) {
 			base := Action{Name: "sweep", Actor: a, Timing: tm, Data: d, Source: s}
 			for _, v := range variantsOf(base) {
 				want := e.evaluateLinear(v)
-				got := e.evaluateDispatch(v, nil)
-				if !reflect.DeepEqual(got, want) {
+				if got := e.evaluateDispatch(v); !reflect.DeepEqual(got, want) {
 					t.Fatalf("doctrine %v: dispatch diverged from linear for %+v:\n got %+v\nwant %+v",
 						doctrine, v, got, want)
-				}
-				gotScratch := e.evaluateDispatch(v, &sc)
-				if !reflect.DeepEqual(gotScratch, want) {
-					t.Fatalf("doctrine %v: scratch dispatch diverged from linear for %+v:\n got %+v\nwant %+v",
-						doctrine, v, gotScratch, want)
 				}
 				checked++
 			}
@@ -100,7 +94,7 @@ func TestDispatchOutOfRangeFallsBackToFullTable(t *testing.T) {
 		if got := e.dispatch.bucketFor(&a); !reflect.DeepEqual(got, e.dispatch.all) {
 			t.Fatalf("out-of-range action %+v did not fall back to the full table", a)
 		}
-		if got, want := e.evaluateDispatch(a, nil), e.evaluateLinear(a); !reflect.DeepEqual(got, want) {
+		if got, want := e.evaluateDispatch(a), e.evaluateLinear(a); !reflect.DeepEqual(got, want) {
 			t.Fatalf("out-of-range dispatch diverged:\n got %+v\nwant %+v", got, want)
 		}
 	}
@@ -135,7 +129,7 @@ func TestDispatchMatchesLinearCustomRules(t *testing.T) {
 	}
 	forEachCombo(func(a Actor, tm Timing, d DataClass, s Source) {
 		v := Action{Name: "custom", Actor: a, Timing: tm, Data: d, Source: s}
-		if got, want := e.evaluateDispatch(v, nil), e.evaluateLinear(v); !reflect.DeepEqual(got, want) {
+		if got, want := e.evaluateDispatch(v), e.evaluateLinear(v); !reflect.DeepEqual(got, want) {
 			t.Fatalf("custom-table dispatch diverged for %+v:\n got %+v\nwant %+v", v, got, want)
 		}
 	})
@@ -358,4 +352,71 @@ func (e *Engine) evaluateLinear(a Action) Ruling {
 		}
 	}
 	return r
+}
+
+// TestPanickingRuleLeavesNoScratchState proves every evaluation starts
+// from a clean scratch: after a rule that had already required and
+// noted panics out of Evaluate and the caller recovers, and after each
+// evaluation leaves its ruling's slices in a pooled scratch, every
+// ruling the engine gives is the one a fresh engine's reference walk
+// gives.
+func TestPanickingRuleLeavesNoScratchState(t *testing.T) {
+	rules := []Rule{
+		{
+			Name: "boom",
+			When: func(rc *RuleContext) bool { return rc.Action.Name == "boom" },
+			Apply: func(rc *RuleContext) {
+				rc.Require(ProcessWiretapOrder, RegimeWiretap, "boom requires")
+				rc.Note("boom notes")
+				panic("boom")
+			},
+		},
+		{
+			Name: "realtime",
+			When: func(rc *RuleContext) bool { return rc.Action.Timing == TimingRealTime },
+			Apply: func(rc *RuleContext) {
+				rc.Require(ProcessCourtOrder, RegimePenTrap, "realtime requires")
+				rc.Except(ExceptionProviderProtection, "realtime excepts")
+			},
+			Citations: []string{"Title3"},
+			Terminal:  true,
+		},
+		{
+			// Requires nothing, so a leftover requirement shows.
+			Name:     "default",
+			Apply:    func(rc *RuleContext) { rc.Note("default notes") },
+			Terminal: true,
+		},
+	}
+	stored := Action{Name: "next", Actor: ActorGovernment, Timing: TimingStored, Data: DataContent, Source: SourceProviderStored}
+	realtime := stored
+	realtime.Name, realtime.Timing = "earlier", TimingRealTime
+	boom := realtime
+	boom.Name = "boom"
+
+	e := NewEngine(WithRules(rules))
+	fresh := NewEngine(WithRules(rules))
+	check := func(a Action) {
+		t.Helper()
+		got, err := e.Evaluate(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The reference walk builds its ruling without a scratch; the
+		// pool is shared by every engine.
+		if want := fresh.evaluateLinear(a); !reflect.DeepEqual(got, want) {
+			t.Fatalf("ruling carries earlier state:\n got %+v\nwant %+v", got, want)
+		}
+	}
+	check(realtime)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the boom rule did not panic")
+			}
+		}()
+		_, _ = e.Evaluate(boom)
+	}()
+	check(realtime)
+	check(stored)
 }

@@ -358,7 +358,7 @@ func (e *Engine) Rules() []Rule {
 // actions that differ only in Name yield rulings that differ only in
 // the echoed name (which is what makes the ruling cache sound).
 func (e *Engine) Evaluate(a Action) (Ruling, error) {
-	return e.evaluate(&a, nil)
+	return e.evaluate(&a)
 }
 
 // EvaluateDelta re-rules a previously ruled action after the given
@@ -377,19 +377,18 @@ func (e *Engine) EvaluateDelta(prev *Ruling, d ActionDelta) (Ruling, error) {
 	}
 	a := prev.Action
 	d.Apply(&a)
-	return e.evaluate(&a, nil)
+	return e.evaluate(&a)
 }
 
-// evaluate is Evaluate with an optional scratch (the batch loop passes
-// one; see dispatch.go). An uncached engine goes straight to the miss
-// path; a cached one keys the action and looks it up.
-func (e *Engine) evaluate(a *Action, sc *evalScratch) (Ruling, error) {
+// evaluate is Evaluate on a pointer. An uncached engine goes straight
+// to the miss path; a cached one keys the action and looks it up.
+func (e *Engine) evaluate(a *Action) (Ruling, error) {
 	if e.cache == nil {
-		return e.evaluateMiss(a, 0, 0, "", sc)
+		return e.evaluateMiss(a, 0, 0, "")
 	}
 	w, exact := packAction(a)
 	h, name := e.cacheKey(a, w, exact)
-	return e.evaluateKeyed(a, h, w, exact, name, sc)
+	return e.evaluateKeyed(a, h, w, exact, name)
 }
 
 // evaluateKeyed evaluates a, already keyed as (h, name) with packed
@@ -399,7 +398,7 @@ func (e *Engine) evaluate(a *Action, sc *evalScratch) (Ruling, error) {
 // against the cached (validated) key, so a hit implies validity. The
 // hit path — lock-free probe, verify, re-label with the caller's name
 // — allocates nothing and writes nothing.
-func (e *Engine) evaluateKeyed(a *Action, h, w uint64, exact bool, name string, sc *evalScratch) (Ruling, error) {
+func (e *Engine) evaluateKeyed(a *Action, h, w uint64, exact bool, name string) (Ruling, error) {
 	if e.cache != nil {
 		if en := e.cache.probe(h, w, exact, name, a); en != nil {
 			if e.statsOn {
@@ -410,13 +409,13 @@ func (e *Engine) evaluateKeyed(a *Action, h, w uint64, exact bool, name string, 
 			return r, nil
 		}
 	}
-	return e.evaluateMiss(a, h, w, name, sc)
+	return e.evaluateMiss(a, h, w, name)
 }
 
 // evaluateMiss is the slow path of every evaluation: validate, walk the
 // dispatch bucket, and, when a cache exists, memoize under the key
 // (h, name) with packed word w.
-func (e *Engine) evaluateMiss(a *Action, h, w uint64, name string, sc *evalScratch) (Ruling, error) {
+func (e *Engine) evaluateMiss(a *Action, h, w uint64, name string) (Ruling, error) {
 	if e.statsOn {
 		e.counters.evaluations.Add(1)
 		if e.cache != nil {
@@ -429,7 +428,7 @@ func (e *Engine) evaluateMiss(a *Action, h, w uint64, name string, sc *evalScrat
 		}
 		return Ruling{}, err
 	}
-	r := e.evaluateDispatch(*a, sc)
+	r := e.evaluateDispatch(*a)
 	if e.cache != nil {
 		key := r
 		key.Action.Name = name

@@ -95,10 +95,6 @@ func FuzzEvaluate(f *testing.F) {
 		if lin := engine.evaluateLinear(a); !reflect.DeepEqual(r, lin) {
 			t.Fatalf("dispatch diverged from linear scan:\n got %+v\nwant %+v", r, lin)
 		}
-		var sc evalScratch
-		if dr := engine.evaluateDispatch(a, &sc); !reflect.DeepEqual(dr, r) {
-			t.Fatalf("scratch dispatch diverged:\n got %+v\nwant %+v", dr, r)
-		}
 
 		// The cached engine must agree (purity + cache soundness under
 		// fuzzing).

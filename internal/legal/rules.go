@@ -27,6 +27,9 @@ import "fmt"
 // RuleContext carries one evaluation through the rule table. Rules read
 // the action (and the engine's configured doctrines) through it and
 // contribute to the ruling with the Require/Except/Note/Cite mutators.
+// It lives in a pooled scratch that the next evaluation reuses, so it
+// is valid only while the rule's When or Apply runs; a rule must not
+// keep it, or anything it points to, past that call.
 type RuleContext struct {
 	engine *Engine
 	// Action is the action under evaluation. Rules must treat it as
@@ -39,7 +42,9 @@ type RuleContext struct {
 func (rc *RuleContext) Container() ContainerDoctrine { return rc.engine.container }
 
 // Ruling exposes the ruling built so far, for predicates that depend on
-// earlier rules' contributions (annotation rules, the REP stage).
+// earlier rules' contributions (annotation rules, the REP stage). It is
+// the scratch ruling, valid only during the When or Apply call it was
+// read in: the next evaluation reuses it, and Evaluate returns a copy.
 func (rc *RuleContext) Ruling() *Ruling { return rc.ruling }
 
 // Required reports the process level decided so far (zero if no rule has

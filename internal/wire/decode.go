@@ -20,15 +20,6 @@ import (
 // the same 10000 cap).
 const maxSkipDepth = 10000
 
-// Interning bounds: only short strings are interned (action names,
-// enum-ish labels), and the cache is cleared once it holds
-// maxInternEntries so a name-churning client cannot grow it without
-// bound.
-const (
-	maxInternLen     = 64
-	maxInternEntries = 1024
-)
-
 var errUnexpectedEnd = errors.New("wire: unexpected end of JSON input")
 
 // remSlots is the size of the batch decoder's remainder table; a
@@ -36,15 +27,15 @@ var errUnexpectedEnd = errors.New("wire: unexpected end of JSON input")
 const remSlots = 256
 
 // decoder is the pooled per-call parse state: the input, a cursor, a
-// scratch buffer for escaped strings, a fixed key-folding buffer, the
-// string intern cache that makes repeated action names free, and the
-// table of action remainders DecodeActions has decoded in this call.
+// scratch buffer for escaped strings, a fixed key-folding buffer, and
+// the table of action remainders DecodeActions has decoded in this
+// call. Only the scratch's capacity and the table outlive a call; no
+// decoded string is kept for the next one.
 type decoder struct {
 	data    []byte
 	pos     int
 	scratch []byte
 	keybuf  [32]byte
-	names   map[string]string
 	rems    [remSlots]remSpan
 }
 
@@ -57,10 +48,7 @@ type remSpan struct {
 
 var decPool = sync.Pool{
 	New: func() any {
-		return &decoder{
-			scratch: make([]byte, 0, 256),
-			names:   make(map[string]string, 64),
-		}
+		return &decoder{scratch: make([]byte, 0, 256)}
 	},
 }
 
@@ -194,7 +182,7 @@ func (d *decoder) parseInt() (int64, error) {
 // parseString parses a JSON string and returns its decoded bytes,
 // which alias either the input (clean ASCII fast path) or the
 // decoder's scratch buffer — both invalidated by the next parse, so
-// callers must copy or intern before parsing on.
+// callers must copy before parsing on.
 func (d *decoder) parseString() ([]byte, error) {
 	if d.pos >= len(d.data) || d.data[d.pos] != '"' {
 		return nil, d.errAt("expected string")
@@ -504,27 +492,10 @@ func (d *decoder) foldKeySlow(key []byte) []byte {
 	return out
 }
 
-// intern returns a string for b, reusing a previously allocated copy
-// when the same short name has been seen before — the steady-state
-// zero-alloc path for action names.
-func (d *decoder) intern(b []byte) string {
-	if len(b) > maxInternLen {
-		return string(b)
-	}
-	if s, ok := d.names[string(b)]; ok {
-		return s
-	}
-	if len(d.names) >= maxInternEntries {
-		clear(d.names)
-	}
-	s := string(b)
-	d.names[s] = s
-	return s
-}
-
-// internedString decodes a string value into *s via the intern cache.
-// null leaves *s unchanged (stdlib scalar-null semantics).
-func (d *decoder) internedString(s *string) error {
+// setString decodes a string value into *s, a fresh copy of the
+// decoded bytes; null leaves *s unchanged (stdlib scalar-null
+// semantics).
+func (d *decoder) setString(s *string) error {
 	if d.tryNull() {
 		return nil
 	}
@@ -532,7 +503,7 @@ func (d *decoder) internedString(s *string) error {
 	if err != nil {
 		return err
 	}
-	*s = d.intern(b)
+	*s = string(b)
 	return nil
 }
 
@@ -782,7 +753,7 @@ func workplaceMember(d *decoder, w *legal.WorkplaceSearch, field int) error {
 func actionMember(d *decoder, a *legal.Action, field int) error {
 	switch field {
 	case 0:
-		return d.internedString(&a.Name)
+		return d.setString(&a.Name)
 	case 1:
 		return setInt(d, &a.Actor)
 	case 2:
@@ -825,7 +796,8 @@ func actionMember(d *decoder, a *legal.Action, field int) error {
 // are freshly allocated on every call — NEVER pooled — because the
 // engine's ruling cache retains a shallow copy of the Action, so any
 // reuse of pointer/slice backing across requests would corrupt cached
-// rulings. The scalar-only hot serving shape allocates nothing.
+// rulings. The scalar-only hot serving shape allocates only its
+// non-empty name.
 func (d *decoder) decodeAction(a *legal.Action) error {
 	d.skipSpace()
 	if d.tryNull() {
@@ -911,7 +883,7 @@ func (d *decoder) decodeSlot(dst []legal.Action, i int) error {
 	}
 	d.pos += len(leadingName)
 	d.skipSpace()
-	if err := d.internedString(&a.Name); err != nil {
+	if err := d.setString(&a.Name); err != nil {
 		return err
 	}
 	// With no '}' left, key is 0: no recorded span, which ends in '}',

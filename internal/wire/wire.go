@@ -1,5 +1,5 @@
-// Package wire is the zero-allocation JSON codec for the serving hot
-// path. It carries exactly what lawgated moves per request: it decodes
+// Package wire is the JSON codec for the serving hot path. It
+// carries exactly what lawgated moves per request: it decodes
 // legal.Action bodies (DecodeAction, and DecodeActions for batches),
 // encodes each ruling as its report.RulingView projection
 // (AppendRulingViewFromRuling), and supplies the primitives the
@@ -7,12 +7,12 @@
 // AppendUint, AppendBool) plus a pool of encode buffers. Its output and
 // its decoded values match encoding/json exactly — the compatibility
 // contract, checked by the differential fuzz in wire_test.go — while
-// allocating nothing at steady state: encoders append into pooled
-// buffers, decoders run off a pooled scratch + name-intern cache, and
-// the only allocations left are the ones Go's aliasing rules force
-// (fresh sub-objects and slices that outlive the request inside the
-// engine's ruling cache, and first-sight strings before they are
-// interned).
+// allocating only what the decoded values must own: encoders append
+// into pooled buffers and allocate nothing at steady state, decoders
+// run off a pooled scratch, and the only allocations left are the ones
+// Go's aliasing rules force (each non-empty action name, and the fresh
+// sub-objects and slices that outlive the request inside the engine's
+// ruling cache).
 //
 // Byte-identity with encoding/json is a hard requirement, not a
 // nicety: golden files, external clients, and the conformance probe

@@ -31,7 +31,8 @@
 # cell is rewritten in place through an allocation-free layer); the
 # legal bench smoke pins the warm ruling-cache hit, with and without
 # fresh case names, the same way, holds the uncached near-duplicate
-# batch (BenchmarkBatchDeltaChain) to 301 allocs/op, and the
+# batch (BenchmarkBatchDeltaChain) to 242 allocs/op and an uncached
+# Table 1 evaluation to 4, and the
 # committed BENCH_legal.json must show that hit at least 2x faster than
 # its pre-dispatch baseline. The delta pipeline reruns its
 # EvaluateDelta-equals-Evaluate sweep and the batch's keyed-pass
@@ -49,10 +50,11 @@
 # The wire codec gets its own gates: a short differential fuzz run of
 # the functions lawgated serves through (DecodeAction, DecodeActions,
 # AppendRulingViewFromRuling and the string escaper) against
-# encoding/json, a bench smoke pinning the single-ruling, Table 1 and
-# single-action benchmarks to 0 allocs/op and the 256-action batch
-# decode, in declared and in reversed key order, to its 90 fresh slices
-# and sub-objects, and pair gates on the
+# encoding/json, a bench smoke pinning the single-ruling and Table 1
+# encodes to 0 allocs/op, the single-action decode to its 1 name and
+# the 256-action batch decode, in declared and in reversed key order,
+# to its 256 names and 90 fresh slices and sub-objects, and pair gates
+# on the
 # committed BENCH_wire.json proving the codec's speedup over stdlib,
 # single-action and batch (the same alloc budgets hold on it); the
 # committed BENCH_ledger.json
@@ -230,11 +232,15 @@ scripts/bench.sh -short -o "$tmpdir/bench_legal.json" legal
 # case names the cache never stored (the name-blind key re-labels the
 # memoized ruling). An uncached engine must still answer a batch's
 # name-only variants from one evaluation per shape: evaluating every
-# slot of BenchmarkBatchDeltaChain costs ~20.8k allocs/op, not 301.
+# slot of BenchmarkBatchDeltaChain costs ~20.8k allocs/op, not 242. An
+# uncached evaluation walks its bucket on a pooled scratch and
+# allocates only the ruling it returns: 4 per Table 1 scene, rounded
+# down (TestEvaluateColdAllocs pins the exact count).
 go run ./scripts/benchcheck \
 	-max-allocs 'BenchmarkRulingsPerSec/warm=0' \
 	-max-allocs 'BenchmarkRulingsPerSec/warm-names=0' \
-	-max-allocs 'BenchmarkBatchDeltaChain=301' \
+	-max-allocs 'BenchmarkRulingsPerSec/cold=4' \
+	-max-allocs 'BenchmarkBatchDeltaChain=242' \
 	"$tmpdir/bench_legal.json"
 # The smoke proves the tooling; only the alloc budget is asserted on
 # it. The 1000 ns budget is enforced below on the committed
@@ -246,17 +252,18 @@ go run ./scripts/benchcheck \
 	"$tmpdir/bench_ledger.json"
 
 scripts/bench.sh -short -o "$tmpdir/bench_wire.json" wire
-# A 256-action batch allocates only the 90 fresh Exposure slices and
+# A decoded action allocates its name, and a 256-action batch
+# allocates its 256 names and the 90 fresh Exposure slices and
 # sub-objects its Table 1 actions carry (the ruling cache may keep
-# them); names are interned and scalar fields cost nothing. The same
-# batch with its keys reversed takes the folded-key fallback for every
-# member and must stay under the same budget.
+# them); scalar fields cost nothing. The same batch with its keys
+# reversed takes the folded-key fallback for every member and must
+# stay under the same budget.
 go run ./scripts/benchcheck \
 	-max-allocs 'BenchmarkWireEncode=0' \
 	-max-allocs 'BenchmarkWireEncodeTable1=0' \
-	-max-allocs 'BenchmarkWireDecode=0' \
-	-max-allocs 'BenchmarkWireDecodeBatch=90' \
-	-max-allocs 'BenchmarkWireDecodeBatchReordered=90' \
+	-max-allocs 'BenchmarkWireDecode=1' \
+	-max-allocs 'BenchmarkWireDecodeBatch=346' \
+	-max-allocs 'BenchmarkWireDecodeBatchReordered=346' \
 	"$tmpdir/bench_wire.json"
 
 echo "== bench smoke: chaos bench completes with every request accounted (server)"
@@ -292,16 +299,18 @@ go run ./scripts/benchcheck \
 	-max-allocs 'BenchmarkLedgerAppendBatch=0' \
 	-min-pair-speedup 'BenchmarkLedgerAppendLooped:BenchmarkLedgerAppendBatch:2.0' \
 	BENCH_ledger.json
-# The hand-rolled codec must stay allocation-free and keep beating the
-# encoding/json implementations it mirrors byte-for-byte. The batch
-# decode pays once per distinct action remainder, so it beats stdlib by
-# more than the single-action decode does.
+# The hand-rolled codec must hold the same allocation budgets (encodes
+# allocation-free, decodes only names and what the ruling cache may
+# keep) and keep beating the encoding/json implementations it mirrors
+# byte-for-byte. The batch decode pays once per distinct action
+# remainder, so it beats stdlib by more than the single-action decode
+# does.
 go run ./scripts/benchcheck \
 	-max-allocs 'BenchmarkWireEncode=0' \
 	-max-allocs 'BenchmarkWireEncodeTable1=0' \
-	-max-allocs 'BenchmarkWireDecode=0' \
-	-max-allocs 'BenchmarkWireDecodeBatch=90' \
-	-max-allocs 'BenchmarkWireDecodeBatchReordered=90' \
+	-max-allocs 'BenchmarkWireDecode=1' \
+	-max-allocs 'BenchmarkWireDecodeBatch=346' \
+	-max-allocs 'BenchmarkWireDecodeBatchReordered=346' \
 	-min-pair-speedup 'BenchmarkWireEncodeStdlib:BenchmarkWireEncode:2.0' \
 	-min-pair-speedup 'BenchmarkWireDecodeStdlib:BenchmarkWireDecode:3.0' \
 	-min-pair-speedup 'BenchmarkWireDecodeBatchStdlib:BenchmarkWireDecodeBatch:15.0' \
