@@ -50,7 +50,9 @@
 # The wire codec gets its own gates: a short differential fuzz run of
 # the functions lawgated serves through (DecodeAction, DecodeActions,
 # AppendRulingViewFromRuling and the string escaper) against
-# encoding/json, a bench smoke pinning the single-ruling and Table 1
+# encoding/json, a short differential fuzz run of the served batch
+# endpoint (decoder remainders, batch pass, ruling cache and tail table
+# together) against per-action uncached evaluation and json.Marshal, a bench smoke pinning the single-ruling and Table 1
 # encodes to 0 allocs/op, the single-action decode to its 1 name and
 # the 256-action batch decode, in declared and in reversed key order,
 # to its 256 names and 90 fresh slices and sub-objects, and pair gates
@@ -168,6 +170,12 @@ grep -q '^2 events, 1 ruling changes$' "$tmpdir/deltas.out"
 
 echo "== wire codec: differential fuzz vs encoding/json (10s smoke)"
 go test -run '^FuzzWireRoundTrip$' -fuzz '^FuzzWireRoundTrip$' -fuzztime 10s ./internal/wire
+
+echo "== served batch: differential fuzz vs the plain design (10s smoke)"
+# Its inputs are whole batches, each served by three tenants, so
+# minimizing every new interesting input would spend the smoke's
+# budget; failures are still reported with the input that caused them.
+go test -run '^FuzzServedBatch$' -fuzz '^FuzzServedBatch$' -fuzztime 10s -fuzzminimizetime 1x ./internal/server
 
 echo "== ledger tamper detection under the race detector"
 go test -race -run 'TestTamper|TestCustodyTamperDetected|TestVerifyAgainstCheckpoint' \
