@@ -223,8 +223,14 @@ func (d *Device) LapseExigency() (legal.ActionDelta, error) {
 }
 
 // Lawful reports whether the held process satisfies the ruling; valid
-// after Arm.
-func (d *Device) Lawful() bool { return d.held.Satisfies(d.ruling.Required) }
+// after Arm. An unarmed device has no verdict, so nothing is required.
+func (d *Device) Lawful() bool {
+	var required legal.Process
+	if d.ruling.Verdict != nil {
+		required = d.ruling.Required
+	}
+	return d.held.Satisfies(required)
+}
 
 // Observe implements netsim.Tap: the device logs what its kind permits.
 // Pen registers log outbound addressing; trap-and-trace devices log

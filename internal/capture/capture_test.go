@@ -417,3 +417,18 @@ func TestAcquiredCountsExpiry(t *testing.T) {
 		t.Errorf("String() = %q", got)
 	}
 }
+
+// TestUnarmedDeviceLawful: before Arm a device has no ruling, so it
+// requires nothing and any held process satisfies it.
+func TestUnarmedDeviceLawful(t *testing.T) {
+	d, err := New(FullWiretap, govISPPlacement(), legal.ProcessNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.Lawful() {
+		t.Error("an unarmed device reports itself unlawful")
+	}
+	if d.Ruling().NeedsProcess() {
+		t.Error("an unarmed device's zero ruling needs process")
+	}
+}

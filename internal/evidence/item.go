@@ -85,9 +85,14 @@ type Item struct {
 
 // LawfullyAcquired reports whether the process held at acquisition time
 // satisfied what the acquisition legally required. It says nothing about
-// derivative taint; see Locker.Assess for the full analysis.
+// derivative taint; see Locker.Assess for the full analysis. An item
+// whose ruling is zero has no verdict, so nothing is required.
 func (it *Item) LawfullyAcquired() bool {
-	return it.Held.Satisfies(it.Ruling.Required)
+	var required legal.Process
+	if it.Ruling.Verdict != nil {
+		required = it.Ruling.Required
+	}
+	return it.Held.Satisfies(required)
 }
 
 // hashContent returns the hex SHA-256 of content.

@@ -204,3 +204,12 @@ func TestCleansingString(t *testing.T) {
 		t.Errorf("String = %q", CleansingIndependentSource.String())
 	}
 }
+
+// TestZeroItemLawfullyAcquired: an item with a zero ruling has no
+// verdict, so it required nothing.
+func TestZeroItemLawfullyAcquired(t *testing.T) {
+	var it Item
+	if !it.LawfullyAcquired() {
+		t.Error("an item with a zero ruling reports an unlawful acquisition")
+	}
+}

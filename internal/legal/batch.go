@@ -31,9 +31,9 @@ func (e *SlotError) Unwrap() error { return e.Err }
 // earlier slot's is answered by that slot instead of a fresh
 // evaluation. The key drops Name exactly where no rule in the action's
 // dispatch bucket reads it, so an answered slot is either an exact
-// repeat, which receives the earlier ruling (sharing its slices —
-// rulings are immutable), or a name-only variant, which receives the
-// earlier ruling re-labeled with its own name.
+// repeat, which receives the earlier ruling, or a name-only variant,
+// which receives its own action with the earlier ruling's verdict.
+// Either way the slot shares the answering slot's *Verdict.
 //
 // Invalid actions do not abort the batch: their ruling slot is left zero
 // and the returned error joins one *SlotError per failed index, in
@@ -96,13 +96,16 @@ func (e *Engine) EvaluateBatchInto(ctx context.Context, actions []Action, ruling
 				continue
 			}
 			if errs[j] == nil {
-				rulings[i], errs[i] = rulings[j], nil
-				rulings[i].Action.Name = a.Name
+				rulings[i], errs[i] = Ruling{Action: *a, Verdict: rulings[j].Verdict}, nil
 				chained++
 				continue
 			}
 		}
-		rulings[i], errs[i] = e.evaluateKeyed(a, h, w, exact, name)
+		if v := e.lookup(a, h, w, exact, name); v != nil {
+			rulings[i], errs[i] = Ruling{Action: *a, Verdict: v}, nil
+			continue
+		}
+		rulings[i], errs[i] = e.evaluateMiss(a, h, w, name)
 	}
 	if e.statsOn {
 		e.counters.batchDeduped.Add(deduped)

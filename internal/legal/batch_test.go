@@ -105,7 +105,7 @@ func TestEvaluateBatchPartialErrors(t *testing.T) {
 	if rulings[0].Required != ProcessSearchWarrant || rulings[2].Required != ProcessSearchWarrant {
 		t.Error("valid actions around the failure were not evaluated")
 	}
-	if rulings[1].Required != 0 {
+	if rulings[1].Verdict != nil || rulings[1].Action.Name != "" {
 		t.Error("failed slot must stay zero")
 	}
 }

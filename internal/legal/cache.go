@@ -19,7 +19,7 @@ import (
 // The key is what the rules read. An action whose dispatch bucket
 // provably never reads Name (dispatchIndex.nameBlind) is keyed with an
 // empty name, so every case of one legal shape shares one memoized
-// ruling and a hit re-labels it with the caller's name; actions in
+// verdict, which a hit returns with the caller's action; actions in
 // buckets that read Name, and actions that do not pack exactly, keep
 // their name in the key.
 //
@@ -337,15 +337,17 @@ func actionsEqual(a, b *Action) bool {
 const defaultCacheSlots = 256
 
 // cacheEntry is one immutable memoized ruling: the key's 64-bit hash,
-// the key action's packed word (see packAction), the ruling, and the
-// intrusive chain link. The ruling's Action is the verification key
-// (its Name is the key name — see Engine.cacheKey) and the packed word
-// its cheap verifier. Entries are never mutated after publication.
+// the key action and its packed word (see packAction), the verdict,
+// and the intrusive chain link. The key's Name is the key name (see
+// Engine.cacheKey) and the packed word its cheap verifier. Entries
+// are never mutated after publication, so every hit on an entry
+// returns the same *Verdict.
 type cacheEntry struct {
-	hash   uint64
-	pw     uint64
-	ruling Ruling
-	next   *cacheEntry
+	hash    uint64
+	pw      uint64
+	key     Action
+	verdict Verdict
+	next    *cacheEntry
 }
 
 // cacheTable is one immutable-shape hash table generation: a
@@ -388,30 +390,31 @@ func newRulingCache(sizeHint, capacity int) *rulingCache {
 	return c
 }
 
-// probe returns the entry memoizing the key (h, name) of a, whose
-// packed word is w, or nil. Lock-free: one atomic table load, one
-// atomic slot load, a chain walk over immutable entries, each hash hit
-// verified by keyMatches.
-func (c *rulingCache) probe(h, w uint64, exact bool, name string, a *Action) *cacheEntry {
+// probe returns the verdict memoized under the key (h, name) of a,
+// whose packed word is w, or nil. Lock-free: one atomic table load,
+// one atomic slot load, a chain walk over immutable entries, each hash
+// hit verified by keyMatches.
+func (c *rulingCache) probe(h, w uint64, exact bool, name string, a *Action) *Verdict {
 	t := c.table.Load()
 	for en := t.slots[h&t.mask].Load(); en != nil; en = en.next {
-		if en.hash == h && keyMatches(a, w, exact, name, &en.ruling.Action, en.pw, en.ruling.Action.Name) {
-			return en
+		if en.hash == h && keyMatches(a, w, exact, name, &en.key, en.pw, en.key.Name) {
+			return &en.verdict
 		}
 	}
 	return nil
 }
 
-// put memoizes r, whose Action is its key and packs to w. Double-checks
-// for a racing insert, flushes the generation when at capacity, and
+// put publishes en, built but not yet shared, and returns the verdict
+// memoized under its key: en's, or that of an entry a racing insert
+// published first. It flushes the generation when at capacity and
 // grows at load factor 1.
-func (c *rulingCache) put(h, w uint64, r *Ruling) {
+func (c *rulingCache) put(en *cacheEntry) *Verdict {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	t := c.table.Load()
-	for e := t.slots[h&t.mask].Load(); e != nil; e = e.next {
-		if e.hash == h && actionsEqual(&e.ruling.Action, &r.Action) {
-			return
+	for e := t.slots[en.hash&t.mask].Load(); e != nil; e = e.next {
+		if e.hash == en.hash && actionsEqual(&e.key, &en.key) {
+			return &e.verdict
 		}
 	}
 	if c.capacity > 0 && c.count >= c.capacity {
@@ -422,20 +425,23 @@ func (c *rulingCache) put(h, w uint64, r *Ruling) {
 	} else if c.count >= len(t.slots) {
 		t = c.grow(t)
 	}
-	slot := &t.slots[h&t.mask]
-	slot.Store(&cacheEntry{hash: h, pw: w, ruling: *r, next: slot.Load()})
+	slot := &t.slots[en.hash&t.mask]
+	en.next = slot.Load()
+	slot.Store(en)
 	c.count++
+	return &en.verdict
 }
 
 // grow publishes a table with twice the slots. Entries are re-created
 // rather than re-linked so the old generation's chains stay intact for
-// readers still walking them.
+// readers still walking them; the copies carry the same verdict
+// contents at a new address.
 func (c *rulingCache) grow(old *cacheTable) *cacheTable {
 	t := newCacheTable(len(old.slots) * 2)
 	for i := range old.slots {
 		for e := old.slots[i].Load(); e != nil; e = e.next {
 			slot := &t.slots[e.hash&t.mask]
-			slot.Store(&cacheEntry{hash: e.hash, pw: e.pw, ruling: e.ruling, next: slot.Load()})
+			slot.Store(&cacheEntry{hash: e.hash, pw: e.pw, key: e.key, verdict: e.verdict, next: slot.Load()})
 		}
 	}
 	c.table.Store(t)

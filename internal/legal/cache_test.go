@@ -1,7 +1,10 @@
 package legal
 
 import (
+	"context"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -99,5 +102,89 @@ func TestFingerprintStable(t *testing.T) {
 	b.Exposure = []ExposureFact{ExposureDelivered}
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Error("deep-equal actions produced different fingerprints")
+	}
+}
+
+// TestRulingsShareVerdict pins the sharing that consumers of verdicts
+// (the batch envelope's tail table) rely on: one cache key or one
+// answering batch slot yields one *Verdict, while an uncached engine
+// builds each verdict afresh.
+func TestRulingsShareVerdict(t *testing.T) {
+	// A valid action in a bucket whose rules never read Name.
+	var a Action
+	probe := NewEngine()
+	for _, s := range sweepActions() {
+		if w, exact := packAction(&s); exact && probe.dispatch.nameBlind(w) && s.Validate() == nil {
+			a = s
+			break
+		}
+	}
+	if a.Name == "" {
+		t.Fatal("no name-blind sweep action")
+	}
+	variant := a
+	variant.Name = "another case"
+
+	cached := NewEngine(WithRulingCache(0))
+	first, err := cached.Evaluate(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []Action{a, variant} {
+		r, err := cached.Evaluate(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Verdict != first.Verdict || r.Action.Name != b.Name {
+			t.Errorf("cached %q: verdict %p under %q, want %p under %q",
+				b.Name, r.Verdict, r.Action.Name, first.Verdict, b.Name)
+		}
+	}
+
+	plain := NewEngine()
+	batch := []Action{a, a, variant}
+	rulings, err := plain.EvaluateBatch(context.Background(), batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range rulings {
+		if r.Verdict != rulings[0].Verdict || r.Action.Name != batch[i].Name {
+			t.Errorf("batch slot %d: verdict %p under %q, want slot 0's %p under %q",
+				i, r.Verdict, r.Action.Name, rulings[0].Verdict, batch[i].Name)
+		}
+	}
+
+	again, err := plain.Evaluate(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Verdict == rulings[0].Verdict || !reflect.DeepEqual(again.Verdict, rulings[0].Verdict) {
+		t.Errorf("uncached verdicts %p and %p: want distinct pointers to equal verdicts",
+			again.Verdict, rulings[0].Verdict)
+	}
+}
+
+// TestZeroRulingHasNoVerdict checks what a zero Ruling — the slot of a
+// failed evaluation — answers without a verdict: no process needed,
+// no exception relied on, and a printed form that shows a zero verdict
+// rather than an address.
+func TestZeroRulingHasNoVerdict(t *testing.T) {
+	var r Ruling
+	if r.NeedsProcess() || r.HasException(ExceptionConsent) {
+		t.Error("a zero ruling needs process or relied on an exception")
+	}
+	if got, want := fmt.Sprintf("%+v", r), fmt.Sprintf("%+v", struct {
+		Action  Action
+		Verdict Verdict
+	}{}); got != want {
+		t.Errorf("zero ruling prints %s, want %s", got, want)
+	}
+	full, err := NewEngine().Evaluate(Action{Name: "n", Actor: ActorGovernment,
+		Timing: TimingStored, Data: DataContent, Source: SourceSeizedDevice})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := fmt.Sprintf("%v", full); !strings.Contains(s, full.Rationale[0]) {
+		t.Errorf("ruling prints %s, without its rationale", s)
 	}
 }

@@ -229,14 +229,16 @@ func forEachCombo(f func(Actor, Timing, DataClass, Source)) {
 	}
 }
 
-// evalScratch is reusable evaluation state: the RuleContext and a
-// scratch Ruling whose slice capacity survives across evaluations, so
-// a miss stops paying append-growth allocations. Evaluation results
-// are copied out of the scratch (compactRuling) before being returned
-// or cached, so the reuse is invisible to callers.
+// evalScratch is reusable evaluation state: the RuleContext, the
+// scratch Ruling it exposes to rules, and the scratch Verdict that
+// ruling points at, whose slice capacity survives across evaluations,
+// so a miss stops paying append-growth allocations. The verdict is
+// copied out of the scratch (compactVerdict) before it is returned or
+// cached, so the reuse is invisible to callers.
 type evalScratch struct {
 	rc RuleContext
 	r  Ruling
+	v  Verdict
 }
 
 // scratchPool holds the evaluation scratches of every engine; reset
@@ -245,41 +247,41 @@ var scratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
 
 // reset prepares the scratch for evaluating a, truncating the reusable
 // slices without freeing their backing arrays.
-func (sc *evalScratch) reset(e *Engine, a Action) {
-	sc.r.Action = a
-	sc.r.Required = 0
-	sc.r.Regime = 0
-	sc.r.Privacy = nil
-	sc.r.Exceptions = sc.r.Exceptions[:0]
-	sc.r.Rationale = sc.r.Rationale[:0]
-	sc.r.Citations = sc.r.Citations[:0]
-	sc.r.Applied = sc.r.Applied[:0]
+func (sc *evalScratch) reset(e *Engine, a *Action) {
+	sc.v = Verdict{
+		Exceptions: sc.v.Exceptions[:0],
+		Rationale:  sc.v.Rationale[:0],
+		Citations:  sc.v.Citations[:0],
+		Applied:    sc.v.Applied[:0],
+	}
+	sc.r = Ruling{Action: *a, Verdict: &sc.v}
 	sc.rc = RuleContext{engine: e, Action: &sc.r.Action, ruling: &sc.r}
 }
 
-// compactRuling copies the scratch ruling into exact-size slices that
-// the caller owns. Empty slices become nil, matching what the
-// reference walk (evaluateLinear) produces, so the two are DeepEqual.
-func compactRuling(src *Ruling) Ruling {
-	out := Ruling{
-		Action:   src.Action,
-		Required: src.Required,
-		Regime:   src.Regime,
-		Privacy:  src.Privacy,
-	}
+// compactVerdict copies src into dst with exact-size slices that dst
+// owns. Rationale and Applied, both string lists, share one backing
+// array, each capped at its own length so that neither can grow into
+// the other. Empty slices become nil, matching what the reference walk
+// (evaluateLinear) produces, so the two are DeepEqual.
+func compactVerdict(dst, src *Verdict) {
+	*dst = Verdict{Required: src.Required, Regime: src.Regime, Privacy: src.Privacy}
 	if len(src.Exceptions) > 0 {
-		out.Exceptions = append(make([]ExceptionKind, 0, len(src.Exceptions)), src.Exceptions...)
-	}
-	if len(src.Rationale) > 0 {
-		out.Rationale = append(make([]string, 0, len(src.Rationale)), src.Rationale...)
+		dst.Exceptions = append(make([]ExceptionKind, 0, len(src.Exceptions)), src.Exceptions...)
 	}
 	if len(src.Citations) > 0 {
-		out.Citations = append(make([]Citation, 0, len(src.Citations)), src.Citations...)
+		dst.Citations = append(make([]Citation, 0, len(src.Citations)), src.Citations...)
 	}
-	if len(src.Applied) > 0 {
-		out.Applied = append(make([]string, 0, len(src.Applied)), src.Applied...)
+	n, m := len(src.Rationale), len(src.Applied)
+	if n+m == 0 {
+		return
 	}
-	return out
+	lines := append(append(make([]string, 0, n+m), src.Rationale...), src.Applied...)
+	if n > 0 {
+		dst.Rationale = lines[:n:n]
+	}
+	if m > 0 {
+		dst.Applied = lines[n:]
+	}
 }
 
 // walkRules runs the pipeline over the given rule indices: each rule
@@ -306,19 +308,18 @@ func (e *Engine) walkRules(rc *RuleContext, r *Ruling, idx []uint16) int {
 	return scanned
 }
 
-// evaluateDispatch walks only the compiled candidate bucket for the
-// action on a pooled scratch and returns a compacted copy of the
-// ruling it built.
-func (e *Engine) evaluateDispatch(a Action) Ruling {
+// evaluateDispatch walks only the compiled candidate bucket for a on a
+// pooled scratch and compacts the verdict it built into dst.
+func (e *Engine) evaluateDispatch(a *Action, dst *Verdict) {
 	sc := scratchPool.Get().(*evalScratch)
 	sc.reset(e, a)
-	scanned := e.walkRules(&sc.rc, &sc.r, e.dispatch.bucketFor(&a))
+	scanned := e.walkRules(&sc.rc, &sc.r, e.dispatch.bucketFor(a))
 	if e.statsOn {
 		e.counters.rulesScanned.Add(uint64(scanned))
 	}
-	r := compactRuling(&sc.r)
-	// The pool keeps capacity, not the client's action or the engine.
-	sc.r.Action, sc.rc = Action{}, RuleContext{}
+	compactVerdict(dst, &sc.v)
+	// The pool keeps capacity, not the client's action, the engine or
+	// a privacy finding.
+	sc.r.Action, sc.rc, sc.v.Privacy = Action{}, RuleContext{}, nil
 	scratchPool.Put(sc)
-	return r
 }

@@ -68,7 +68,7 @@ func TestDispatchMatchesLinearExhaustive(t *testing.T) {
 			base := Action{Name: "sweep", Actor: a, Timing: tm, Data: d, Source: s}
 			for _, v := range variantsOf(base) {
 				want := e.evaluateLinear(v)
-				if got := e.evaluateDispatch(v); !reflect.DeepEqual(got, want) {
+				if got := e.dispatched(v); !reflect.DeepEqual(got, want) {
 					t.Fatalf("doctrine %v: dispatch diverged from linear for %+v:\n got %+v\nwant %+v",
 						doctrine, v, got, want)
 				}
@@ -94,7 +94,7 @@ func TestDispatchOutOfRangeFallsBackToFullTable(t *testing.T) {
 		if got := e.dispatch.bucketFor(&a); !reflect.DeepEqual(got, e.dispatch.all) {
 			t.Fatalf("out-of-range action %+v did not fall back to the full table", a)
 		}
-		if got, want := e.evaluateDispatch(a), e.evaluateLinear(a); !reflect.DeepEqual(got, want) {
+		if got, want := e.dispatched(a), e.evaluateLinear(a); !reflect.DeepEqual(got, want) {
 			t.Fatalf("out-of-range dispatch diverged:\n got %+v\nwant %+v", got, want)
 		}
 	}
@@ -129,7 +129,7 @@ func TestDispatchMatchesLinearCustomRules(t *testing.T) {
 	}
 	forEachCombo(func(a Actor, tm Timing, d DataClass, s Source) {
 		v := Action{Name: "custom", Actor: a, Timing: tm, Data: d, Source: s}
-		if got, want := e.evaluateDispatch(v), e.evaluateLinear(v); !reflect.DeepEqual(got, want) {
+		if got, want := e.dispatched(v), e.evaluateLinear(v); !reflect.DeepEqual(got, want) {
 			t.Fatalf("custom-table dispatch diverged for %+v:\n got %+v\nwant %+v", v, got, want)
 		}
 	})
@@ -260,7 +260,7 @@ func TestBatchDedupOrder(t *testing.T) {
 	}
 	for i, r := range rulings {
 		if batch[i].Actor == Actor(99) {
-			if r.Regime != 0 {
+			if r.Verdict != nil {
 				t.Fatalf("invalid slot %d received a ruling: %+v", i, r)
 			}
 			continue
@@ -335,7 +335,7 @@ func TestCacheCapacityEviction(t *testing.T) {
 // equivalence tests in dispatch_test.go and FuzzEvaluate hold
 // evaluateDispatch to it.
 func (e *Engine) evaluateLinear(a Action) Ruling {
-	r := Ruling{Action: a}
+	r := Ruling{Action: a, Verdict: new(Verdict)}
 	rc := &RuleContext{engine: e, Action: &a, ruling: &r}
 	for i := range e.rules {
 		rule := &e.rules[i]
@@ -351,6 +351,14 @@ func (e *Engine) evaluateLinear(a Action) Ruling {
 			break
 		}
 	}
+	return r
+}
+
+// dispatched returns the ruling evaluateDispatch builds for a, for
+// comparison with evaluateLinear.
+func (e *Engine) dispatched(a Action) Ruling {
+	r := Ruling{Action: a, Verdict: new(Verdict)}
+	e.evaluateDispatch(&a, r.Verdict)
 	return r
 }
 

@@ -2,6 +2,7 @@ package legal
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 )
 
@@ -43,14 +44,29 @@ func (r Regime) String() string {
 	return fmt.Sprintf("Regime(%d)", int(r))
 }
 
-// Ruling is the engine's determination for one Action. Rulings returned by
-// the engine must be treated as immutable: with the ruling cache enabled
-// (and within one EvaluateBatch call), repeated evaluations of the same
-// action — or of same-shape actions whose rules never read Name — share
-// the ruling's slices.
+// Ruling is the engine's determination for one Action: the action it
+// echoes and the Verdict reached on it, whose fields it promotes (so
+// r.Required reads the verdict's Required).
+//
+// The verdict is shared and must never be written: with the ruling
+// cache enabled, every evaluation of one cache key (see
+// Engine.cacheKey) returns the same *Verdict, and within one
+// EvaluateBatch call so does every slot answered by an earlier one. A
+// zero Ruling — the slot of a failed evaluation — has no verdict:
+// NeedsProcess and HasException answer false on it, but any other
+// promoted field read panics, so check r.Verdict first where a ruling
+// may be zero.
 type Ruling struct {
 	// Action echoes the evaluated action.
 	Action Action
+	*Verdict
+}
+
+// Verdict is what the engine decided about an action. The engine
+// publishes each verdict once and never writes it again, so equal
+// pointers mean equal verdicts, and a consumer that renders or hashes
+// verdicts can do so once per distinct pointer.
+type Verdict struct {
 	// Required is the minimum process the acquisition demands.
 	Required Process
 	// Regime is the governing body of law.
@@ -70,50 +86,53 @@ type Ruling struct {
 	Applied []string
 }
 
-// NeedsProcess reports whether the acquisition requires any warrant, court
-// order, or subpoena — the Table 1 "Need / No need" answer.
-func (r *Ruling) NeedsProcess() bool {
-	return r.Required > ProcessNone
-}
-
-// HasException reports whether the ruling relied on the given exception.
-func (r *Ruling) HasException(k ExceptionKind) bool {
-	for _, e := range r.Exceptions {
-		if e == k {
-			return true
-		}
+// Format prints a ruling as its action and its verdict's fields, not
+// the verdict's address; a zero ruling prints a zero verdict.
+func (r Ruling) Format(f fmt.State, verb rune) {
+	var v Verdict
+	if r.Verdict != nil {
+		v = *r.Verdict
 	}
-	return false
+	fmt.Fprintf(f, fmt.FormatString(f, verb), struct {
+		Action  Action
+		Verdict Verdict
+	}{r.Action, v})
 }
 
-func (r *Ruling) require(p Process, regime Regime, reason string) {
-	r.Required = p
-	r.Regime = regime
-	r.Rationale = append(r.Rationale, reason)
+// NeedsProcess reports whether the acquisition requires any warrant, court
+// order, or subpoena — the Table 1 "Need / No need" answer. A nil
+// verdict needs none.
+func (v *Verdict) NeedsProcess() bool {
+	return v != nil && v.Required > ProcessNone
+}
+
+// HasException reports whether the verdict relied on the given
+// exception. A nil verdict relied on none.
+func (v *Verdict) HasException(k ExceptionKind) bool {
+	return v != nil && slices.Contains(v.Exceptions, k)
+}
+
+func (v *Verdict) require(p Process, regime Regime, reason string) {
+	v.Required = p
+	v.Regime = regime
+	v.Rationale = append(v.Rationale, reason)
 }
 
 // except records reliance on an exception doctrine. Exception kinds are
 // deduplicated like citations — first reliance wins — while the reason
 // always joins the rationale chain.
-func (r *Ruling) except(k ExceptionKind, reason string) {
-	if !r.HasException(k) {
-		r.Exceptions = append(r.Exceptions, k)
+func (v *Verdict) except(k ExceptionKind, reason string) {
+	if !v.HasException(k) {
+		v.Exceptions = append(v.Exceptions, k)
 	}
-	r.Rationale = append(r.Rationale, reason)
+	v.Rationale = append(v.Rationale, reason)
 }
 
-func (r *Ruling) cite(ids ...string) {
+func (v *Verdict) cite(ids ...string) {
 	for _, id := range ids {
 		c := Cite(id)
-		dup := false
-		for _, have := range r.Citations {
-			if have.ID == c.ID {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			r.Citations = append(r.Citations, c)
+		if !slices.ContainsFunc(v.Citations, func(have Citation) bool { return have.ID == c.ID }) {
+			v.Citations = append(v.Citations, c)
 		}
 	}
 }
@@ -230,7 +249,7 @@ type EngineStats struct {
 	// BatchDeltaChained counts batch slots answered by an earlier slot
 	// with the same ruling-cache key under another name — a name-only
 	// variant in a bucket whose rules never read Name: the slot
-	// received that slot's ruling re-labeled with its own name. A
+	// received its own action with that slot's verdict. A
 	// variant of a failed slot is evaluated and counts under
 	// Evaluations.
 	BatchDeltaChained uint64
@@ -354,9 +373,9 @@ func (e *Engine) Rules() []Rule {
 // candidate rules for the action in pipeline order: each rule whose
 // predicate matches contributes to the ruling, and a terminal rule ends
 // the walk. It is a pure function of the action: identical actions
-// yield identical rulings, and where no candidate rule reads Name,
-// actions that differ only in Name yield rulings that differ only in
-// the echoed name (which is what makes the ruling cache sound).
+// yield equal verdicts, and where no candidate rule reads Name, so do
+// actions that differ only in Name (which is what makes the ruling
+// cache sound).
 func (e *Engine) Evaluate(a Action) (Ruling, error) {
 	return e.evaluate(&a)
 }
@@ -365,9 +384,9 @@ func (e *Engine) Evaluate(a Action) (Ruling, error) {
 // delta: it applies d to a copy of prev.Action and evaluates the result
 // exactly as Evaluate does, so it returns what Evaluate would return
 // for the mutated action, error cases included. prev may come from any
-// engine (only its Action is read) and, like all rulings, must be
-// treated as immutable. On a cached engine a delta that lands on an
-// already ruled shape is a warm cache hit and allocates nothing.
+// engine (only its Action is read). On a cached engine a delta that
+// lands on an already ruled shape is a warm cache hit and allocates
+// nothing.
 func (e *Engine) EvaluateDelta(prev *Ruling, d ActionDelta) (Ruling, error) {
 	if prev == nil {
 		return Ruling{}, fmt.Errorf("legal: EvaluateDelta: nil previous ruling")
@@ -388,33 +407,34 @@ func (e *Engine) evaluate(a *Action) (Ruling, error) {
 	}
 	w, exact := packAction(a)
 	h, name := e.cacheKey(a, w, exact)
-	return e.evaluateKeyed(a, h, w, exact, name)
-}
-
-// evaluateKeyed evaluates a, already keyed as (h, name) with packed
-// word w (see Engine.cacheKey), so a caller that has the key does not
-// compute it twice. It looks the action up before validating: only
-// validated actions are ever cached, and a hash hit is verified
-// against the cached (validated) key, so a hit implies validity. The
-// hit path — lock-free probe, verify, re-label with the caller's name
-// — allocates nothing and writes nothing.
-func (e *Engine) evaluateKeyed(a *Action, h, w uint64, exact bool, name string) (Ruling, error) {
-	if e.cache != nil {
-		if en := e.cache.probe(h, w, exact, name, a); en != nil {
-			if e.statsOn {
-				e.counters.evaluations.Add(1)
-			}
-			r := en.ruling
-			r.Action.Name = a.Name
-			return r, nil
-		}
+	if v := e.lookup(a, h, w, exact, name); v != nil {
+		return Ruling{Action: *a, Verdict: v}, nil
 	}
 	return e.evaluateMiss(a, h, w, name)
 }
 
+// lookup is the hit path of every evaluation: it returns the memoized
+// verdict for a, keyed as (h, name) with packed word w (see
+// Engine.cacheKey), or nil on a miss or an uncached engine. It looks
+// the action up before validating: only validated actions are ever
+// cached, and a hash hit is verified against the cached (validated)
+// key, so a hit implies validity. It allocates nothing and writes
+// nothing but the stats counter.
+func (e *Engine) lookup(a *Action, h, w uint64, exact bool, name string) *Verdict {
+	if e.cache == nil {
+		return nil
+	}
+	v := e.cache.probe(h, w, exact, name, a)
+	if v != nil && e.statsOn {
+		e.counters.evaluations.Add(1)
+	}
+	return v
+}
+
 // evaluateMiss is the slow path of every evaluation: validate, walk the
 // dispatch bucket, and, when a cache exists, memoize under the key
-// (h, name) with packed word w.
+// (h, name) with packed word w. An uncached engine allocates the
+// verdict on its own; a cached one builds it inside the cache entry.
 func (e *Engine) evaluateMiss(a *Action, h, w uint64, name string) (Ruling, error) {
 	if e.statsOn {
 		e.counters.evaluations.Add(1)
@@ -428,11 +448,13 @@ func (e *Engine) evaluateMiss(a *Action, h, w uint64, name string) (Ruling, erro
 		}
 		return Ruling{}, err
 	}
-	r := e.evaluateDispatch(*a)
-	if e.cache != nil {
-		key := r
-		key.Action.Name = name
-		e.cache.put(h, w, &key)
+	if e.cache == nil {
+		v := new(Verdict)
+		e.evaluateDispatch(a, v)
+		return Ruling{Action: *a, Verdict: v}, nil
 	}
-	return r, nil
+	en := &cacheEntry{hash: h, pw: w, key: *a}
+	en.key.Name = name
+	e.evaluateDispatch(a, &en.verdict)
+	return Ruling{Action: *a, Verdict: e.cache.put(en)}, nil
 }

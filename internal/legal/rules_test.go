@@ -190,7 +190,7 @@ func TestRulesReturnsCopy(t *testing.T) {
 // records it once (first reliance wins), while every reason still joins
 // the rationale — the same contract citations follow.
 func TestExceptionsDeduplicated(t *testing.T) {
-	var r Ruling
+	var r Verdict
 	r.except(ExceptionConsent, "first reliance")
 	r.except(ExceptionNoREP, "different doctrine")
 	r.except(ExceptionConsent, "second reliance")

@@ -29,6 +29,9 @@ type RulingView struct {
 
 // FromRuling projects a ruling.
 func FromRuling(r legal.Ruling) RulingView {
+	if r.Verdict == nil {
+		r.Verdict = new(legal.Verdict) // a zero ruling views as a zero verdict
+	}
 	v := RulingView{
 		Action:       r.Action.Name,
 		Required:     r.Required.String(),

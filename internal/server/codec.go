@@ -167,7 +167,7 @@ func appendEvaluateResponse(dst []byte, tenant string, revision uint64, r *legal
 // json.Marshal(BatchResponse{...}) without materializing the
 // []*report.RulingView. errs holds each slot's error, as
 // Engine.EvaluateBatchInto fills it: slot i failed exactly when
-// errs[i] != nil. Each distinct ruling tail is rendered once and
+// errs[i] != nil. Each distinct verdict's tail is rendered once and
 // copied for every later slot that shares it (see tailTable).
 func appendBatchResponse(dst []byte, tenant string, revision uint64, rulings []legal.Ruling, errs []error) []byte {
 	var tails tailTable
@@ -186,7 +186,7 @@ func appendBatchResponse(dst []byte, tenant string, revision uint64, rulings []l
 		}
 		dst = append(dst, `{"action":`...)
 		dst = wire.AppendString(dst, rulings[i].Action.Name)
-		dst = tails.append(dst, &rulings[i])
+		dst = tails.append(dst, rulings[i].Verdict)
 	}
 	dst = append(dst, ']')
 	listed := len(dst) // the errors list is open once dst has grown
@@ -225,84 +225,57 @@ func appendSlotError(dst []byte, i int, err error) []byte {
 }
 
 // tailSlots sizes a batch response's tail table, about twice the
-// distinct rulings a batch of Table 1 scenes carries (~30); tailProbes
-// bounds the linear probe from a ruling's home slot.
+// distinct verdicts a batch of Table 1 scenes carries (~30); tailProbes
+// bounds the linear probe from a verdict's home slot.
 const (
 	tailBits   = 6
 	tailSlots  = 1 << tailBits
 	tailProbes = 4
 )
 
-// tailID is what a ruling's view after its action name is a function
-// of: Required, Regime, and the Exceptions, Rationale and Citations
-// slices by data pointer and length. Two rulings with one tailID read
-// the same memory, so they render the same tail. Rulings are immutable
-// and share their slices across repeated and same-shape evaluations
-// (see legal.Ruling), so the slots a batch re-labels and those the
-// ruling cache answers carry the tailID of the ruling that answered
-// them.
-type tailID struct {
-	required                            legal.Process
-	regime                              legal.Regime
-	exceptions                          *legal.ExceptionKind
-	rationale                           *string
-	citations                           *legal.Citation
-	nExceptions, nRationale, nCitations int
-}
-
-func tailIDOf(r *legal.Ruling) tailID {
-	id := tailID{required: r.Required, regime: r.Regime,
-		nExceptions: len(r.Exceptions), nRationale: len(r.Rationale), nCitations: len(r.Citations)}
-	if len(r.Exceptions) > 0 {
-		id.exceptions = &r.Exceptions[0]
-	}
-	if len(r.Rationale) > 0 {
-		id.rationale = &r.Rationale[0]
-	}
-	if len(r.Citations) > 0 {
-		id.citations = &r.Citations[0]
-	}
-	return id
-}
-
-// tailHome is r's first slot in a tail table. An address cannot be
-// hashed without unsafe, so it mixes what else the tailID carries with
-// the lengths of the first and last rationale lines; distinct rulings
-// that share a home cost only a probe.
-func tailHome(r *legal.Ruling) int {
-	h := uint64(r.Required)<<56 ^ uint64(r.Regime)<<48 ^ uint64(len(r.Exceptions))<<40 ^
-		uint64(len(r.Rationale))<<32 ^ uint64(len(r.Citations))<<24
-	if n := len(r.Rationale); n > 0 {
-		h ^= uint64(len(r.Rationale[0]))<<12 ^ uint64(len(r.Rationale[n-1]))
+// tailHome is v's first slot in a tail table. A pointer cannot be
+// hashed without unsafe, so it mixes v's Required, Regime and slice
+// lengths with the lengths of its first and last rationale lines;
+// distinct verdicts that share a home cost only a probe.
+func tailHome(v *legal.Verdict) int {
+	h := uint64(v.Required)<<56 ^ uint64(v.Regime)<<48 ^ uint64(len(v.Exceptions))<<40 ^
+		uint64(len(v.Rationale))<<32 ^ uint64(len(v.Citations))<<24
+	if n := len(v.Rationale); n > 0 {
+		h ^= uint64(len(v.Rationale[0]))<<12 ^ uint64(len(v.Rationale[n-1]))
 	}
 	return int((h * 0x9e3779b97f4a7c15) >> (64 - tailBits))
 }
 
-// tailTable remembers where in one batch response each distinct ruling
-// tail was first rendered, as offsets into the response, so later
-// slots with the same tailID copy those bytes instead of rendering
-// them again. It lives on the stack for one response and never evicts:
-// a ruling whose probe window is taken by other rulings is rendered in
-// full.
+// tailTable remembers where in one batch response each distinct
+// verdict's tail was first rendered, as offsets into the response, so
+// later slots carrying the same *legal.Verdict copy those bytes instead
+// of rendering them again. The engine never writes a verdict it has
+// published, and the slots that the batch pass and the ruling cache
+// answer share the answering verdict (see legal.Ruling), so a pointer
+// match is all a hit needs. The table lives on the stack for one
+// response and never evicts: a verdict whose probe window is taken by
+// others is rendered in full.
 type tailTable [tailSlots]struct {
-	id         tailID
-	start, end int // end == 0: the slot is free (a tail is never empty)
+	v          *legal.Verdict // nil: the slot is free
+	start, end int
 }
 
-// append appends r's view tail to dst.
-func (t *tailTable) append(dst []byte, r *legal.Ruling) []byte {
-	id := tailIDOf(r)
-	for i, h := 0, tailHome(r); i < tailProbes; i++ {
+// append appends the view tail of verdict v to dst.
+func (t *tailTable) append(dst []byte, v *legal.Verdict) []byte {
+	if v == nil {
+		return wire.AppendRulingViewTail(dst, nil)
+	}
+	for i, h := 0, tailHome(v); i < tailProbes; i++ {
 		s := &t[(h+i)%tailSlots]
-		switch {
-		case s.end == 0:
+		switch s.v {
+		case nil:
 			start := len(dst)
-			dst = wire.AppendRulingViewTail(dst, r)
-			s.id, s.start, s.end = id, start, len(dst)
+			dst = wire.AppendRulingViewTail(dst, v)
+			s.v, s.start, s.end = v, start, len(dst)
 			return dst
-		case s.id == id:
+		case v:
 			return append(dst, dst[s.start:s.end]...)
 		}
 	}
-	return wire.AppendRulingViewTail(dst, r)
+	return wire.AppendRulingViewTail(dst, v)
 }

@@ -17,22 +17,26 @@ func codecRulings() []legal.Ruling {
 	return []legal.Ruling{
 		{},
 		{
-			Action:   legal.Action{Name: "seize stored email <inbox> & \"drafts\""},
-			Required: legal.ProcessSearchWarrant,
-			Regime:   legal.RegimeSCA,
-			Rationale: []string{
-				"stored content at a public provider",
-				"SCA \u00a7 2703(a) requires a warrant",
+			Action: legal.Action{Name: "seize stored email <inbox> & \"drafts\""},
+			Verdict: &legal.Verdict{
+				Required: legal.ProcessSearchWarrant,
+				Regime:   legal.RegimeSCA,
+				Rationale: []string{
+					"stored content at a public provider",
+					"SCA \u00a7 2703(a) requires a warrant",
+				},
+				Citations: []legal.Citation{{ID: "sca", Title: "18 U.S.C. \u00a7 2703"}},
 			},
-			Citations: []legal.Citation{{ID: "sca", Title: "18 U.S.C. \u00a7 2703"}},
 		},
 		{
-			Action:     legal.Action{Name: "consent search"},
-			Required:   legal.ProcessNone,
-			Regime:     legal.RegimeFourthAmendment,
-			Exceptions: []legal.ExceptionKind{1, 2},
-			Rationale:  []string{},
-			Citations:  []legal.Citation{},
+			Action: legal.Action{Name: "consent search"},
+			Verdict: &legal.Verdict{
+				Required:   legal.ProcessNone,
+				Regime:     legal.RegimeFourthAmendment,
+				Exceptions: []legal.ExceptionKind{1, 2},
+				Rationale:  []string{},
+				Citations:  []legal.Citation{},
+			},
 		},
 	}
 }
@@ -57,44 +61,56 @@ func TestAppendEvaluateResponseMatchesStdlib(t *testing.T) {
 	}
 }
 
-// relabel returns r under another action name, sharing r's slices as
+// relabel returns r under another action name, sharing r's verdict as
 // the engine's batch pass and ruling cache do.
 func relabel(r legal.Ruling, name string) legal.Ruling {
 	r.Action.Name = name
 	return r
 }
 
-// manyTails returns n rulings with distinct Rationale slices, each
-// followed by a re-labeled copy. Rulings of one line length share a
-// home slot in the tail table, so the probe windows fill up.
+// vary returns r under another name with a copy of its verdict that
+// change has edited: a distinct verdict, which still shares r's slices
+// unless change replaces them.
+func vary(r legal.Ruling, name string, change func(v *legal.Verdict)) legal.Ruling {
+	v := *r.Verdict
+	change(&v)
+	return legal.Ruling{Action: legal.Action{Name: name}, Verdict: &v}
+}
+
+// manyTails returns n rulings with distinct verdicts, each followed by
+// a re-labeled copy. Verdicts of one line length share a home slot in
+// the tail table, so the probe windows fill up.
 func manyTails(n int) []legal.Ruling {
 	var out []legal.Ruling
 	for i := 0; i < n; i++ {
 		r := legal.Ruling{
-			Action:    legal.Action{Name: fmt.Sprintf("distinct %d", i)},
-			Required:  legal.ProcessSubpoena,
-			Regime:    legal.RegimeSCA,
-			Rationale: []string{fmt.Sprintf("line %0*d", 3+i%3, i)},
+			Action: legal.Action{Name: fmt.Sprintf("distinct %d", i)},
+			Verdict: &legal.Verdict{
+				Required:  legal.ProcessSubpoena,
+				Regime:    legal.RegimeSCA,
+				Rationale: []string{fmt.Sprintf("line %0*d", 3+i%3, i)},
+			},
 		}
 		out = append(out, r, relabel(r, fmt.Sprintf("again %d", i)))
 	}
 	return out
 }
 
-// sameHome returns two of the rulings vary(0), vary(1), ... that share
-// a home slot in the tail table, each twice, so that rendering them
-// rests on the table's identity check and not on its hash.
-func sameHome(t *testing.T, vary func(i int) legal.Ruling) []legal.Ruling {
+// sameHome returns two of the rulings varied(0), varied(1), ... whose
+// distinct verdicts share a home slot in the tail table, each twice,
+// so that rendering them rests on the table's pointer check and not on
+// its hash.
+func sameHome(t *testing.T, varied func(i int) legal.Ruling) []legal.Ruling {
 	t.Helper()
 	seen := map[int]legal.Ruling{}
 	for i := 0; i <= tailSlots; i++ {
-		r := vary(i)
-		if prev, ok := seen[tailHome(&r)]; ok {
+		r := varied(i)
+		if prev, ok := seen[tailHome(r.Verdict)]; ok {
 			return []legal.Ruling{prev, r, prev, r}
 		}
-		seen[tailHome(&r)] = r
+		seen[tailHome(r.Verdict)] = r
 	}
-	t.Fatal("no two rulings share a home slot")
+	t.Fatal("no two verdicts share a home slot")
 	return nil
 }
 
@@ -105,37 +121,31 @@ func TestAppendBatchResponseMatchesStdlib(t *testing.T) {
 	for i := range lines {
 		lines[i] = "the same line"
 	}
-	shorter := sameHome(t, func(i int) legal.Ruling {
-		return legal.Ruling{Action: legal.Action{Name: "lines"}, Rationale: lines[:i+1]}
-	})
-	otherRequired := sameHome(t, func(i int) legal.Ruling {
-		r := relabel(shared, "required")
-		r.Required = legal.Process(i)
-		return r
-	})
-	otherRegime := sameHome(t, func(i int) legal.Ruling {
-		r := relabel(shared, "regime")
-		r.Regime = legal.Regime(i)
-		return r
-	})
-	otherSlices := sameHome(t, func(i int) legal.Ruling {
-		r := relabel(shared, "slices")
-		r.Exceptions = []legal.ExceptionKind{legal.ExceptionKind(1 + i%3)}
-		return r
-	})
-	otherSlices = append(otherSlices, sameHome(t, func(i int) legal.Ruling {
-		r := relabel(shared, "rationale")
-		r.Rationale = []string{fmt.Sprintf("line %c", 'a'+i%26)}
-		return r
-	})...)
-	otherSlices = append(otherSlices, sameHome(t, func(i int) legal.Ruling {
-		r := relabel(shared, "citations")
-		r.Citations = []legal.Citation{{Title: fmt.Sprintf("title %d", i)}}
-		return r
-	})...)
+	// Distinct verdicts that share a home slot, differing in one field
+	// each; the first family's rationales are prefixes of one array.
+	var homeMates []legal.Ruling
+	for _, change := range []func(v *legal.Verdict, i int){
+		func(v *legal.Verdict, i int) { v.Rationale = lines[:i+1] },
+		func(v *legal.Verdict, i int) { v.Required = legal.Process(i) },
+		func(v *legal.Verdict, i int) { v.Regime = legal.Regime(i) },
+		func(v *legal.Verdict, i int) { v.Exceptions = []legal.ExceptionKind{legal.ExceptionKind(1 + i%3)} },
+		func(v *legal.Verdict, i int) { v.Rationale = []string{fmt.Sprintf("line %c", 'a'+i%26)} },
+		func(v *legal.Verdict, i int) { v.Citations = []legal.Citation{{Title: fmt.Sprintf("title %d", i)}} },
+	} {
+		homeMates = append(homeMates, sameHome(t, func(i int) legal.Ruling {
+			return vary(shared, fmt.Sprintf("mate %d", i), func(v *legal.Verdict) { change(v, i) })
+		})...)
+	}
+	// One verdict under many names, interleaved with another.
 	interleaved := []legal.Ruling{shared, relabel(shared, "b"), relabel(other, "c"),
 		relabel(shared, "d"), other, relabel(shared, "f"), relabel(other, "g")}
-	many := manyTails(3 * tailSlots)
+	// Distinct verdicts of equal content: each is its own table entry,
+	// and all render the same bytes.
+	var equalContent []legal.Ruling
+	for i := 0; i < 3; i++ {
+		r := vary(shared, fmt.Sprintf("copy %d", i), func(*legal.Verdict) {})
+		equalContent = append(equalContent, r, relabel(r, fmt.Sprintf("copy %d again", i)))
+	}
 	cases := []struct {
 		name   string
 		ruls   []legal.Ruling
@@ -144,16 +154,14 @@ func TestAppendBatchResponseMatchesStdlib(t *testing.T) {
 		{name: "empty", ruls: nil},
 		{name: "all ok", ruls: rulings},
 		{name: "one failed", ruls: rulings, failed: map[int]string{1: "invalid <action>"}},
-		{name: "shared slices under other names", ruls: interleaved},
-		{name: "rationale sharing a pointer at a shorter length", ruls: shorter},
-		{name: "same slices under another required", ruls: otherRequired},
-		{name: "same slices under another regime", ruls: otherRegime},
-		{name: "equal lengths, other slices", ruls: otherSlices},
+		{name: "one verdict under many names", ruls: interleaved},
+		{name: "distinct verdicts sharing a home slot", ruls: homeMates},
+		{name: "equal-content distinct verdicts", ruls: equalContent},
 		{
 			name: "failed slots between shared ones", ruls: interleaved,
 			failed: map[int]string{1: "bad", 2: "bad", 5: "bad"},
 		},
-		{name: "more distinct rulings than the table holds", ruls: many},
+		{name: "more distinct verdicts than the table holds", ruls: manyTails(3 * tailSlots)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -209,7 +217,7 @@ func TestPutScratchClearsBatchSlots(t *testing.T) {
 	errs[2] = errors.New("action 2: bad")
 	putScratch(sc)
 	for i := range rulings {
-		if rulings[i].Rationale != nil || rulings[i].Action.Name != "" || errs[i] != nil {
+		if rulings[i].Verdict != nil || rulings[i].Action.Name != "" || errs[i] != nil {
 			t.Fatalf("slot %d still holds %+v, %v after put", i, rulings[i], errs[i])
 		}
 	}

@@ -108,23 +108,29 @@ func AppendRulingViewFromRuling(dst []byte, r *legal.Ruling) []byte {
 	// and never enters the memo.
 	dst = append(dst, `{"action":`...)
 	dst = AppendString(dst, r.Action.Name)
-	return AppendRulingViewTail(dst, r)
+	return AppendRulingViewTail(dst, r.Verdict)
 }
 
+// noVerdict is what a zero ruling, which has no verdict, renders as.
+var noVerdict legal.Verdict
+
 // AppendRulingViewTail appends what AppendRulingViewFromRuling renders
-// after the action name, from `,"required":` to the closing brace. It
-// reads only r's Required, Regime, Exceptions, Rationale and Citations,
-// so rulings that share those render the same tail.
-func AppendRulingViewTail(dst []byte, r *legal.Ruling) []byte {
+// after the action name, from `,"required":` to the closing brace: a
+// function of the ruling's verdict v alone, so rulings that share a
+// verdict render the same tail. A nil verdict renders as a zero one.
+func AppendRulingViewTail(dst []byte, v *legal.Verdict) []byte {
+	if v == nil {
+		v = &noVerdict
+	}
 	dst = append(dst, `,"required":`...)
-	dst = appendName(dst, processJSON, r.Required)
+	dst = appendName(dst, processJSON, v.Required)
 	dst = append(dst, `,"regime":`...)
-	dst = appendName(dst, regimeJSON, r.Regime)
+	dst = appendName(dst, regimeJSON, v.Regime)
 	dst = append(dst, `,"needsProcess":`...)
-	dst = AppendBool(dst, r.NeedsProcess())
-	if len(r.Exceptions) > 0 {
+	dst = AppendBool(dst, v.NeedsProcess())
+	if len(v.Exceptions) > 0 {
 		dst = append(dst, `,"exceptions":[`...)
-		for i, e := range r.Exceptions {
+		for i, e := range v.Exceptions {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
@@ -136,11 +142,11 @@ func AppendRulingViewTail(dst []byte, r *legal.Ruling) []byte {
 	// Citations by appending titles, so empty inputs project to nil
 	// slices — rendered null — while non-empty ones render as arrays.
 	dst = append(dst, `,"rationale":`...)
-	if len(r.Rationale) == 0 {
+	if len(v.Rationale) == 0 {
 		dst = append(dst, "null"...)
 	} else {
 		dst = append(dst, '[')
-		for i, s := range r.Rationale {
+		for i, s := range v.Rationale {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
@@ -149,15 +155,15 @@ func AppendRulingViewTail(dst []byte, r *legal.Ruling) []byte {
 		dst = append(dst, ']')
 	}
 	dst = append(dst, `,"citations":`...)
-	if len(r.Citations) == 0 {
+	if len(v.Citations) == 0 {
 		dst = append(dst, "null"...)
 	} else {
 		dst = append(dst, '[')
-		for i := range r.Citations {
+		for i := range v.Citations {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = appendMemo(dst, r.Citations[i].Title)
+			dst = appendMemo(dst, v.Citations[i].Title)
 		}
 		dst = append(dst, ']')
 	}

@@ -61,10 +61,10 @@ func TestMemoEvictionByteIdentical(t *testing.T) {
 			// Pair each line with one half the pool away, so the strings
 			// of one ruling were last seen far apart.
 			j := (i + distinct/2) % distinct
-			r := legal.Ruling{
+			r := legal.Ruling{Verdict: &legal.Verdict{
 				Rationale: []string{line(i), line(j), line(i + 1)},
 				Citations: []legal.Citation{{Title: line(i + 2)}, {Title: line(j + 3)}},
-			}
+			}}
 			checkView(t, &r)
 		}
 	}
@@ -84,7 +84,7 @@ func TestMemoContentKeyed(t *testing.T) {
 		{base, prefix, base},
 		{prefix, base, prefix},
 	} {
-		r := legal.Ruling{Rationale: rat, Citations: []legal.Citation{{Title: prefix}, {Title: base}}}
+		r := legal.Ruling{Verdict: &legal.Verdict{Rationale: rat, Citations: []legal.Citation{{Title: prefix}, {Title: base}}}}
 		checkView(t, &r)
 	}
 	if !memoHolds(base) || !memoHolds(prefix) {
@@ -96,7 +96,7 @@ func TestMemoContentKeyed(t *testing.T) {
 // maxMemoLen renders correctly and is never stored.
 func TestMemoSkipsLongStrings(t *testing.T) {
 	long := strings.Repeat("a long <line> ", maxMemoLen/8)
-	r := legal.Ruling{Rationale: []string{long, long}}
+	r := legal.Ruling{Verdict: &legal.Verdict{Rationale: []string{long, long}}}
 	checkView(t, &r)
 	if memoHolds(long) {
 		t.Fatal("memo holds a line longer than maxMemoLen")
@@ -129,7 +129,7 @@ func TestMemoConcurrentEncodes(t *testing.T) {
 					errs <- fmt.Errorf("goroutine %d ruling %d:\n got %s\nwant %s", g, i, buf, want[i])
 					return
 				}
-				filler := legal.Ruling{Rationale: []string{fmt.Sprintf("filler %d %d", g, n)}}
+				filler := legal.Ruling{Verdict: &legal.Verdict{Rationale: []string{fmt.Sprintf("filler %d %d", g, n)}}}
 				buf = AppendRulingViewFromRuling(buf[:0], &filler)
 			}
 		}(g)

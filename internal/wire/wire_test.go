@@ -54,27 +54,31 @@ func sampleRulings() []legal.Ruling {
 	return []legal.Ruling{
 		{},
 		{
-			Action:     sampleActions()[1],
-			Required:   legal.ProcessWiretapOrder,
-			Regime:     legal.RegimeWiretap,
-			Exceptions: []legal.ExceptionKind{1},
-			Privacy: &legal.PrivacyFinding{
-				Reasonable: true,
-				Reasons:    []string{"content of communications"},
-				Citations:  []legal.Citation{{ID: "katz", Title: "Katz v. United States"}},
+			Action: sampleActions()[1],
+			Verdict: &legal.Verdict{
+				Required:   legal.ProcessWiretapOrder,
+				Regime:     legal.RegimeWiretap,
+				Exceptions: []legal.ExceptionKind{1},
+				Privacy: &legal.PrivacyFinding{
+					Reasonable: true,
+					Reasons:    []string{"content of communications"},
+					Citations:  []legal.Citation{{ID: "katz", Title: "Katz v. United States"}},
+				},
+				Rationale: []string{"real-time content", "Title III governs"},
+				Citations: []legal.Citation{{ID: "t3", Title: "18 U.S.C. \u00a7 2511"}},
+				Applied:   []string{"wiretap-rule"},
 			},
-			Rationale: []string{"real-time content", "Title III governs"},
-			Citations: []legal.Citation{{ID: "t3", Title: "18 U.S.C. \u00a7 2511"}},
-			Applied:   []string{"wiretap-rule"},
 		},
 		{
-			Action:     sampleActions()[3],
-			Required:   legal.ProcessNone,
-			Regime:     legal.RegimeNone,
-			Exceptions: []legal.ExceptionKind{},
-			Rationale:  []string{},
-			Citations:  []legal.Citation{},
-			Applied:    nil,
+			Action: sampleActions()[3],
+			Verdict: &legal.Verdict{
+				Required:   legal.ProcessNone,
+				Regime:     legal.RegimeNone,
+				Exceptions: []legal.ExceptionKind{},
+				Rationale:  []string{},
+				Citations:  []legal.Citation{},
+				Applied:    nil,
+			},
 		},
 	}
 }
@@ -556,15 +560,17 @@ var hotAction = legal.Action{
 // hotRuling approximates a served ruling: a few rationale lines and
 // citations, no privacy finding pointer chasing beyond the slices.
 var hotRuling = legal.Ruling{
-	Action:   hotAction,
-	Required: legal.ProcessSearchWarrant,
-	Regime:   legal.RegimeSCA,
-	Rationale: []string{
-		"stored content at a public provider",
-		"SCA \u00a7 2703(a) requires a warrant for content",
+	Action: hotAction,
+	Verdict: &legal.Verdict{
+		Required: legal.ProcessSearchWarrant,
+		Regime:   legal.RegimeSCA,
+		Rationale: []string{
+			"stored content at a public provider",
+			"SCA \u00a7 2703(a) requires a warrant for content",
+		},
+		Citations: []legal.Citation{{ID: "sca", Title: "18 U.S.C. \u00a7 2703"}},
+		Applied:   []string{"sca-content-rule"},
 	},
-	Citations: []legal.Citation{{ID: "sca", Title: "18 U.S.C. \u00a7 2703"}},
-	Applied:   []string{"sca-content-rule"},
 }
 
 // TestWireEncodeAllocsZero pins the encoder's zero-allocation claim:

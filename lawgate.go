@@ -76,8 +76,13 @@ type (
 	Engine = legal.Engine
 	// Action describes one investigative acquisition step.
 	Action = legal.Action
-	// Ruling is the engine's determination for an Action.
+	// Ruling is the engine's determination for an Action: the echoed
+	// action and its Verdict, whose fields it promotes. A zero Ruling
+	// has no verdict.
 	Ruling = legal.Ruling
+	// Verdict is what the engine decided. Verdicts are shared between
+	// rulings and must never be written.
+	Verdict = legal.Verdict
 	// Process is a level of legal process (none … wiretap order).
 	Process = legal.Process
 	// Showing is an evidentiary basis (mere suspicion … probable cause).
