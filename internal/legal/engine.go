@@ -377,7 +377,15 @@ func (e *Engine) Rules() []Rule {
 // actions that differ only in Name (which is what makes the ruling
 // cache sound).
 func (e *Engine) Evaluate(a Action) (Ruling, error) {
-	return e.evaluate(&a)
+	if e.cache == nil {
+		return e.evaluateMiss(&a, 0, 0, "")
+	}
+	w, exact := packAction(&a)
+	h, name := e.cacheKey(&a, w, exact)
+	if v := e.lookup(&a, h, w, exact, name); v != nil {
+		return Ruling{Action: a, Verdict: v}, nil
+	}
+	return e.evaluateMiss(&a, h, w, name)
 }
 
 // EvaluateDelta re-rules a previously ruled action after the given
@@ -396,21 +404,7 @@ func (e *Engine) EvaluateDelta(prev *Ruling, d ActionDelta) (Ruling, error) {
 	}
 	a := prev.Action
 	d.Apply(&a)
-	return e.evaluate(&a)
-}
-
-// evaluate is Evaluate on a pointer. An uncached engine goes straight
-// to the miss path; a cached one keys the action and looks it up.
-func (e *Engine) evaluate(a *Action) (Ruling, error) {
-	if e.cache == nil {
-		return e.evaluateMiss(a, 0, 0, "")
-	}
-	w, exact := packAction(a)
-	h, name := e.cacheKey(a, w, exact)
-	if v := e.lookup(a, h, w, exact, name); v != nil {
-		return Ruling{Action: *a, Verdict: v}, nil
-	}
-	return e.evaluateMiss(a, h, w, name)
+	return e.Evaluate(a)
 }
 
 // lookup is the hit path of every evaluation: it returns the memoized
