@@ -121,20 +121,20 @@ func TestAppendBatchResponseMatchesStdlib(t *testing.T) {
 	for i := range lines {
 		lines[i] = "the same line"
 	}
-	// Distinct verdicts that share a home slot, differing in one field
-	// each; the first family's rationales are prefixes of one array.
-	var homeMates []legal.Ruling
+	// mates returns two distinct verdicts, each twice, that share a
+	// home slot and differ from each other only where change puts i.
+	mates := func(change func(v *legal.Verdict, i int)) []legal.Ruling {
+		return sameHome(t, func(i int) legal.Ruling {
+			return vary(shared, fmt.Sprintf("mate %d", i), func(v *legal.Verdict) { change(v, i) })
+		})
+	}
+	var otherSlices []legal.Ruling
 	for _, change := range []func(v *legal.Verdict, i int){
-		func(v *legal.Verdict, i int) { v.Rationale = lines[:i+1] },
-		func(v *legal.Verdict, i int) { v.Required = legal.Process(i) },
-		func(v *legal.Verdict, i int) { v.Regime = legal.Regime(i) },
 		func(v *legal.Verdict, i int) { v.Exceptions = []legal.ExceptionKind{legal.ExceptionKind(1 + i%3)} },
 		func(v *legal.Verdict, i int) { v.Rationale = []string{fmt.Sprintf("line %c", 'a'+i%26)} },
 		func(v *legal.Verdict, i int) { v.Citations = []legal.Citation{{Title: fmt.Sprintf("title %d", i)}} },
 	} {
-		homeMates = append(homeMates, sameHome(t, func(i int) legal.Ruling {
-			return vary(shared, fmt.Sprintf("mate %d", i), func(v *legal.Verdict) { change(v, i) })
-		})...)
+		otherSlices = append(otherSlices, mates(change)...)
 	}
 	// One verdict under many names, interleaved with another.
 	interleaved := []legal.Ruling{shared, relabel(shared, "b"), relabel(other, "c"),
@@ -154,14 +154,20 @@ func TestAppendBatchResponseMatchesStdlib(t *testing.T) {
 		{name: "empty", ruls: nil},
 		{name: "all ok", ruls: rulings},
 		{name: "one failed", ruls: rulings, failed: map[int]string{1: "invalid <action>"}},
-		{name: "one verdict under many names", ruls: interleaved},
-		{name: "distinct verdicts sharing a home slot", ruls: homeMates},
+		{name: "shared slices under other names", ruls: interleaved},
+		{name: "rationale sharing a pointer at a shorter length",
+			ruls: mates(func(v *legal.Verdict, i int) { v.Rationale = lines[:i+1] })},
+		{name: "same slices under another required",
+			ruls: mates(func(v *legal.Verdict, i int) { v.Required = legal.Process(i) })},
+		{name: "same slices under another regime",
+			ruls: mates(func(v *legal.Verdict, i int) { v.Regime = legal.Regime(i) })},
+		{name: "equal lengths, other slices", ruls: otherSlices},
 		{name: "equal-content distinct verdicts", ruls: equalContent},
 		{
 			name: "failed slots between shared ones", ruls: interleaved,
 			failed: map[int]string{1: "bad", 2: "bad", 5: "bad"},
 		},
-		{name: "more distinct verdicts than the table holds", ruls: manyTails(3 * tailSlots)},
+		{name: "more distinct rulings than the table holds", ruls: manyTails(3 * tailSlots)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
