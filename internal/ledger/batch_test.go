@@ -25,10 +25,10 @@ func batchDrafts(n int) []Draft {
 // different (one-shot) hash path than Append; both must be
 // unobservable. Every record, the chain head, the root, and proofs
 // must come out byte-identical to looped eager appends, for batch
-// sizes crossing slab boundaries and for reads issued with deferred
+// sizes crossing chunk boundaries and for reads issued with deferred
 // interiors still pending.
 func TestAppendBatchMatchesLoopedAppend(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 3, 64, 257, slabSize + 33} {
+	for _, n := range []int{0, 1, 2, 3, 64, 257, chunkSize + 33} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			drafts := batchDrafts(n)
 			batched, looped := New(), New()

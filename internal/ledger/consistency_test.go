@@ -135,16 +135,8 @@ func TestConsistencyDetectsRewrite(t *testing.T) {
 	records := l.Records()
 	records[17].Note = "rewritten"
 	forged := New()
-	prev := [32]byte{}
 	for i := range records {
-		r := records[i]
-		r.Prev = prev
-		r.Hash = forged.seal.seal(&r)
-		prev = r.Hash
-		forged.slabs = appendRecord(forged.slabs, r)
-		forged.head = r.Hash
-		forged.idx.push(forged.seal, r.Hash)
-		forged.n++
+		forged.Append(records[i].draft())
 	}
 	fp, err := forged.ConsistencyProof(cp.Size, uint64(forged.Len()))
 	if err != nil {
@@ -153,15 +145,6 @@ func TestConsistencyDetectsRewrite(t *testing.T) {
 	if VerifyConsistency(fp, cp.Root, forged.Root()) {
 		t.Error("forged history produced a proof bridging the original checkpoint")
 	}
-}
-
-// appendRecord is a test helper mirroring the slab append.
-func appendRecord(slabs [][]Record, r Record) [][]Record {
-	if len(slabs) == 0 || len(slabs[len(slabs)-1]) == slabSize {
-		slabs = append(slabs, make([]Record, 0, slabSize))
-	}
-	slabs[len(slabs)-1] = append(slabs[len(slabs)-1], r)
-	return slabs
 }
 
 // TestConsistencyEdges pins the degenerate shapes: empty-to-anything,

@@ -30,9 +30,14 @@
 //
 // # Performance
 //
-// The append path is allocation-free at steady state: records live in
-// preallocated fixed-size slabs (no copying growth), the hash state and
-// encoding scratch are reused, and AppendBatch amortizes locking for
-// bulk producers. With capacity preallocated (WithCapacity), Append
-// sustains millions of records per second; see BENCH_ledger.json.
+// The ledger stores per record only what the producer supplied (its
+// 64-byte Draft): Seq is the record's position, Hash is its Merkle
+// leaf, and Prev is the previous leaf, so none of them is stored
+// twice. Drafts and every index level live in append-only stores of
+// 4,096-element chunks that never copy sealed history; only the first
+// chunk grows by doubling, so a short ledger stays small. The append
+// path is allocation-free at steady state (the sealing scratch is
+// reused), and with capacity preallocated (WithCapacity) it allocates
+// nothing at all. AppendBatch amortizes locking and Merkle maintenance
+// for bulk producers; see BENCH_ledger.json.
 package ledger

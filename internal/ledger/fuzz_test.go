@@ -39,14 +39,14 @@ func FuzzRecordRoundTrip(f *testing.F) {
 		}
 		// The chain digest is exactly SHA-256 of the canonical body, for
 		// both encoder paths (buffer sealer vs. streaming verifier).
-		s := newSealer()
-		if s.seal(&in) != sha256.Sum256(enc) {
+		var s sealer
+		d := in.draft()
+		if s.seal(in.Seq, &d, &in.Prev) != sha256.Sum256(enc) {
 			t.Fatal("sealer disagrees with SHA-256 over AppendRecordBody")
 		}
-		h := sha256.New()
-		var scratch []byte
-		if streamRecordDigest(h, &scratch, &in) != sha256.Sum256(enc) {
-			t.Fatal("streamRecordDigest disagrees with SHA-256 over AppendRecordBody")
+		digest := streamDigest{h: sha256.New()}
+		if digest.record(in.Seq, &d, &in.Prev) != sha256.Sum256(enc) {
+			t.Fatal("streamDigest disagrees with SHA-256 over AppendRecordBody")
 		}
 		// Decoding arbitrary prefixes must never panic; errors are fine.
 		for cut := 0; cut < len(enc); cut += 1 + len(enc)/8 {

@@ -26,32 +26,30 @@ var magic = [8]byte{'L', 'G', 'L', 'E', 'D', 'G', 'R', '1'}
 func (l *Ledger) WriteTo(w io.Writer) (int64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.idx.flush(l.seal)
+	l.idx.flush()
 	var total int64
 	var buf []byte
 	var hdr [16]byte
 	copy(hdr[:8], magic[:])
-	binary.BigEndian.PutUint64(hdr[8:], l.n)
+	binary.BigEndian.PutUint64(hdr[8:], l.recs.n)
 	n, err := w.Write(hdr[:])
 	total += int64(n)
 	if err != nil {
 		return total, err
 	}
-	for _, slab := range l.slabs {
-		for i := range slab {
-			r := &slab[i]
-			buf = AppendRecordBody(buf[:0], r)
-			buf = append(buf, r.Hash[:]...)
-			n, err = w.Write(buf)
-			total += int64(n)
-			if err != nil {
-				return total, err
-			}
+	for i := uint64(0); i < l.recs.n; i++ {
+		buf = appendBody(buf[:0], i, l.recs.at(i), l.prev(i))
+		buf = append(buf, l.idx.leaf(i)[:]...)
+		n, err = w.Write(buf)
+		total += int64(n)
+		if err != nil {
+			return total, err
 		}
 	}
-	root := l.idx.rootAt(l.seal, l.n)
+	root := l.idx.rootAt(l.recs.n)
+	head := l.prev(l.recs.n)
 	buf = append(buf[:0], root[:]...)
-	buf = append(buf, l.head[:]...)
+	buf = append(buf, head[:]...)
 	n, err = w.Write(buf)
 	total += int64(n)
 	return total, err

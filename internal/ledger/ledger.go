@@ -7,11 +7,6 @@ import (
 	"sync"
 )
 
-// slabSize is the number of records per storage slab. Slabs are never
-// reallocated once created, so appends never copy sealed history and a
-// record pointer stays valid for the ledger's lifetime.
-const slabSize = 4096
-
 // ErrTampered is the sentinel every chain-verification failure wraps.
 var ErrTampered = errors.New("ledger: tampered")
 
@@ -46,13 +41,20 @@ type Checkpoint struct {
 
 // Ledger is the append-only, hash-chained audit ledger. The zero value
 // is not usable; call New. A Ledger is safe for concurrent use.
+//
+// It stores per record only what the producer supplied (a Draft); the
+// rest of a Record is derived. Seq is the record's position, Hash is
+// its Merkle leaf, and Prev is the previous leaf.
 type Ledger struct {
-	mu    sync.Mutex
-	slabs [][]Record
-	n     uint64
-	head  [32]byte
-	idx   index
-	seal  *sealer
+	mu   sync.Mutex
+	recs chunked[Draft]
+	idx  index
+	seal sealer
+	// mislinked is the first record whose Seq or Prev, as given to
+	// Reconstruct, disagreed with its position. The ledger derives both
+	// fields, so it cannot hold the given values; it holds this error
+	// instead, which Verify reports at its index.
+	mislinked *TamperError
 	// loaded carries the trailer checkpoint of a deserialized ledger,
 	// so Verify can detect a truncated or rewritten tail even without
 	// an externally retained checkpoint.
@@ -62,26 +64,21 @@ type Ledger struct {
 // Option configures New.
 type Option func(*Ledger)
 
-// WithCapacity preallocates slabs and index levels for n records, so
-// the first n appends perform no allocation at all.
+// WithCapacity preallocates the record store and every index level
+// for n records, so the first n appends perform no allocation at all.
 func WithCapacity(n int) Option {
 	return func(l *Ledger) {
 		if n <= 0 {
 			return
 		}
-		for got := 0; got < n; got += slabSize {
-			l.slabs = append(l.slabs, make([]Record, 0, slabSize))
-		}
-		l.idx.levels = append(l.idx.levels, make([][32]byte, 0, n))
-		for lvl, m := 1, n/2; m > 0; lvl, m = lvl+1, m/2 {
-			l.idx.levels = append(l.idx.levels, make([][32]byte, 0, m))
-		}
+		l.recs.reserve(uint64(n))
+		l.idx.reserve(uint64(n))
 	}
 }
 
 // New returns an empty ledger.
 func New(opts ...Option) *Ledger {
-	l := &Ledger{seal: newSealer()}
+	l := &Ledger{}
 	for _, opt := range opts {
 		opt(l)
 	}
@@ -92,110 +89,67 @@ func New(opts ...Option) *Ledger {
 func (l *Ledger) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return int(l.n)
+	return int(l.recs.n)
 }
 
 // Head returns the chain head hash (zero for an empty ledger).
 func (l *Ledger) Head() [32]byte {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.head
+	return *l.prev(l.recs.n)
 }
 
-// slot returns the storage cell for record i, which must exist.
-func (l *Ledger) slot(i uint64) *Record {
-	return &l.slabs[i/slabSize][i%slabSize]
-}
-
-// appendLocked seals d as the next record and returns its sequence
-// number. Callers hold l.mu.
-func (l *Ledger) appendLocked(d Draft) uint64 {
-	seq := l.n
-	si := int(seq / slabSize)
-	if si == len(l.slabs) {
-		l.slabs = append(l.slabs, make([]Record, 0, slabSize))
+// prev returns the back-link of record seq: the previous record's
+// hash, or zero for the first record. Callers hold l.mu.
+func (l *Ledger) prev(seq uint64) *[32]byte {
+	if seq == 0 {
+		return &zeroHash
 	}
-	slab := l.slabs[si]
-	slab = slab[:len(slab)+1]
-	l.slabs[si] = slab
-	r := &slab[len(slab)-1]
-	r.Seq = seq
-	r.At = d.At
-	r.Kind = d.Kind
-	r.Code = d.Code
-	r.Actor = d.Actor
-	r.Subject = d.Subject
-	r.Note = d.Note
-	r.Prev = l.head
-	r.Hash = l.seal.seal(r)
-	l.head = r.Hash
-	l.idx.push(l.seal, r.Hash)
-	l.n++
-	return seq
+	return l.idx.leaf(seq - 1)
+}
+
+// record assembles record seq from its stored draft and its derived
+// fields. Callers hold l.mu.
+func (l *Ledger) record(seq uint64) Record {
+	d := l.recs.at(seq)
+	return Record{
+		Seq: seq, At: d.At, Kind: d.Kind, Code: d.Code,
+		Actor: d.Actor, Subject: d.Subject, Note: d.Note,
+		Prev: *l.prev(seq), Hash: *l.idx.leaf(seq),
+	}
 }
 
 // Append seals one record and returns its sequence number.
 func (l *Ledger) Append(d Draft) uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.appendLocked(d)
+	seq := l.recs.n
+	prev := *l.prev(seq)
+	l.recs.push(d)
+	l.idx.push(l.seal.seal(seq, &d, &prev))
+	return seq
 }
 
 // AppendBatch seals the drafts in order under one lock acquisition and
 // returns the sequence number of the first — the batched-sealing path
-// for bulk producers. Beyond amortizing the mutex, the batch path is
-// leaner per record than Append in two ways: records are sealed with a
-// one-shot SHA-256 over the reused encoding buffer (no streaming-hash
-// state machine), and Merkle interior maintenance is deferred — leaves
-// land in the index immediately, and the interior nodes they close are
-// completed in bulk by the next reader that needs them (Checkpoint,
-// Root, Proof, Verify, ...), off the sealing hot path. Every hash that
-// comes out — record chain hashes, roots, proofs — is byte-identical
-// to what looped Append produces; only when the interior work runs
-// moves.
+// for bulk producers. Beyond amortizing the mutex, it defers Merkle
+// interior maintenance: leaves land in the index immediately, and the
+// interior nodes they close are completed in bulk by the next reader
+// that needs them (Checkpoint, Root, Proof, Verify, ...), off the
+// sealing hot path. Every hash that comes out — record chain hashes,
+// roots, proofs — is byte-identical to what looped Append produces;
+// only when the interior work runs moves.
 func (l *Ledger) AppendBatch(drafts []Draft) uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	first := l.n
-	head := l.head
-	buf := l.seal.buf
-	n := l.n
-	if len(l.idx.levels) == 0 {
-		l.idx.levels = append(l.idx.levels, nil)
+	first := l.recs.n
+	head := *l.prev(first)
+	for i := range drafts {
+		d := &drafts[i]
+		head = l.seal.seal(l.recs.n, d, &head)
+		l.recs.push(*d)
+		l.idx.appendLeaf(head)
 	}
-	leaves := l.idx.levels[0]
-	for i := 0; i < len(drafts); {
-		si := int(n / slabSize)
-		if si == len(l.slabs) {
-			l.slabs = append(l.slabs, make([]Record, 0, slabSize))
-		}
-		// Fill this slab as far as the batch reaches; slab and leaf
-		// slice headers are written back once per slab, not per record.
-		slab := l.slabs[si]
-		for ; i < len(drafts) && len(slab) < slabSize; i++ {
-			d := &drafts[i]
-			slab = slab[:len(slab)+1]
-			r := &slab[len(slab)-1]
-			r.Seq = n
-			r.At = d.At
-			r.Kind = d.Kind
-			r.Code = d.Code
-			r.Actor = d.Actor
-			r.Subject = d.Subject
-			r.Note = d.Note
-			r.Prev = head
-			buf = AppendRecordBody(buf[:0], r)
-			r.Hash = sha256.Sum256(buf)
-			head = r.Hash
-			leaves = append(leaves, r.Hash)
-			n++
-		}
-		l.slabs[si] = slab
-	}
-	l.idx.levels[0] = leaves
-	l.seal.buf = buf
-	l.head = head
-	l.n = n
 	return first
 }
 
@@ -203,19 +157,19 @@ func (l *Ledger) AppendBatch(drafts []Draft) uint64 {
 func (l *Ledger) Record(seq uint64) (Record, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if seq >= l.n {
-		return Record{}, fmt.Errorf("ledger: record %d out of range (size %d)", seq, l.n)
+	if seq >= l.recs.n {
+		return Record{}, fmt.Errorf("ledger: record %d out of range (size %d)", seq, l.recs.n)
 	}
-	return *l.slot(seq), nil
+	return l.record(seq), nil
 }
 
 // Records returns a copy of all records in order.
 func (l *Ledger) Records() []Record {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Record, 0, l.n)
-	for _, slab := range l.slabs {
-		out = append(out, slab...)
+	out := make([]Record, l.recs.n)
+	for i := range out {
+		out[i] = l.record(uint64(i))
 	}
 	return out
 }
@@ -224,16 +178,17 @@ func (l *Ledger) Records() []Record {
 func (l *Ledger) Checkpoint() Checkpoint {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.idx.flush(l.seal)
-	return Checkpoint{Size: l.n, Root: l.idx.rootAt(l.seal, l.n), Head: l.head}
+	l.idx.flush()
+	n := l.recs.n
+	return Checkpoint{Size: n, Root: l.idx.rootAt(n), Head: *l.prev(n)}
 }
 
 // Root returns the Merkle root over all records.
 func (l *Ledger) Root() [32]byte {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.idx.flush(l.seal)
-	return l.idx.rootAt(l.seal, l.n)
+	l.idx.flush()
+	return l.idx.rootAt(l.recs.n)
 }
 
 // RootAt returns the Merkle root over the first n records. Historical
@@ -241,11 +196,11 @@ func (l *Ledger) Root() [32]byte {
 func (l *Ledger) RootAt(n uint64) ([32]byte, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.idx.flush(l.seal)
-	if n > l.n {
-		return [32]byte{}, fmt.Errorf("ledger: root size %d out of range (size %d)", n, l.n)
+	l.idx.flush()
+	if n > l.recs.n {
+		return [32]byte{}, fmt.Errorf("ledger: root size %d out of range (size %d)", n, l.recs.n)
 	}
-	return l.idx.rootAt(l.seal, n), nil
+	return l.idx.rootAt(n), nil
 }
 
 // Proof returns the inclusion proof for record seq against the current
@@ -254,8 +209,8 @@ func (l *Ledger) RootAt(n uint64) ([32]byte, error) {
 func (l *Ledger) Proof(seq uint64) (Proof, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.idx.flush(l.seal)
-	return l.idx.proof(l.seal, seq, l.n)
+	l.idx.flush()
+	return l.idx.proof(seq, l.recs.n)
 }
 
 // ProofAt returns the inclusion proof for record seq against the root
@@ -263,11 +218,11 @@ func (l *Ledger) Proof(seq uint64) (Proof, error) {
 func (l *Ledger) ProofAt(seq, n uint64) (Proof, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.idx.flush(l.seal)
-	if n > l.n {
-		return Proof{}, fmt.Errorf("ledger: proof size %d out of range (size %d)", n, l.n)
+	l.idx.flush()
+	if n > l.recs.n {
+		return Proof{}, fmt.Errorf("ledger: proof size %d out of range (size %d)", n, l.recs.n)
 	}
-	return l.idx.proof(l.seal, seq, n)
+	return l.idx.proof(seq, n)
 }
 
 // ConsistencyProof returns the RFC 6962 consistency proof that the
@@ -280,48 +235,38 @@ func (l *Ledger) ProofAt(seq, n uint64) (Proof, error) {
 func (l *Ledger) ConsistencyProof(m, n uint64) (ConsistencyProof, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.idx.flush(l.seal)
-	if n > l.n {
-		return ConsistencyProof{}, fmt.Errorf("ledger: consistency proof size %d out of range (size %d)", n, l.n)
+	l.idx.flush()
+	if n > l.recs.n {
+		return ConsistencyProof{}, fmt.Errorf("ledger: consistency proof size %d out of range (size %d)", n, l.recs.n)
 	}
-	return l.idx.consistencyProof(l.seal, m, n)
+	return l.idx.consistencyProof(m, n)
 }
 
-// Verify audits the whole ledger: every record's sequence number,
-// back-link, and chain hash is recomputed, the Merkle index leaf is
-// cross-checked, and — for a deserialized ledger — the recomputed root
-// and head must match the stored trailer, so a truncated, extended, or
-// rewritten tail is caught even though each remaining link may be
-// self-consistent. The first failure is reported as a *TamperError
-// carrying the exact record index.
+// Verify audits the whole ledger: every record's chain hash is
+// recomputed from its stored fields, its position and the previous
+// record's hash, and must equal its Merkle leaf; a Seq or Prev that
+// Reconstruct was given out of line is reported at its record; and —
+// for a deserialized ledger — the recomputed root and head must match
+// the stored trailer, so a truncated, extended, or rewritten tail is
+// caught even though each remaining link may be self-consistent. The
+// first failure is reported as a *TamperError carrying the exact
+// record index. The walk allocates the same few objects whatever the
+// ledger's length.
 func (l *Ledger) Verify() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	digest := sha256.New()
-	var scratch []byte
-	var prev [32]byte
-	var i uint64
-	for _, slab := range l.slabs {
-		for j := range slab {
-			r := &slab[j]
-			if r.Seq != i {
-				return &TamperError{Index: i, Reason: fmt.Sprintf("sequence %d out of order", r.Seq)}
-			}
-			if r.Prev != prev {
-				return &TamperError{Index: i, Reason: "back-link mismatch"}
-			}
-			if got := streamRecordDigest(digest, &scratch, r); got != r.Hash {
-				return &TamperError{Index: i, Reason: "chain hash mismatch"}
-			}
-			if l.idx.levels[0][i] != r.Hash {
-				return &TamperError{Index: i, Reason: "checkpoint index leaf mismatch"}
-			}
-			prev = r.Hash
-			i++
+	end := l.recs.n
+	if l.mislinked != nil {
+		end = l.mislinked.Index
+	}
+	digest := streamDigest{h: sha256.New(), buf: make([]byte, 0, 64)}
+	for i := uint64(0); i < end; i++ {
+		if digest.record(i, l.recs.at(i), l.prev(i)) != *l.idx.leaf(i) {
+			return &TamperError{Index: i, Reason: "chain hash mismatch"}
 		}
 	}
-	if i != l.n {
-		return &TamperError{Index: i, Reason: fmt.Sprintf("record count %d, expected %d", i, l.n)}
+	if l.mislinked != nil {
+		return l.mislinked
 	}
 	if l.loaded != nil {
 		if err := l.verifyAgainstLocked(*l.loaded); err != nil {
@@ -343,24 +288,26 @@ func (l *Ledger) VerifyAgainst(cp Checkpoint) error {
 }
 
 func (l *Ledger) verifyAgainstLocked(cp Checkpoint) error {
-	l.idx.flush(l.seal)
-	if l.n < cp.Size {
-		return &TamperError{Index: l.n, Reason: fmt.Sprintf("ledger truncated: %d records, checkpoint commits to %d", l.n, cp.Size)}
+	l.idx.flush()
+	if n := l.recs.n; n < cp.Size {
+		return &TamperError{Index: n, Reason: fmt.Sprintf("ledger truncated: %d records, checkpoint commits to %d", n, cp.Size)}
 	}
-	if got := l.idx.rootAt(l.seal, cp.Size); got != cp.Root {
+	if got := l.idx.rootAt(cp.Size); got != cp.Root {
 		return &TamperError{Index: cp.Size, Reason: "root mismatch against checkpoint"}
 	}
 	if cp.Size > 0 {
-		if got := l.slot(cp.Size - 1).Hash; got != cp.Head {
+		if got := *l.idx.leaf(cp.Size - 1); got != cp.Head {
 			return &TamperError{Index: cp.Size - 1, Reason: "head hash mismatch against checkpoint"}
 		}
 	}
 	return nil
 }
 
-// Reconstruct builds a ledger from records taken verbatim — sequence
-// numbers, Prev links, and Hash values are trusted as given, and the
-// checkpoint index is rebuilt from the stored hashes. It is the
+// Reconstruct builds a ledger from records taken verbatim: each Hash
+// becomes the record's Merkle leaf as given. Seq and Prev are derived
+// from position, so the first record whose given Seq or Prev disagrees
+// with its position is noted and reported by Verify (Records and
+// WriteTo give the derived values, which the leaves commit to). It is the
 // deserialization core (Load uses it) and the seam adversarial tests
 // use to construct tampered histories; Verify decides whether the
 // result is authentic.
@@ -368,16 +315,17 @@ func Reconstruct(records []Record) *Ledger {
 	l := New(WithCapacity(len(records)))
 	for i := range records {
 		r := &records[i]
-		si := int(l.n / slabSize)
-		if si == len(l.slabs) {
-			l.slabs = append(l.slabs, make([]Record, 0, slabSize))
+		seq := uint64(i)
+		if l.mislinked == nil {
+			switch {
+			case r.Seq != seq:
+				l.mislinked = &TamperError{Index: seq, Reason: fmt.Sprintf("sequence %d out of order", r.Seq)}
+			case r.Prev != *l.prev(seq):
+				l.mislinked = &TamperError{Index: seq, Reason: "back-link mismatch"}
+			}
 		}
-		slab := l.slabs[si]
-		slab = append(slab, *r)
-		l.slabs[si] = slab
-		l.head = r.Hash
-		l.idx.push(l.seal, r.Hash)
-		l.n++
+		l.recs.push(r.draft())
+		l.idx.push(r.Hash)
 	}
 	return l
 }

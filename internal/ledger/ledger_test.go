@@ -226,7 +226,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 }
 
 func TestSlabBoundaries(t *testing.T) {
-	n := slabSize*2 + 17
+	n := chunkSize*2 + 17
 	l := New()
 	for i := 0; i < n; i++ {
 		l.Append(Draft{At: int64(i), Kind: KindCustody, Note: "x"})
@@ -235,15 +235,15 @@ func TestSlabBoundaries(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", l.Len(), n)
 	}
 	if err := l.Verify(); err != nil {
-		t.Fatalf("Verify across slabs: %v", err)
+		t.Fatalf("Verify across chunks: %v", err)
 	}
-	p, err := l.Proof(slabSize) // first record of second slab
+	p, err := l.Proof(chunkSize) // first record of second chunk
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, _ := l.Record(slabSize)
+	rec, _ := l.Record(chunkSize)
 	if !VerifyProof(rec.Hash, p, l.Root()) {
-		t.Fatal("proof across slab boundary rejected")
+		t.Fatal("proof across chunk boundary rejected")
 	}
 }
 

@@ -3,20 +3,19 @@ package ledger
 import (
 	"crypto/sha256"
 	"fmt"
-	"hash"
 	"math/bits"
 )
 
 // index is the ledger's Merkle checkpoint index: an RFC 6962-shaped
 // binary tree over the record chain hashes. levels[0] holds the leaves
-// (record hashes); levels[h][j] is the interior hash over leaves
+// (record hashes); node j of levels[h] is the interior hash over leaves
 // [j<<h, (j+1)<<h) and is computed exactly once, when that perfect
 // subtree completes. Nodes never change after creation, so historical
 // roots and proofs for any past size remain computable.
 type index struct {
-	levels [][][32]byte
+	levels []chunked[[32]byte]
 	// indexed counts the leaves whose interior-node completion has run.
-	// The eager append path keeps it equal to len(levels[0]); the batch
+	// The eager append path keeps it equal to the leaf count; the batch
 	// append path lands leaves without completing subtrees and lets the
 	// next reader flush the gap, so batch sealing pays only the chain
 	// hash and the interior work is amortized across the batch.
@@ -26,56 +25,55 @@ type index struct {
 // interiorPrefix domain-separates interior nodes from leaves.
 const interiorPrefix = 0x01
 
-// interior computes the parent of two child digests via the sealer's
-// reused state — allocation-free, for the append path.
-func (s *sealer) interior(l, r *[32]byte) [32]byte {
-	s.buf = append(s.buf[:0], interiorPrefix)
-	s.buf = append(s.buf, l[:]...)
-	s.buf = append(s.buf, r[:]...)
-	s.h.Reset()
-	s.h.Write(s.buf)
-	s.sum = s.h.Sum(s.sum[:0])
-	var out [32]byte
-	copy(out[:], s.sum)
-	return out
+// interiorHash returns the parent of two child digests. Its input lives
+// on the stack and SHA-256 runs one-shot, so it allocates nothing; the
+// index and the stateless proof verifiers share it.
+func interiorHash(l, r *[32]byte) [32]byte {
+	var b [1 + 2*sha256.Size]byte
+	b[0] = interiorPrefix
+	copy(b[1:], l[:])
+	copy(b[1+sha256.Size:], r[:])
+	return sha256.Sum256(b[:])
 }
 
-// interiorHash is the standalone twin of sealer.interior for verifiers
-// that hold no ledger state.
-func interiorHash(h hash.Hash, l, r *[32]byte) [32]byte {
-	h.Reset()
-	h.Write([]byte{interiorPrefix})
-	h.Write(l[:])
-	h.Write(r[:])
-	var sum [32]byte
-	h.Sum(sum[:0])
-	return sum
+// reserve preallocates every level for n leaves: level h of a tree
+// over n leaves holds n>>h nodes.
+func (x *index) reserve(n uint64) {
+	x.levels = make([]chunked[[32]byte], bits.Len64(n))
+	for h := range x.levels {
+		x.levels[h].reserve(n >> h)
+	}
 }
+
+// node returns node j of level h, which must exist.
+func (x *index) node(h int, j uint64) *[32]byte { return x.levels[h].at(j) }
+
+// leaf returns leaf i, which must exist.
+func (x *index) leaf(i uint64) *[32]byte { return x.levels[0].at(i) }
 
 // appendLeaf stores one leaf without completing subtrees — the batch
 // sealing path. Interior nodes the leaf closes are deferred until the
 // next flush; until then only levels[0] reflects the leaf.
 func (x *index) appendLeaf(leaf [32]byte) {
 	if len(x.levels) == 0 {
-		x.levels = append(x.levels, nil)
+		x.levels = append(x.levels, chunked[[32]byte]{})
 	}
-	x.levels[0] = append(x.levels[0], leaf)
+	x.levels[0].push(leaf)
 }
 
 // completeLeaf closes every perfect subtree whose final leaf is leaf i
 // — the amortized one-interior-hash-per-leaf maintenance step. Leaves
 // must be completed in order; flush guarantees that.
-func (x *index) completeLeaf(s *sealer, i uint64) {
-	for lvl := 0; ; lvl++ {
-		n := (i + 1) >> lvl
+func (x *index) completeLeaf(i uint64) {
+	for h := 0; ; h++ {
+		n := (i + 1) >> h
 		if n%2 != 0 {
 			return
 		}
-		if len(x.levels) == lvl+1 {
-			x.levels = append(x.levels, nil)
+		if len(x.levels) == h+1 {
+			x.levels = append(x.levels, chunked[[32]byte]{})
 		}
-		p := s.interior(&x.levels[lvl][n-2], &x.levels[lvl][n-1])
-		x.levels[lvl+1] = append(x.levels[lvl+1], p)
+		x.levels[h+1].push(interiorHash(x.node(h, n-2), x.node(h, n-1)))
 	}
 }
 
@@ -84,21 +82,21 @@ func (x *index) completeLeaf(s *sealer, i uint64) {
 // identical to eager maintenance — only their computation time moves —
 // so roots and proofs are unaffected by which append path ran. Called
 // by every reader that consults the index above its leaves.
-func (x *index) flush(s *sealer) {
+func (x *index) flush() {
 	if len(x.levels) == 0 {
 		return
 	}
-	for n := uint64(len(x.levels[0])); x.indexed < n; x.indexed++ {
-		x.completeLeaf(s, x.indexed)
+	for n := x.levels[0].n; x.indexed < n; x.indexed++ {
+		x.completeLeaf(x.indexed)
 	}
 }
 
 // push appends one leaf and completes every perfect subtree up through
 // it — the eager path used by single-record appends. It flushes first,
 // so eager and batch appends interleave safely.
-func (x *index) push(s *sealer, leaf [32]byte) {
+func (x *index) push(leaf [32]byte) {
 	x.appendLeaf(leaf)
-	x.flush(s)
+	x.flush()
 }
 
 // emptyRoot is the root of a zero-record ledger: SHA-256 of the empty
@@ -111,27 +109,24 @@ func emptyRoot() [32]byte {
 // only ever descends into the right, non-perfect part of a range; every
 // left part is a stored perfect aligned subtree, so the cost is
 // O(log n) lookups and hashes.
-func (x *index) rangeHash(s *sealer, a, b uint64) [32]byte {
+func (x *index) rangeHash(a, b uint64) [32]byte {
 	n := b - a
-	if n == 1 {
-		return x.levels[0][a]
-	}
 	if n&(n-1) == 0 && a%n == 0 {
-		lvl := bits.TrailingZeros64(n)
-		return x.levels[lvl][a>>lvl]
+		h := bits.TrailingZeros64(n)
+		return *x.node(h, a>>h)
 	}
 	k := uint64(1) << (bits.Len64(n-1) - 1) // largest power of two < n
-	l := x.rangeHash(s, a, a+k)
-	r := x.rangeHash(s, a+k, b)
-	return s.interior(&l, &r)
+	l := x.rangeHash(a, a+k)
+	r := x.rangeHash(a+k, b)
+	return interiorHash(&l, &r)
 }
 
 // rootAt returns the tree root over the first n leaves.
-func (x *index) rootAt(s *sealer, n uint64) [32]byte {
+func (x *index) rootAt(n uint64) [32]byte {
 	if n == 0 {
 		return emptyRoot()
 	}
-	return x.rangeHash(s, 0, n)
+	return x.rangeHash(0, n)
 }
 
 // Proof is an inclusion proof: the sibling path from record Index up to
@@ -149,25 +144,25 @@ type Proof struct {
 
 // authPath appends the sibling hashes for idx within the tree over
 // leaves [a, b), deepest first.
-func (x *index) authPath(s *sealer, idx, a, b uint64, out [][32]byte) [][32]byte {
+func (x *index) authPath(idx, a, b uint64, out [][32]byte) [][32]byte {
 	if b-a <= 1 {
 		return out
 	}
 	k := uint64(1) << (bits.Len64(b-a-1) - 1)
 	if idx < a+k {
-		out = x.authPath(s, idx, a, a+k, out)
-		return append(out, x.rangeHash(s, a+k, b))
+		out = x.authPath(idx, a, a+k, out)
+		return append(out, x.rangeHash(a+k, b))
 	}
-	out = x.authPath(s, idx, a+k, b, out)
-	return append(out, x.rangeHash(s, a, a+k))
+	out = x.authPath(idx, a+k, b, out)
+	return append(out, x.rangeHash(a, a+k))
 }
 
 // proof builds the inclusion proof for leaf idx in the tree of size n.
-func (x *index) proof(s *sealer, idx, n uint64) (Proof, error) {
+func (x *index) proof(idx, n uint64) (Proof, error) {
 	if idx >= n {
 		return Proof{}, fmt.Errorf("ledger: proof index %d out of range (size %d)", idx, n)
 	}
-	return Proof{Index: idx, Size: n, Path: x.authPath(s, idx, 0, n, nil)}, nil
+	return Proof{Index: idx, Size: n, Path: x.authPath(idx, 0, n, nil)}, nil
 }
 
 // ConsistencyProof proves that the ledger of NewSize records is an
@@ -189,26 +184,26 @@ type ConsistencyProof struct {
 // [a, b) is a prefix of the tree over the whole range. complete records
 // whether the subtree root over the first m leaves is already known to
 // the verifier (true only on the unbroken left spine from the root).
-func (x *index) consistency(s *sealer, m, a, b uint64, complete bool, out [][32]byte) [][32]byte {
+func (x *index) consistency(m, a, b uint64, complete bool, out [][32]byte) [][32]byte {
 	n := b - a
 	if m == n {
 		if complete {
 			return out
 		}
-		return append(out, x.rangeHash(s, a, b))
+		return append(out, x.rangeHash(a, b))
 	}
 	k := uint64(1) << (bits.Len64(n-1) - 1) // largest power of two < n
 	if m <= k {
-		out = x.consistency(s, m, a, a+k, complete, out)
-		return append(out, x.rangeHash(s, a+k, b))
+		out = x.consistency(m, a, a+k, complete, out)
+		return append(out, x.rangeHash(a+k, b))
 	}
-	out = x.consistency(s, m-k, a+k, b, false, out)
-	return append(out, x.rangeHash(s, a, a+k))
+	out = x.consistency(m-k, a+k, b, false, out)
+	return append(out, x.rangeHash(a, a+k))
 }
 
 // consistencyProof builds the proof that the tree of size n extends the
 // tree of size m.
-func (x *index) consistencyProof(s *sealer, m, n uint64) (ConsistencyProof, error) {
+func (x *index) consistencyProof(m, n uint64) (ConsistencyProof, error) {
 	if m > n {
 		return ConsistencyProof{}, fmt.Errorf("ledger: consistency proof sizes %d > %d", m, n)
 	}
@@ -218,7 +213,7 @@ func (x *index) consistencyProof(s *sealer, m, n uint64) (ConsistencyProof, erro
 		// extended by everything (the empty-string root decides).
 		return p, nil
 	}
-	p.Path = x.consistency(s, m, 0, n, true, nil)
+	p.Path = x.consistency(m, 0, n, true, nil)
 	return p, nil
 }
 
@@ -249,7 +244,6 @@ func VerifyConsistency(p ConsistencyProof, oldRoot, newRoot [32]byte) bool {
 		fr, sr = path[0], path[0]
 		path = path[1:]
 	}
-	h := sha256.New()
 	fn, sn := m-1, n-1
 	for fn%2 == 1 {
 		fn >>= 1
@@ -261,14 +255,14 @@ func VerifyConsistency(p ConsistencyProof, oldRoot, newRoot [32]byte) bool {
 		}
 		switch {
 		case fn%2 == 1 || fn == sn:
-			fr = interiorHash(h, &c, &fr)
-			sr = interiorHash(h, &c, &sr)
+			fr = interiorHash(&c, &fr)
+			sr = interiorHash(&c, &sr)
 			for fn != 0 && fn%2 == 0 {
 				fn >>= 1
 				sn >>= 1
 			}
 		default:
-			sr = interiorHash(h, &sr, &c)
+			sr = interiorHash(&sr, &c)
 		}
 		fn >>= 1
 		sn >>= 1
@@ -285,7 +279,6 @@ func VerifyProof(leaf [32]byte, p Proof, root [32]byte) bool {
 	if p.Index >= p.Size {
 		return false
 	}
-	h := sha256.New()
 	fn, sn := p.Index, p.Size-1
 	r := leaf
 	for _, sib := range p.Path {
@@ -293,7 +286,7 @@ func VerifyProof(leaf [32]byte, p Proof, root [32]byte) bool {
 			return false
 		}
 		if fn%2 == 1 || fn == sn {
-			r = interiorHash(h, &sib, &r)
+			r = interiorHash(&sib, &r)
 			if fn%2 == 0 {
 				for fn%2 == 0 && fn != 0 {
 					fn >>= 1
@@ -301,7 +294,7 @@ func VerifyProof(leaf [32]byte, p Proof, root [32]byte) bool {
 				}
 			}
 		} else {
-			r = interiorHash(h, &r, &sib)
+			r = interiorHash(&r, &sib)
 		}
 		fn >>= 1
 		sn >>= 1

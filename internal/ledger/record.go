@@ -114,104 +114,96 @@ const maxFieldLen = 1 << 20
 // decoded structurally (independent of hash validity).
 var ErrMalformed = errors.New("ledger: malformed serialized ledger")
 
-// WriteLenPrefixed writes b to h framed by an 8-byte big-endian length.
-// This is the variable-length field framing every ledger digest and
-// encoding uses; the custody chain's original hex-string hasher carried
-// an identical unexported copy, which this helper replaces.
-func WriteLenPrefixed(h hash.Hash, b []byte) {
-	var n [8]byte
-	binary.BigEndian.PutUint64(n[:], uint64(len(b)))
-	h.Write(n[:])
-	h.Write(b)
-}
-
-// AppendLenPrefixed appends b to dst framed by the same 8-byte
-// big-endian length WriteLenPrefixed hashes, and returns the extended
-// slice — the buffer-building twin of the hashing helper.
-func AppendLenPrefixed(dst []byte, b []byte) []byte {
-	var n [8]byte
-	binary.BigEndian.PutUint64(n[:], uint64(len(b)))
-	dst = append(dst, n[:]...)
-	return append(dst, b...)
-}
-
-// appendLenPrefixedString is AppendLenPrefixed specialized to string so
-// the append hot path never converts (and so never allocates).
+// appendLenPrefixedString appends s framed by its 8-byte big-endian
+// length: the framing of every variable-length field in a record body.
 func appendLenPrefixedString(dst []byte, s string) []byte {
-	var n [8]byte
-	binary.BigEndian.PutUint64(n[:], uint64(len(s)))
-	dst = append(dst, n[:]...)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(len(s)))
 	return append(dst, s...)
 }
 
-// appendHeader appends the fixed-width header fields of r.
-func appendHeader(dst []byte, r *Record) []byte {
+// appendBody appends the canonical encoding of the record at position
+// seq with producer fields d and back-link prev: everything the chain
+// hash covers (fixed-width header, length-prefixed strings, Prev) but
+// not Hash itself. The sealer hashes exactly these bytes; the
+// serialized file format stores them verbatim.
+func appendBody(dst []byte, seq uint64, d *Draft, prev *[32]byte) []byte {
 	var hdr [recordHeaderLen]byte
-	binary.BigEndian.PutUint64(hdr[0:8], r.Seq)
-	binary.BigEndian.PutUint64(hdr[8:16], uint64(r.At))
-	binary.BigEndian.PutUint16(hdr[16:18], uint16(r.Kind))
-	binary.BigEndian.PutUint32(hdr[18:22], r.Code)
-	return append(dst, hdr[:]...)
+	binary.BigEndian.PutUint64(hdr[0:8], seq)
+	binary.BigEndian.PutUint64(hdr[8:16], uint64(d.At))
+	binary.BigEndian.PutUint16(hdr[16:18], uint16(d.Kind))
+	binary.BigEndian.PutUint32(hdr[18:22], d.Code)
+	dst = append(dst, hdr[:]...)
+	dst = appendLenPrefixedString(dst, d.Actor)
+	dst = appendLenPrefixedString(dst, d.Subject)
+	dst = appendLenPrefixedString(dst, d.Note)
+	return append(dst, prev[:]...)
+}
+
+// draft returns the producer-supplied fields of r.
+func (r *Record) draft() Draft {
+	return Draft{At: r.At, Kind: r.Kind, Code: r.Code, Actor: r.Actor, Subject: r.Subject, Note: r.Note}
 }
 
 // AppendRecordBody appends r's canonical encoding (everything the chain
 // hash covers: header, length-prefixed strings, Prev — but not Hash
-// itself) to dst and returns the extended slice. The sealer hashes
-// exactly these bytes; the serialized file format stores them verbatim.
+// itself) to dst and returns the extended slice.
 func AppendRecordBody(dst []byte, r *Record) []byte {
-	dst = appendHeader(dst, r)
-	dst = appendLenPrefixedString(dst, r.Actor)
-	dst = appendLenPrefixedString(dst, r.Subject)
-	dst = appendLenPrefixedString(dst, r.Note)
-	return append(dst, r.Prev[:]...)
+	d := r.draft()
+	return appendBody(dst, r.Seq, &d, &r.Prev)
 }
 
-// sealer computes record chain hashes on the append hot path. All of
-// its state — digest, encoding buffer, digest-output buffer — is
-// reused, so sealing allocates nothing at steady state.
+// sealer computes record chain hashes on the append paths: one-shot
+// SHA-256 over the canonical body built in a reused buffer, so sealing
+// allocates nothing at steady state.
 type sealer struct {
+	buf []byte
+}
+
+// seal returns the chain hash of the record at position seq with
+// producer fields d and back-link prev.
+func (s *sealer) seal(seq uint64, d *Draft, prev *[32]byte) [32]byte {
+	s.buf = appendBody(s.buf[:0], seq, d, prev)
+	return sha256.Sum256(s.buf)
+}
+
+// zeroHash is the back-link of the first record.
+var zeroHash [32]byte
+
+// streamDigest recomputes chain hashes for Verify by streaming each
+// field through a hash.Hash, a length write then a bytes write — an
+// encoder structured independently of the sealer's buffer, so any drift
+// between the two breaks verification of even an honest ledger and is
+// caught by every test that round-trips a chain. The digest and the
+// scratch it frames fields in are reused, so a whole-ledger walk
+// allocates a constant amount however long the ledger is.
+type streamDigest struct {
 	h   hash.Hash
 	buf []byte
-	sum []byte
 }
 
-func newSealer() *sealer {
-	return &sealer{h: sha256.New(), sum: make([]byte, 0, sha256.Size)}
-}
-
-// seal returns the chain hash of r: SHA-256 over its canonical body.
-func (s *sealer) seal(r *Record) [32]byte {
-	s.buf = AppendRecordBody(s.buf[:0], r)
-	s.h.Reset()
+// field writes v framed by its 8-byte big-endian length.
+func (s *streamDigest) field(v string) {
+	s.buf = binary.BigEndian.AppendUint64(s.buf[:0], uint64(len(v)))
 	s.h.Write(s.buf)
-	s.sum = s.h.Sum(s.sum[:0])
-	var out [32]byte
-	copy(out[:], s.sum)
-	return out
+	s.buf = append(s.buf[:0], v...)
+	s.h.Write(s.buf)
 }
 
-// streamRecordDigest recomputes r's chain hash by streaming each field
-// through h with WriteLenPrefixed — an independently structured
-// implementation of the same canonical framing the buffer encoder
-// writes. Verify audits with this twin, so any drift between the two
-// encoders breaks verification of even an honest ledger and is caught
-// by every test that round-trips a chain.
-func streamRecordDigest(h hash.Hash, scratch *[]byte, r *Record) [32]byte {
-	h.Reset()
-	buf := *scratch
-	buf = appendHeader(buf[:0], r)
-	h.Write(buf)
-	buf = append(buf[:0], r.Actor...)
-	WriteLenPrefixed(h, buf)
-	buf = append(buf[:0], r.Subject...)
-	WriteLenPrefixed(h, buf)
-	buf = append(buf[:0], r.Note...)
-	WriteLenPrefixed(h, buf)
-	*scratch = buf
-	h.Write(r.Prev[:])
-	var sum [32]byte
-	h.Sum(sum[:0])
-	return sum
+// record returns the chain hash of the record at position seq with
+// producer fields d and back-link prev.
+func (s *streamDigest) record(seq uint64, d *Draft, prev *[32]byte) [32]byte {
+	s.h.Reset()
+	s.buf = binary.BigEndian.AppendUint64(s.buf[:0], seq)
+	s.buf = binary.BigEndian.AppendUint64(s.buf, uint64(d.At))
+	s.buf = binary.BigEndian.AppendUint16(s.buf, uint16(d.Kind))
+	s.buf = binary.BigEndian.AppendUint32(s.buf, d.Code)
+	s.h.Write(s.buf)
+	s.field(d.Actor)
+	s.field(d.Subject)
+	s.field(d.Note)
+	s.h.Write(prev[:])
+	s.buf = s.h.Sum(s.buf[:0])
+	return [32]byte(s.buf)
 }
 
 // DecodeRecordBody decodes one canonical record body from data,

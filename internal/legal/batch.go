@@ -72,7 +72,9 @@ func (e *Engine) EvaluateBatchInto(ctx context.Context, actions []Action, ruling
 		deduped, chained uint64
 		err              error
 	)
-	seen := make(map[uint64]batchSource, len(actions))
+	sc := scratchPool.Get().(*evalScratch)
+	defer scratchPool.Put(sc)
+	seen := sc.batchTable(len(actions))
 	for i := range actions {
 		if i%batchCheck == 0 {
 			if err = ctx.Err(); err != nil {

@@ -157,6 +157,50 @@ func TestEvaluateBatchPanicReachesCaller(t *testing.T) {
 	}
 }
 
+// TestPanickedBatchLeavesNoKeyTable: a batch that a custom rule panics
+// out of returns its pooled key table with its slots still in it, and
+// the next batch must not be answered from them. The next batch's only
+// action has the key the panicked batch stored at slot 0, so a stale
+// slot would answer it from its own ruling before that was written.
+func TestPanickedBatchLeavesNoKeyTable(t *testing.T) {
+	rules := []Rule{
+		{
+			Name:  "boom",
+			When:  func(rc *RuleContext) bool { return rc.Action.Name == "boom" },
+			Apply: func(*RuleContext) { panic("boom") },
+		},
+		{
+			Name:     "default",
+			Apply:    func(rc *RuleContext) { rc.Require(ProcessCourtOrder, RegimePenTrap, "default requires") },
+			Terminal: true,
+		},
+	}
+	e := NewEngine(WithRules(rules))
+	a := Action{Name: "a", Actor: ActorGovernment, Timing: TimingRealTime, Data: DataContent, Source: SourceOwnNetwork}
+	boom := a
+	boom.Name = "boom"
+	want, err := e.Evaluate(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the boom rule did not panic")
+			}
+		}()
+		e.EvaluateBatchInto(ctx, []Action{a, boom}, make([]Ruling, 2), make([]error, 2))
+	}()
+	rulings, errs := make([]Ruling, 1), make([]error, 1)
+	if err := e.EvaluateBatchInto(ctx, []Action{a}, rulings, errs); err != nil {
+		t.Fatal(err)
+	}
+	if errs[0] != nil || !reflect.DeepEqual(rulings[0], want) {
+		t.Fatalf("batch after a panicked one = (%+v, %v), want (%+v, nil)", rulings[0], errs[0], want)
+	}
+}
+
 // TestEvaluateBatchEmpty: an empty batch is a no-op.
 func TestEvaluateBatchEmpty(t *testing.T) {
 	rulings, err := NewEngine().EvaluateBatch(context.Background(), nil)

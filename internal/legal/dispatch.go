@@ -234,11 +234,14 @@ func forEachCombo(f func(Actor, Timing, DataClass, Source)) {
 // ruling points at, whose slice capacity survives across evaluations,
 // so a miss stops paying append-growth allocations. The verdict is
 // copied out of the scratch (compactVerdict) before it is returned or
-// cached, so the reuse is invisible to callers.
+// cached, so the reuse is invisible to callers. A batch pass also
+// keeps its key table here (batchTable), so a served batch stops
+// paying for a fresh map.
 type evalScratch struct {
-	rc RuleContext
-	r  Ruling
-	v  Verdict
+	rc   RuleContext
+	r    Ruling
+	v    Verdict
+	seen map[uint64]batchSource
 }
 
 // scratchPool holds the evaluation scratches of every engine; reset
@@ -256,6 +259,19 @@ func (sc *evalScratch) reset(e *Engine, a *Action) {
 	}
 	sc.r = Ruling{Action: *a, Verdict: &sc.v}
 	sc.rc = RuleContext{engine: e, Action: &sc.r.Action, ruling: &sc.r}
+}
+
+// batchTable returns the scratch's batch key table, empty. It is
+// cleared when taken, not when returned: a batch that a custom rule
+// panics out of still returns its scratch, slots and all, and they
+// must not answer the next batch's. Until then the pooled table holds
+// the last batch's key names, which a collection drops with the pool.
+func (sc *evalScratch) batchTable(n int) map[uint64]batchSource {
+	if sc.seen == nil {
+		sc.seen = make(map[uint64]batchSource, n)
+	}
+	clear(sc.seen)
+	return sc.seen
 }
 
 // compactVerdict copies src into dst with exact-size slices that dst

@@ -376,16 +376,20 @@ func (e *Engine) Rules() []Rule {
 // yield equal verdicts, and where no candidate rule reads Name, so do
 // actions that differ only in Name (which is what makes the ruling
 // cache sound).
-func (e *Engine) Evaluate(a Action) (Ruling, error) {
+func (e *Engine) Evaluate(a Action) (Ruling, error) { return e.evaluate(&a) }
+
+// evaluate is Evaluate and EvaluateDelta through a pointer, so neither
+// copies the action on its way to the ruling.
+func (e *Engine) evaluate(a *Action) (Ruling, error) {
 	if e.cache == nil {
-		return e.evaluateMiss(&a, 0, 0, "")
+		return e.evaluateMiss(a, 0, 0, "")
 	}
-	w, exact := packAction(&a)
-	h, name := e.cacheKey(&a, w, exact)
-	if v := e.lookup(&a, h, w, exact, name); v != nil {
-		return Ruling{Action: a, Verdict: v}, nil
+	w, exact := packAction(a)
+	h, name := e.cacheKey(a, w, exact)
+	if v := e.lookup(a, h, w, exact, name); v != nil {
+		return Ruling{Action: *a, Verdict: v}, nil
 	}
-	return e.evaluateMiss(&a, h, w, name)
+	return e.evaluateMiss(a, h, w, name)
 }
 
 // EvaluateDelta re-rules a previously ruled action after the given
@@ -404,7 +408,7 @@ func (e *Engine) EvaluateDelta(prev *Ruling, d ActionDelta) (Ruling, error) {
 	}
 	a := prev.Action
 	d.Apply(&a)
-	return e.Evaluate(a)
+	return e.evaluate(&a)
 }
 
 // lookup is the hit path of every evaluation: it returns the memoized
