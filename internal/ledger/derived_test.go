@@ -1,6 +1,7 @@
 package ledger
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"errors"
 	"testing"
@@ -131,6 +132,53 @@ func TestTamperAtChunkBoundaryAndHead(t *testing.T) {
 			}
 			if te.Index != uint64(want) {
 				t.Fatalf("TamperError.Index = %d, want %d (%v)", te.Index, want, err)
+			}
+		})
+	}
+}
+
+// A file whose only damage is a stored Seq or Prev must not come out
+// of Load and WriteTo repaired: the ledger derives both fields, so
+// writing it would give a file that passes Verify. WriteTo refuses it
+// with the TamperError Verify reports, and writes nothing.
+func TestMislinkedLedgerNotSerialized(t *testing.T) {
+	honest := build(10)
+	var clean bytes.Buffer
+	if _, err := honest.WriteTo(&clean); err != nil {
+		t.Fatal(err)
+	}
+	// Record 0's body follows the 16-byte file header: it opens with
+	// its 8-byte big-endian Seq and closes with its 32-byte Prev.
+	rec0, _ := honest.Record(0)
+	const body0 = 16
+	cases := []struct {
+		name string
+		off  int
+	}{
+		{"seq", body0 + 7},
+		{"prev", body0 + len(AppendRecordBody(nil, &rec0)) - 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			data := bytes.Clone(clean.Bytes())
+			data[tc.off] ^= 1
+			l, err := Load(data)
+			if err != nil {
+				t.Fatalf("Load: %v", err)
+			}
+			verr := l.Verify()
+			var te *TamperError
+			if !errors.As(verr, &te) || te.Index != 0 {
+				t.Fatalf("Verify = %v, want a TamperError at record 0", verr)
+			}
+			var out bytes.Buffer
+			n, werr := l.WriteTo(&out)
+			var wte *TamperError
+			if !errors.As(werr, &wte) || *wte != *te {
+				t.Fatalf("WriteTo error = %v, want Verify's %v", werr, verr)
+			}
+			if n != 0 || out.Len() != 0 {
+				t.Fatalf("WriteTo wrote %d bytes of a mislinked ledger", out.Len())
 			}
 		})
 	}

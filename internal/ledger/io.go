@@ -22,10 +22,17 @@ var magic = [8]byte{'L', 'G', 'L', 'E', 'D', 'G', 'R', '1'}
 // trailer must still produce a consistent chain, which any retained
 // Checkpoint then refutes.
 
-// WriteTo serializes the ledger. It implements io.WriterTo.
+// WriteTo serializes the ledger. It implements io.WriterTo. It writes
+// each record's Seq and Prev as derived from its position, so a ledger
+// whose given Seq or Prev disagreed with its position (see Reconstruct)
+// is refused with that *TamperError and nothing is written: writing it
+// would turn a file that fails Verify into one that passes.
 func (l *Ledger) WriteTo(w io.Writer) (int64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.mislinked != nil {
+		return 0, fmt.Errorf("ledger: refusing to serialize: %w", l.mislinked)
+	}
 	l.idx.flush()
 	var total int64
 	var buf []byte
@@ -60,6 +67,9 @@ func (l *Ledger) WriteTo(w io.Writer) (int64, error) {
 // trailer are loaded verbatim so that Verify can audit them and report
 // exactly which record a tamperer touched. A Load that succeeds
 // followed by a Verify that succeeds is the authenticity guarantee.
+// Records of a loaded ledger carry Seq and Prev derived from position,
+// not the fields as stored; a stored Seq or Prev that disagrees is
+// what Verify reports, and WriteTo refuses such a ledger.
 func Load(data []byte) (*Ledger, error) {
 	if len(data) < 16 || !bytes.Equal(data[:8], magic[:]) {
 		return nil, fmt.Errorf("%w: bad magic", ErrMalformed)

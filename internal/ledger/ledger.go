@@ -306,11 +306,11 @@ func (l *Ledger) verifyAgainstLocked(cp Checkpoint) error {
 // Reconstruct builds a ledger from records taken verbatim: each Hash
 // becomes the record's Merkle leaf as given. Seq and Prev are derived
 // from position, so the first record whose given Seq or Prev disagrees
-// with its position is noted and reported by Verify (Records and
-// WriteTo give the derived values, which the leaves commit to). It is the
-// deserialization core (Load uses it) and the seam adversarial tests
-// use to construct tampered histories; Verify decides whether the
-// result is authentic.
+// with its position is noted and reported by Verify; Records gives the
+// derived values, which the leaves commit to, and WriteTo refuses the
+// ledger rather than write them. It is the deserialization core (Load
+// uses it) and the seam adversarial tests use to construct tampered
+// histories; Verify decides whether the result is authentic.
 func Reconstruct(records []Record) *Ledger {
 	l := New(WithCapacity(len(records)))
 	for i := range records {

@@ -94,6 +94,34 @@ func TestCapacityPreallocationEquivalent(t *testing.T) {
 	}
 }
 
+// TestRepeatedCapacityLastWins: applying WithCapacity twice must leave
+// a ledger that grows past its reservation as an unreserved one does.
+// A second reservation that appended to the first would leave a short
+// chunk after a full one, which the chunk arithmetic cannot index.
+func TestRepeatedCapacityLastWins(t *testing.T) {
+	n := 2*chunkSize + 100
+	plain := New()
+	for _, opts := range [][]Option{
+		{WithCapacity(100), WithCapacity(100)},
+		{WithCapacity(chunkSize + 1), WithCapacity(100)},
+		{WithCapacity(100), WithCapacity(chunkSize + 1)},
+	} {
+		l := New(opts...)
+		for i := 0; i < n; i++ {
+			if plain.Len() < n {
+				plain.Append(draft(i))
+			}
+			l.Append(draft(i))
+		}
+		if err := l.Verify(); err != nil {
+			t.Fatalf("Verify: %v", err)
+		}
+		if l.Head() != plain.Head() || l.Root() != plain.Root() {
+			t.Fatal("repeated WithCapacity changed ledger content")
+		}
+	}
+}
+
 // TestProofExhaustive proves every record of every ledger size up to 70
 // against the root — covering every tree shape class (powers of two,
 // one-off-powers, odd tails).

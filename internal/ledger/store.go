@@ -47,8 +47,10 @@ func (c *chunked[T]) extend() {
 }
 
 // reserve allocates room for n elements in an empty store, so the
-// first n appends allocate nothing.
+// first n appends allocate nothing. It replaces any earlier
+// reservation, so the last one wins.
 func (c *chunked[T]) reserve(n uint64) {
+	c.chunks = c.chunks[:0]
 	for k := uint64(0); k*chunkSize < n; k++ {
 		size := uint64(chunkSize)
 		if k == 0 {

@@ -201,6 +201,36 @@ func TestPanickedBatchLeavesNoKeyTable(t *testing.T) {
 	}
 }
 
+// TestBatchTableReplacedWhenOversized: a pooled key table that keyed a
+// 4,096-slot batch is replaced, not cleared, for a 1-slot batch, since
+// clearing costs in proportion to the large table's buckets. A batch
+// of at least a quarter of the table's most slots reuses it.
+func TestBatchTableReplacedWhenOversized(t *testing.T) {
+	sc := new(evalScratch)
+	fill := func(m map[uint64]batchSource, n int) {
+		for i := range n {
+			m[uint64(i)] = batchSource{slot: i}
+		}
+	}
+	big := sc.batchTable(4096)
+	fill(big, 4096)
+	quarter := sc.batchTable(1024)
+	if len(big) != 0 || len(quarter) != 0 {
+		t.Fatalf("a 1,024-slot batch got a table of %d keys and left the 4,096-slot one %d", len(quarter), len(big))
+	}
+	fill(quarter, 4096)
+	small := sc.batchTable(1)
+	if len(small) != 0 {
+		t.Fatalf("1-slot batch got a table holding %d keys", len(small))
+	}
+	if len(big) != 4096 {
+		t.Fatalf("1-slot batch cleared the 4,096-slot table (now %d keys) instead of replacing it", len(big))
+	}
+	if sc.seenMax != 1 {
+		t.Fatalf("replaced table's seenMax = %d, want 1", sc.seenMax)
+	}
+}
+
 // TestEvaluateBatchEmpty: an empty batch is a no-op.
 func TestEvaluateBatchEmpty(t *testing.T) {
 	rulings, err := NewEngine().EvaluateBatch(context.Background(), nil)

@@ -242,6 +242,9 @@ type evalScratch struct {
 	r    Ruling
 	v    Verdict
 	seen map[uint64]batchSource
+	// seenMax is the most slots the table has keyed since it was made,
+	// which bounds what clearing it costs.
+	seenMax int
 }
 
 // scratchPool holds the evaluation scratches of every engine; reset
@@ -261,16 +264,21 @@ func (sc *evalScratch) reset(e *Engine, a *Action) {
 	sc.rc = RuleContext{engine: e, Action: &sc.r.Action, ruling: &sc.r}
 }
 
-// batchTable returns the scratch's batch key table, empty. It is
-// cleared when taken, not when returned: a batch that a custom rule
-// panics out of still returns its scratch, slots and all, and they
-// must not answer the next batch's. Until then the pooled table holds
-// the last batch's key names, which a collection drops with the pool.
+// batchTable returns the scratch's key table for an n-slot batch,
+// empty. It is cleared when taken, not when returned: a batch that a
+// custom rule panics out of still returns its scratch, slots and all,
+// and they must not answer the next batch's. Until then the pooled
+// table holds the last batch's key names, which a collection drops
+// with the pool. Clearing costs in proportion to the table's buckets,
+// which never shrink, so a table that has keyed more than four times
+// n slots is replaced rather than cleared: a small batch drawn after a
+// large one pays for a small map, as it would without the pool.
 func (sc *evalScratch) batchTable(n int) map[uint64]batchSource {
-	if sc.seen == nil {
-		sc.seen = make(map[uint64]batchSource, n)
+	if sc.seen == nil || sc.seenMax > 4*n {
+		sc.seen, sc.seenMax = make(map[uint64]batchSource, n), n
 	}
 	clear(sc.seen)
+	sc.seenMax = max(sc.seenMax, n)
 	return sc.seen
 }
 
